@@ -5,8 +5,14 @@ Finishing the adversary's job in closed form
 Mid-game the adversary has already revealed a budget prefix and can see
 the full posted-price schedule. What is the worst it can still do with
 the remaining slots? Enumerating every completion answers it exactly but
-costs |budget set|^(open slots); the structured oracle answers in linear
-time by checking only two shapes of attack.
+costs |budget set|^(open slots). The oracle answers it exactly too, by a
+small dynamic program over (slot, units left, benchmark picks left): the
+benchmark is the best set of at most R budgets, so the adversary chooses
+budgets and benchmark picks together, and each open slot only ever needs
+four moves (reject at the largest budget below its price or accept at the
+smallest one at or above it, each with or without a pick). The table costs
+O(N * R^2) once per price schedule and is cached; each prefix is then
+answered in O(N + l log l).
 """
 import itertools
 import time
@@ -17,9 +23,9 @@ from advalloc import (GameConfig, brute_force_completion, optimal_completion,
 cfg = GameConfig(n_users=8, n_resources=2, price_set=(1, 3, 6),
                  budget_set=(1, 3, 6))
 
-# Attack shape one: starve. Against uniformly high prices the adversary
-# sends the largest budget each price rejects; nothing sells and the
-# benchmark is whatever those rejected budgets add up to.
+# Two attack shapes come out of it. Starve: against uniformly high prices
+# the adversary sends the largest budget each price rejects; nothing sells
+# and the benchmark is whatever those rejected budgets add up to.
 flat = (6,) * 8
 res = optimal_completion(cfg, flat, realized_prefix=())
 trace = simulate(cfg, res.full_sequence, flat)
@@ -28,9 +34,9 @@ print("oracle attack:", res.full_sequence, "gap", res.gap)
 print("accepted:     ", trace.accepted, "welfare", trace.alg_welfare,
       "benchmark", trace.benchmark_value)
 
-# Attack shape two: exhaust. A bargain slot invites the adversary to buy
-# the stock with the cheapest budgets the prices accept, then parade rich
-# users past an empty shelf.
+# Exhaust: a bargain slot invites the adversary to buy the stock with the
+# cheapest budgets the prices accept, then parade rich users past an empty
+# shelf.
 bargain = (6, 6, 1, 1, 6, 6, 6, 6)
 res = optimal_completion(cfg, bargain, realized_prefix=())
 trace = simulate(cfg, res.full_sequence, bargain)
@@ -53,7 +59,8 @@ print("accepted:     ", trace.accepted, "welfare", trace.alg_welfare,
 
 # The oracle agrees with exhaustive enumeration on every prefix of length
 # up to four, at a fraction of the work (the brute force walks 3^open
-# completions; the oracle walks the open slots once per window).
+# completions; the oracle reuses one table for this price schedule and
+# walks the open slots once per prefix).
 t0 = time.perf_counter()
 checked = 0
 for ell in range(5):

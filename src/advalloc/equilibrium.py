@@ -121,7 +121,8 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
     if needed > max_bytes:
         raise PayoffTooLargeError(
             f"{rows.shape[0]}x{cols.shape[0]} needs {needed / 1e9:.1f} GB > cap; "
-            "use fictitious_play with an implicit evaluator")
+            "shrink the instance or raise max_bytes, or use "
+            "`ne --mode acceptance-lp` for long sequences")
     bench = benchmark_rows(rows, cfg.n_resources)
     values = (bench[:, None] - welfare_grid(rows, cols, cfg.n_resources)).astype(np.float64)
     return PayoffMatrix(rows=rows, cols=cols, values=values)

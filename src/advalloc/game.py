@@ -18,12 +18,13 @@ import numpy as np
 
 
 def _as_int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
-    out = []
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):  # fast path: exact ints, so no bool
+        return values
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{what} entries must be integers, got {v!r}")
-        out.append(int(v))
-    return tuple(out)
+    return tuple(int(v) for v in values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,9 +92,10 @@ def validate_sequence(cfg: GameConfig, seq: Sequence[int], value_set: tuple[int,
     elif len(seq) != cfg.n_users:
         raise ValueError(f"{what} length {len(seq)} != n_users {cfg.n_users}")
     allowed = set(value_set)
-    for v in seq:
-        if v not in allowed:
-            raise ValueError(f"{what} entry {v} not in {value_set}")
+    if not allowed.issuperset(seq):
+        for v in seq:
+            if v not in allowed:
+                raise ValueError(f"{what} entry {v} not in {value_set}")
     return seq
 
 

@@ -1,4 +1,7 @@
 """Worst-case completion: construction vs exhaustive enumeration."""
+import bisect
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from advalloc.completion import (
     brute_force_completion,
     optimal_completion,
 )
-from advalloc.game import GameConfig, gap
+from advalloc.game import GameConfig, gap, simulate
+from advalloc.training import _adversary_grad_probs
 
 
 def cfg(n, r, prices, budgets):
@@ -134,3 +138,117 @@ class TestEquivalence:
         c = cfg(2, 1, (1,), (1, 2))
         res = optimal_completion(c, (1, 1), ())
         assert isinstance(res, CompletionResult)
+
+
+class TestTieBreak:
+    def test_accepts_as_late_as_stays_optimal(self):
+        # accepting at slot 0 ((2, 4, 4)) or at slot 1 ((1, 2, 4)) both give
+        # gap 2; slot 0 rejects because a gap-2 completion rejects there
+        c = cfg(3, 1, (1, 2), (1, 2, 4))
+        res = optimal_completion(c, (2, 2, 1), ())
+        assert gap(c, (2, 4, 4), (2, 2, 1)) == 2
+        assert res.gap == 2
+        assert res.full_sequence == (1, 2, 4)
+
+    def test_rejecting_open_slot_spends_its_pick(self):
+        # (3, 3, 6) also reaches gap 3, by accepting slot 1 and spiking
+        # slot 2; a benchmark pick spent on slot 0 lets slot 1 reject
+        c = cfg(3, 1, (3, 4, 6), (1, 3, 6))
+        res = optimal_completion(c, (6, 3, 3), ())
+        assert gap(c, (3, 3, 6), (6, 3, 3)) == 3
+        assert res.gap == 3
+        assert res.full_sequence == (3, 1, 1)
+
+    def test_prefix_keeps_most_picks(self):
+        # every completion has gap 0; a pick kept on the accepted prefix
+        # slot lets slot 1 reject instead of accepting as in (5, 5, 5)
+        c = cfg(3, 2, (1, 3, 5), (1, 5))
+        res = optimal_completion(c, (3, 5, 1), (5,))
+        assert res.gap == 0
+        assert res.full_sequence == (5, 1, 1)
+
+    def test_gap_zero_everywhere_rejects_then_accepts_cheapest(self):
+        c = cfg(2, 1, (1, 3), (1, 3))
+        res = optimal_completion(c, (3, 1), ())
+        assert res.gap == 0
+        assert res.full_sequence == (1, 1)
+
+    @given(completion_instance())
+    @settings(max_examples=300, deadline=None)
+    def test_posted_budgets(self, inst):
+        c, prices, prefix = inst
+        res = optimal_completion(c, prices, prefix)
+        trace = simulate(c, res.full_sequence, prices)
+        budgets = c.budget_set
+        for i in range(len(prefix), len(prices)):
+            b = res.full_sequence[i]
+            k = bisect.bisect_left(budgets, prices[i])
+            if trace.resources_before[i] == 0:
+                assert b == budgets[-1]
+            elif trace.accepted[i]:
+                assert b == budgets[k]
+            else:
+                assert b == budgets[k - 1]
+
+
+def scan_instance(seed):
+    """Seeded instance with N=25..60, R<=11, |B|<=6 and values in 1..12.
+
+    Draws only through random.Random.random(), whose stream Python keeps
+    fixed across versions, so the pinned gaps below stay reproducible.
+    """
+    rng = random.Random(seed)
+
+    def below(k):
+        return int(rng.random() * k)
+
+    def subset(size):
+        pool = list(range(1, 13))
+        return tuple(sorted(pool.pop(below(len(pool))) for _ in range(size)))
+
+    n = 25 + below(36)
+    r = 1 + below(11)
+    c = GameConfig(n_users=n, n_resources=r, price_set=subset(1 + below(6)),
+                   budget_set=subset(1 + below(6)))
+    prices = tuple(c.price_set[below(c.n_prices)] for _ in range(n))
+    prefix = tuple(c.budget_set[below(c.n_budgets)] for _ in range(below(n + 1)))
+    return c, prices, prefix
+
+
+# Gaps of scan_instance(0..49), computed by the starve/exhaust-then-spike
+# window scan that preceded the DP.
+SCAN_GAPS = (30, 10, 25, 0, 16, 81, 50, 9, 33, 35, 0, 54, 14, 35, 23, 0, 0, 22, 19, 0,
+             54, 10, 18, 8, 50, 14, 27, 20, 6, 0, 24, 16, 12, 19, 0, 72, 53, 2, 20, 18,
+             40, 30, 0, 16, 48, 6, 50, 0, 9, 12)
+
+# One adversary-signal row on the N=25 staircase game, from the window scan.
+STAIRCASE_GAME = GameConfig(n_users=25, n_resources=5,
+                            price_set=(1, 2, 3, 4, 5), budget_set=(1, 2, 3, 4, 5))
+SIGNAL_PRICES = (5, 5, 4, 3, 4, 5, 4, 3, 3, 4, 5, 3, 5, 5, 5, 4, 3, 5, 4, 3, 5, 4, 5, 5, 3)
+SIGNAL_BUDGETS = (2, 2, 2, 1, 2, 5, 3, 1, 3, 3, 2, 1, 1, 3, 5, 1, 1, 5, 3, 3, 2, 5, 1, 1, 1)
+SIGNAL_ROW = (
+    (20, 20, 20, 20, 16), (20, 20, 20, 20, 16), (20, 20, 20, 16, 16), (20, 20, 17, 16, 16),
+    (20, 20, 20, 16, 16), (20, 20, 20, 20, 16), (16, 16, 16, 12, 12), (16, 16, 13, 12, 12),
+    (16, 16, 13, 12, 12), (13, 13, 13, 9, 9), (13, 13, 13, 13, 9), (13, 13, 10, 9, 9),
+    (13, 13, 13, 13, 9), (13, 13, 13, 13, 9), (13, 13, 13, 13, 9), (9, 9, 9, 5, 5),
+    (9, 9, 6, 5, 5), (9, 9, 9, 9, 5), (5, 5, 5, 3, 2), (5, 5, 4, 3, 2),
+    (4, 4, 4, 4, 4), (4, 4, 4, 4, 4), (4, 4, 4, 4, 4), (4, 4, 4, 4, 4),
+    (2, 2, 2, 3, 4),
+)
+
+
+class TestPinnedWindowScan:
+    @pytest.mark.parametrize("seed", range(len(SCAN_GAPS)))
+    def test_gap_and_sequence(self, seed):
+        c, prices, prefix = scan_instance(seed)
+        res = optimal_completion(c, prices, prefix)
+        assert res.gap == SCAN_GAPS[seed]
+        assert res.full_sequence[: len(prefix)] == prefix
+        assert len(res.full_sequence) == len(prices)
+        assert gap(c, res.full_sequence, prices) == res.gap
+
+    def test_staircase_signal_row(self):
+        out = _adversary_grad_probs(STAIRCASE_GAME, np.array([SIGNAL_PRICES]),
+                                    np.array([SIGNAL_BUDGETS]))
+        assert out.shape == (1, 25, 5)
+        assert out[0].tolist() == [list(row) for row in SIGNAL_ROW]

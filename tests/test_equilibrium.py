@@ -72,6 +72,14 @@ class TestBuildPayoff:
         with pytest.raises(PayoffTooLargeError):
             build_payoff_matrix(c, max_bytes=1000)
 
+    def test_memory_cap_message_names_existing_routes(self):
+        c = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))
+        with pytest.raises(PayoffTooLargeError) as err:
+            build_payoff_matrix(c, max_bytes=1000)
+        assert str(err.value) == (
+            "2187x16384 needs 0.3 GB > cap; shrink the instance or raise max_bytes, "
+            "or use `ne --mode acceptance-lp` for long sequences")
+
 
 class TestSolveZeroSum:
     def test_lowest_price_dominates(self):

@@ -1,4 +1,6 @@
 """Game mechanics: play-out, benchmark, gap, vector kernels."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from advalloc.game import (
     parse_sequence,
     simulate,
     validate_budgets,
+    validate_prices,
     welfare_grid,
     welfare_paired,
 )
@@ -221,3 +224,48 @@ class TestSequenceText:
             validate_budgets(c, [1, 2])
         with pytest.raises(ValueError):
             validate_budgets(c, [1, 2, 1, 2, 1], allow_partial=True)
+
+
+class TestValidation:
+    """Plain-int input takes a fast path; everything else the checked one."""
+
+    def test_plain_ints_pass_through(self):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        assert validate_prices(c, (1, 2, 1)) == (1, 2, 1)
+        assert validate_budgets(c, [4, 2], allow_partial=True) == (4, 2)
+        assert validate_budgets(c, (), allow_partial=True) == ()
+
+    def test_numpy_ints_come_back_as_python_ints(self):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        for seq, want in ((np.array([4, 2, 4]), (4, 2, 4)),
+                          ([np.int64(4), 2, np.int32(2)], (4, 2, 2))):
+            out = validate_budgets(c, seq)
+            assert out == want
+            assert all(type(v) is int for v in out)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 2.0, "2", None])
+    def test_non_integer_entry_message(self, bad):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"budgets entries must be integers, got {bad!r}")):
+            validate_budgets(c, (4, bad, 4))
+
+    def test_first_non_integer_is_named(self):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        with pytest.raises(ValueError, match=re.escape("prices entries must be integers, got 1.5")):
+            validate_prices(c, (1, 1.5, False))
+
+    def test_out_of_set_message(self):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        with pytest.raises(ValueError, match=re.escape("budgets entry 3 not in (2, 4)")):
+            validate_budgets(c, (2, 3, 5))
+        with pytest.raises(ValueError, match=re.escape("prices entry 7 not in (1, 2)")):
+            validate_prices(c, np.array([1, 7, 2]))
+
+    def test_length_messages(self):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        with pytest.raises(ValueError, match=re.escape("budgets length 2 != n_users 3")):
+            validate_budgets(c, (2, 4))
+        with pytest.raises(ValueError,
+                           match=re.escape("prices longer than n_users: 4 > 3")):
+            validate_prices(c, (1, 1, 1, 1), allow_partial=True)
