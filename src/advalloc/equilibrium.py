@@ -29,10 +29,16 @@ from .simplex import solve_lp
 VALUE_TOL = 1e-6
 DEFAULT_MATRIX_CAP = 2 * 1024**3
 DIRECT_LP_CELLS = 300_000
+_BLOCK_CELLS = 1 << 18   # payoff cells built per welfare_grid call
 
 
 class PayoffTooLargeError(ValueError):
-    """Matrix would exceed the memory cap; use fictitious_play instead."""
+    """Matrix would exceed the memory cap.
+
+    Every solver here (LP, strategy generation, fictitious play) reads the
+    full matrix, so the routes out are a smaller instance, a larger
+    ``max_bytes``, or ``ne --mode acceptance-lp`` for long sequences.
+    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,6 +110,10 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
     Variable-length row strategies (prefix-style) are zero-padded; a padded
     column is replayed only along the row's real length because zero budgets
     never accept. Column strategies must be full length.
+
+    The float64 values are filled one block of rows at a time, so peak memory
+    is the output plus one block of about 256K cells: ``max_bytes``, which caps
+    the output, bounds the real footprint.
     """
     if row_strategies is None:
         rows = enumerate_strategies(cfg.budget_set, cfg.n_users)
@@ -124,8 +134,28 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
             "shrink the instance or raise max_bytes, or use "
             "`ne --mode acceptance-lp` for long sequences")
     bench = benchmark_rows(rows, cfg.n_resources)
-    values = (bench[:, None] - welfare_grid(rows, cols, cfg.n_resources)).astype(np.float64)
+    values = np.empty((rows.shape[0], cols.shape[0]), dtype=np.float64)
+    step = max(1, _BLOCK_CELLS // max(1, cols.shape[0]))
+    for start in range(0, rows.shape[0], step):
+        block = slice(start, start + step)
+        np.subtract(bench[block, None], welfare_grid(rows[block], cols, cfg.n_resources),
+                    out=values[block])
     return PayoffMatrix(rows=rows, cols=cols, values=values)
+
+
+def _payoff_array(payoff) -> np.ndarray:
+    """The 2-D float64 values of a PayoffMatrix or of a raw array.
+
+    Only raw arrays are checked for NaN and infinities: a PayoffMatrix holds
+    integer gaps by construction.
+    """
+    raw = not isinstance(payoff, PayoffMatrix)
+    C = np.asarray(payoff, dtype=np.float64) if raw else payoff.values
+    if C.ndim != 2 or 0 in C.shape:
+        raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
+    if raw and not np.isfinite(C).all():
+        raise ValueError("payoff matrix entries must be finite")
+    return C
 
 
 def _game_lps(C: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -163,9 +193,7 @@ def solve_zero_sum(payoff, *, tol: float = VALUE_TOL) -> MixedStrategy:
     that, strategy generation grows row/column supports until the
     best-response certificate closes, so the result is exact either way.
     """
-    C = payoff.values if isinstance(payoff, PayoffMatrix) else np.asarray(payoff, dtype=np.float64)
-    if C.ndim != 2 or 0 in C.shape:
-        raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
+    C = _payoff_array(payoff)
     M, K = C.shape
     if M * K <= DIRECT_LP_CELLS:
         v_row, row_mix, v_col, col_mix = _game_lps(C)
@@ -251,24 +279,28 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     opponent's empirical average. Any step's averages give valid bounds
     lower <= v* <= upper, so the tightest checkpointed bracket is reported.
     """
-    C = payoff.values if isinstance(payoff, PayoffMatrix) else np.asarray(payoff, dtype=np.float64)
-    if C.ndim != 2 or 0 in C.shape:
-        raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
+    C = _payoff_array(payoff)
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be positive")
     M, K = C.shape
     row_payoff = np.zeros(M)   # cumulative C @ (col picks)
     col_payoff = np.zeros(K)   # cumulative (row picks) @ C
     row_counts = np.zeros(M)
     col_counts = np.zeros(K)
+    columns: dict[int, np.ndarray] = {}   # contiguous copies of the picked columns
     best_lower = -np.inf
     best_upper = np.inf
     for t in range(1, iterations + 1):
-        i = int(np.argmax(row_payoff))
-        j = int(np.argmin(col_payoff))
+        i = int(row_payoff.argmax())
+        j = int(col_payoff.argmin())
         row_counts[i] += 1
         col_counts[j] += 1
-        row_payoff += C[:, j]
+        column = columns.get(j)
+        if column is None:
+            column = columns[j] = C[:, j].copy()
+        row_payoff += column
         col_payoff += C[i, :]
         if t % checkpoint_every == 0 or t == iterations:
             best_lower = max(best_lower, float(col_payoff.min()) / t)

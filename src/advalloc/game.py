@@ -179,21 +179,52 @@ def format_sequence(seq: Sequence[int]) -> str:
 # common length: a zero budget is below every positive price so it is never
 # accepted and never enters the top-R sum, i.e. padding does not change values.
 
+def _narrowest_int(lo: int, hi: int) -> np.dtype:
+    """Smallest signed integer dtype holding every value in [lo, hi] (int64 at most)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def welfare_grid(budget_rows: np.ndarray, price_rows: np.ndarray, n_resources: int) -> np.ndarray:
-    """(M, N) budget rows x (K, N) price rows -> (M, K) algorithm welfare."""
-    budget_rows = np.asarray(budget_rows)
-    price_rows = np.asarray(price_rows)
+    """(M, N) integer budget rows x (K, N) integer price rows -> (M, K) int64 welfare.
+
+    The N steps update preallocated M x K buffers in place. Comparisons, the
+    units-left counter and the welfare sum run in the narrowest integer dtypes
+    that hold the inputs, min(R, N) and min(R, N) * max budget respectively;
+    the sum is widened to int64 once at the end.
+    """
+    budget_rows = np.asarray(budget_rows, dtype=np.int64)
+    price_rows = np.asarray(price_rows, dtype=np.int64)
     M, N = budget_rows.shape
     K = price_rows.shape[0]
-    y = np.full((M, K), n_resources, dtype=np.int32)
-    welfare = np.zeros((M, K), dtype=np.int64)
+    units = max(0, min(n_resources, N))   # at most N units can ever be taken
+    top_budget = int(budget_rows.max(initial=0))
+    value_type = _narrowest_int(min(budget_rows.min(initial=0), price_rows.min(initial=0)),
+                                max(top_budget, price_rows.max(initial=0)))
+    welfare_type = _narrowest_int(0, units * top_budget)
+    # one contiguous row per step
+    budgets = budget_rows.T.astype(value_type, order="C")[:, :, None]
+    prices = price_rows.T.astype(value_type, order="C")
+    positive = budget_rows.T > 0
+    gains = np.where(positive, budget_rows.T, 0).astype(welfare_type)[:, :, None]
+    left = np.full((M, K), units, dtype=_narrowest_int(0, units))
+    take = np.empty((M, K), dtype=bool)
+    taken = take.view(np.int8)    # the same 0/1 bytes, for integer arithmetic
+    step_welfare = np.empty((M, K), dtype=welfare_type)
+    welfare = np.zeros((M, K), dtype=welfare_type)
     for i in range(N):
-        b = budget_rows[:, i].astype(np.int64)[:, None]
-        p = price_rows[:, i][None, :]
-        take = (b >= p) & (y > 0) & (b > 0)
-        welfare += b * take
-        y -= take
-    return welfare
+        np.greater_equal(budgets[i], prices[i], out=take)
+        if not positive[i].all():   # zero padding: a zero budget never takes
+            take[~positive[i]] = False
+        if i >= units:   # before step i at most i units are gone
+            np.logical_and(take, left, out=take)
+        np.multiply(taken, gains[i], out=step_welfare)
+        welfare += step_welfare
+        left -= taken
+    return welfare.astype(np.int64, copy=False)
 
 
 def welfare_paired(budget_rows: np.ndarray, price_rows: np.ndarray,

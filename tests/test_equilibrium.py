@@ -1,8 +1,11 @@
 """Equilibrium values: payoff construction, LP solving, fictitious play."""
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from advalloc import equilibrium
 from advalloc.equilibrium import (
     FictitiousPlayResult,
     MixedStrategy,
@@ -67,6 +70,28 @@ class TestBuildPayoff:
         assert pm.values[1, 0] == 1      # unit burnt on the 1, benchmark 2
         assert pm.values[2, 0] == 1
 
+    def test_full_enumeration_bytes_pinned(self):
+        # sha256 of the 729x4096 matrix built by one welfare_grid call over
+        # all rows, so the row-blocked build must reproduce it byte for byte
+        pm = build_payoff_matrix(cfg(6, 3, (1, 3, 5, 7), (2, 4, 6)))
+        assert pm.values.dtype == np.float64
+        assert hashlib.sha256(pm.values.tobytes()).hexdigest() == (
+            "a64a5ff44969d9ebe2054ecd07ea40a41aedbacbf4bf012e513ee59647d0981e")
+
+    def test_partial_last_block_with_prefix_rows(self, monkeypatch):
+        c = cfg(4, 2, (1, 2, 3), (1, 2, 3))
+        cols = [(1, 2, 3, 1), (3, 3, 1, 1), (2, 1, 2, 3), (1, 1, 1, 1), (3, 2, 1, 2)]
+        rng = np.random.default_rng(8)
+        rows = [tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(1, 5))))
+                for _ in range(11)]
+        # 3 rows per block: 11 rows leave a partial last block of 2
+        monkeypatch.setattr(equilibrium, "_BLOCK_CELLS", 3 * len(cols) + 1)
+        pm = build_payoff_matrix(c, row_strategies=rows, col_strategies=cols)
+        assert pm.shape == (11, 5)
+        for i, r in enumerate(rows):
+            for j, p in enumerate(cols):
+                assert pm.values[i, j] == gap(c, r, p[: len(r)])
+
     def test_memory_cap(self):
         c = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))
         with pytest.raises(PayoffTooLargeError):
@@ -127,6 +152,12 @@ class TestSolveZeroSum:
         with pytest.raises(ValueError):
             solve_zero_sum(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, bad):
+        C = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            solve_zero_sum(C)
+
 
 class TestAcceptanceLp:
     def test_uniform_abundant_is_zero(self):
@@ -166,6 +197,25 @@ class TestAcceptanceLp:
             solve_acceptance_lp([-1, 2], 1)
 
 
+def reference_fictitious_play(C, iterations, checkpoint_every):
+    """Plain fictitious-play loop that reads each picked column with a stride."""
+    M, K = C.shape
+    row_payoff, col_payoff = np.zeros(M), np.zeros(K)
+    row_counts, col_counts = np.zeros(M), np.zeros(K)
+    lower, upper = -np.inf, np.inf
+    for t in range(1, iterations + 1):
+        i = int(np.argmax(row_payoff))
+        j = int(np.argmin(col_payoff))
+        row_counts[i] += 1
+        col_counts[j] += 1
+        row_payoff += C[:, j]
+        col_payoff += C[i, :]
+        if t % checkpoint_every == 0 or t == iterations:
+            lower = max(lower, float(col_payoff.min()) / t)
+            upper = min(upper, float(row_payoff.max()) / t)
+    return lower, upper, row_counts / iterations, col_counts / iterations
+
+
 class TestFictitiousPlay:
     def test_dominant_column(self):
         res = fictitious_play(np.array([[0.0, 1.0], [0.0, 0.0]]), 500)
@@ -198,6 +248,31 @@ class TestFictitiousPlay:
     def test_validation(self):
         with pytest.raises(ValueError):
             fictitious_play(np.zeros((2, 2)), 0)
+
+    @pytest.mark.parametrize("every", [0, -1, -100])
+    def test_checkpoint_every_must_be_positive(self, every):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            fictitious_play(np.zeros((2, 2)), 10, checkpoint_every=every)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, bad):
+        C = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            fictitious_play(C, 10)
+
+    def test_bit_identical_to_reference_loop(self):
+        # few distinct values, so both players meet many argmax/argmin ties
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            M, K = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+            C = rng.integers(0, 4, size=(M, K)).astype(float)
+            iterations = int(rng.integers(1, 1500))
+            every = int(rng.integers(1, 60))
+            res = fictitious_play(C, iterations, checkpoint_every=every)
+            lower, upper, row_avg, col_avg = reference_fictitious_play(C, iterations, every)
+            assert res.lower == lower and res.upper == upper
+            assert np.array_equal(res.row_avg, row_avg)
+            assert np.array_equal(res.col_avg, col_avg)
 
 
 class TestSolveStrategyTypes:

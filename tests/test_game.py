@@ -199,6 +199,27 @@ class TestProperties:
         assert welfare_grid(rows, cols, 2)[0, 0] == tr.alg_welfare
         assert benchmark_rows(rows, 2)[0] == tr.benchmark_value
 
+    @pytest.mark.parametrize("top, n_resources",
+                             [(6, 3), (6, 9), (6, 0), (300, 2), (40_000, 4), (5 * 10**9, 3)])
+    def test_welfare_grid_matches_reference_loop(self, top, n_resources):
+        # value ranges that select each narrow dtype (int8 up to int64), R above
+        # and below N, no units at all, and zero budgets
+        rng = np.random.default_rng(top + n_resources)
+        rows = rng.integers(1, top + 1, size=(13, 6))
+        rows[rng.random(rows.shape) < 0.2] = 0
+        cols = rng.integers(1, top + 1, size=(17, 6))
+        welfare = welfare_grid(rows, cols, n_resources)
+        assert welfare.dtype == np.int64
+        expected = np.zeros((13, 17), dtype=np.int64)
+        for m in range(13):
+            for k in range(17):
+                left = n_resources
+                for b, p in zip(rows[m].tolist(), cols[k].tolist()):
+                    if left > 0 and b > 0 and b >= p:
+                        expected[m, k] += b
+                        left -= 1
+        assert np.array_equal(welfare, expected)
+
     def test_abundant_lowest_price_gap_zero(self):
         # R >= N and min(A) <= min(B): posting min(A) accepts everyone
         c = cfg(3, 3, (1, 5), (2, 4))
