@@ -7,6 +7,13 @@ outcome. Acceptance is budget >= price while resources remain, and welfare
 counts accepted budgets, so competitive ratios divide the offline benchmark
 by realized welfare.
 
+A policy may also define play_rows(cfg, rows, rng) -> welfare, scoring a
+whole (count, n_users) array at once; play_protocol uses it for 2-D input.
+LearnedPolicy does, playing fixed blocks of rows through training.play_batch
+(one network call per slot per block, and with sampling one uniform per slot
+across the block). The classical rules and protocol-only wrappers stream row
+after row, as does the adaptive worst_case_for_threshold construction.
+
 Worst cases: deterministic threshold policies get the drive-then-starve
 construction (force accepts at the cheapest grid budget, then feed budgets
 just under the final price); the randomized policy gets the doubling ladder
@@ -23,13 +30,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .game import GameConfig, benchmark_rows
+from .game import GameConfig, benchmark_rows, validate_budgets
 from .nets import AdversaryPolicy, AlgorithmPolicy, sample_categorical
 from .rng import derive_rng
-from .training import PolicyRollout, SnapshotRing
+from .training import PolicyRollout, SnapshotRing, play_batch
 
 RESULTS_HEADER = ("policy", "mode", "cr", "mean_welfare", "mean_gap")
 EVAL_MODES = ("worst", "random")
+# LearnedPolicy.play_rows plays at most this many budget cells (rows x
+# n_users) per batch, so scoring many rows keeps a flat memory peak
+_BLOCK_CELLS = 1 << 11
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,6 +162,16 @@ class LearnedPolicy:
         state.rollout.observe(budget, accepted)
         state.y -= bool(accepted)
 
+    def play_rows(self, cfg: GameConfig, rows: np.ndarray,
+                  rng: np.random.Generator | None) -> np.ndarray:
+        """Welfare of each trusted budget row, played in blocks of rows."""
+        step = max(1, _BLOCK_CELLS // cfg.n_users)
+        welfare = np.empty(len(rows), dtype=np.int64)
+        for lo in range(0, len(rows), step):
+            welfare[lo:lo + step] = play_batch(cfg, self.policy, rows[lo:lo + step],
+                                               rng, sample=self.sample).welfare
+        return welfare
+
 
 def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
                               ring: SnapshotRing):
@@ -169,22 +189,53 @@ def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
     return draw
 
 
-def play_protocol(cfg: GameConfig, policy, budgets: Sequence[int],
-                  rng: np.random.Generator | None = None):
-    """One sequence through the streaming protocol; returns (welfare, gap)."""
+def _stream(cfg: GameConfig, policy, budgets: Sequence[int], rng) -> int:
+    """Welfare of one trusted sequence played slot by slot through the protocol."""
     state = policy.start(cfg, rng)
     y = cfg.n_resources
     welfare = 0
     for b in budgets:
         p = policy.price(state)
         take = y > 0 and b >= p
-        policy.observe(state, int(b), bool(take))
+        policy.observe(state, b, bool(take))
         if take:
-            welfare += int(b)
+            welfare += b
             y -= 1
-    bench = int(benchmark_rows(np.asarray(budgets, dtype=np.int64)[None, :],
-                               cfg.n_resources)[0])
-    return welfare, bench - welfare
+    return welfare
+
+
+def play_protocol(cfg: GameConfig, policy, budgets,
+                  rng: np.random.Generator | None = None):
+    """Play budgets through a policy and score them against the benchmark.
+
+    A 1-D sequence returns (welfare, gap) as ints. A 2-D array of rows
+    returns per-row (welfare, gap) int64 arrays: policies with play_rows
+    score all rows in one call, the others stream row after row with the
+    same rng draws as per-row calls. Every row must hold exactly n_users
+    budgets from the budget set.
+    """
+    if np.ndim(budgets) != 2:
+        seq = validate_budgets(cfg, budgets)
+        welfare = _stream(cfg, policy, seq, rng)
+        bench = int(benchmark_rows(np.asarray(seq, dtype=np.int64)[None, :],
+                                   cfg.n_resources)[0])
+        return welfare, bench - welfare
+    rows = np.asarray(budgets)
+    if rows.shape[1] != cfg.n_users:
+        raise ValueError(f"budget rows have {rows.shape[1]} slots, "
+                         f"config has {cfg.n_users}")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"budget rows must be integers, got dtype {rows.dtype}")
+    if not np.isin(rows, cfg.budget_set).all():
+        raise ValueError(f"budget rows hold entries not in {cfg.budget_set}")
+    rows = rows.astype(np.int64, copy=False)
+    play_rows = getattr(policy, "play_rows", None)
+    if play_rows is not None:
+        welfare = np.asarray(play_rows(cfg, rows, rng), dtype=np.int64)
+    else:
+        welfare = np.array([_stream(cfg, policy, row, rng) for row in rows.tolist()],
+                           dtype=np.int64)
+    return welfare, benchmark_rows(rows, cfg.n_resources) - welfare
 
 
 def competitive_ratio(benchmark: float, welfare: float) -> float:
@@ -320,15 +371,12 @@ def _worst_row(cfg: GameConfig, name: str, policy, rng: np.random.Generator,
         candidates = np.asarray(policy.worst_case(cfg), dtype=np.int64)[None, :]
     else:
         candidates = random_sequences(cfg, rng, n_candidates)
-    best = None
-    for row in candidates:
-        welfare, gap_value = play_protocol(cfg, policy, [int(v) for v in row], rng)
-        cr = competitive_ratio(welfare + gap_value, welfare)
-        key = (cr, gap_value)
-        if best is None or key > best[0]:
-            best = (key, welfare, gap_value)
-    (cr, _), welfare, gap_value = best
-    return EvalRow(name, "worst", cr, float(welfare), float(gap_value))
+    welfare, gaps = play_protocol(cfg, policy, candidates, rng)
+    welfare, gaps = welfare.tolist(), gaps.tolist()
+    crs = [competitive_ratio(w + g, w) for w, g in zip(welfare, gaps)]
+    # max() keeps the first of equal (cr, gap) keys
+    best = max(range(len(crs)), key=lambda i: (crs[i], gaps[i]))
+    return EvalRow(name, "worst", crs[best], float(welfare[best]), float(gaps[best]))
 
 
 def evaluate_policies(cfg: GameConfig, policies, *, mode: str,
@@ -343,6 +391,8 @@ def evaluate_policies(cfg: GameConfig, policies, *, mode: str,
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+    if n_sequences < 1:
+        raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
     named = list(policies.items()) if isinstance(policies, dict) else \
         [(p.name, p) for p in policies]
     rows: list[EvalRow] = []
@@ -354,14 +404,9 @@ def evaluate_policies(cfg: GameConfig, policies, *, mode: str,
     shared = random_sequences(cfg, derive_rng(seed, "eval:sequences"), n_sequences)
     for name, policy in named:
         rng = derive_rng(seed, f"eval:random:{name}")
-        welfare_total = 0.0
-        gap_total = 0.0
-        for row in shared:
-            welfare, gap_value = play_protocol(cfg, policy, [int(v) for v in row], rng)
-            welfare_total += welfare
-            gap_total += gap_value
-        rows.append(EvalRow(name, "random", None, welfare_total / n_sequences,
-                            gap_total / n_sequences))
+        welfare, gaps = play_protocol(cfg, policy, shared, rng)
+        rows.append(EvalRow(name, "random", None, float(welfare.sum()) / n_sequences,
+                            float(gaps.sum()) / n_sequences))
     return rows
 
 

@@ -202,14 +202,9 @@ def cmd_eval(args) -> int:
     else:
         rows = random_sequences(cfg, rng, args.n_sequences)
         mode = "random"
-    welfare_total = 0.0
-    gap_total = 0.0
-    for row in rows:
-        welfare, gap_value = play_protocol(cfg, learned, [int(b) for b in row], rng)
-        welfare_total += welfare
-        gap_total += gap_value
-    mean_welfare = welfare_total / args.n_sequences
-    mean_gap = gap_total / args.n_sequences
+    welfare, gaps = play_protocol(cfg, learned, rows, rng)
+    mean_welfare = float(welfare.sum()) / args.n_sequences
+    mean_gap = float(gaps.sum()) / args.n_sequences
     _write_csv(os.path.join(args.out_dir, "results.csv"), RESULTS_HEADER,
                [("learned", mode, None, mean_welfare, mean_gap)])
     print(f"mode={mode} sequences={args.n_sequences} "

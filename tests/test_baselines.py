@@ -1,10 +1,13 @@
 """Baseline policies, worst-case constructions, and the evaluation table."""
+import csv
 import math
 
 import numpy as np
 import pytest
 
+import advalloc.baselines as baselines
 from advalloc.baselines import (
+    RESULTS_HEADER,
     BaselineParams,
     EvalRow,
     GreedyPolicy,
@@ -23,10 +26,16 @@ from advalloc.baselines import (
     threshold_price,
     worst_case_for_threshold,
 )
+from advalloc.cli import run_cli
 from advalloc.game import GameConfig, benchmark_rows
 from advalloc.nets import AlgorithmPolicy
 from advalloc.rng import derive_rng
-from advalloc.training import SnapshotRing, make_adversary_policy, TrainConfig
+from advalloc.training import (
+    SnapshotRing,
+    TrainConfig,
+    make_adversary_policy,
+    play_batch,
+)
 
 POW2 = GameConfig(n_users=8, n_resources=3, price_set=(1, 2, 4, 8),
                   budget_set=(1, 2, 4, 8))
@@ -170,6 +179,89 @@ class TestPlayProtocol:
         assert prices[3] == pytest.approx(8.0)
 
 
+class TestPlayProtocolInput:
+    CFG = GameConfig(n_users=4, n_resources=2, price_set=(1, 2), budget_set=(1, 2))
+
+    def policies(self):
+        return [GreedyPolicy(), LearnedPolicy(AlgorithmPolicy(4, 2))]
+
+    @pytest.mark.parametrize("row", [(2, 2), (1, 2, 2, 1, 2)])
+    def test_sequence_of_wrong_length_is_rejected(self, row):
+        for policy in self.policies():
+            with pytest.raises(ValueError, match="length"):
+                play_protocol(self.CFG, policy, row)
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_rows_of_wrong_width_are_rejected(self, width):
+        rows = np.ones((3, width), dtype=np.int64)
+        for policy in self.policies():
+            with pytest.raises(ValueError, match=f"{width} slots"):
+                play_protocol(self.CFG, policy, rows)
+
+    def test_off_grid_budgets_are_rejected(self):
+        for policy in self.policies():
+            with pytest.raises(ValueError, match="not in"):
+                play_protocol(self.CFG, policy, (1, 2, 3, 1))
+            with pytest.raises(ValueError, match="not in"):
+                play_protocol(self.CFG, policy, np.array([[1, 2, 2, 1], [1, 3, 2, 1]]))
+            with pytest.raises(ValueError, match="integers"):
+                play_protocol(self.CFG, policy, np.ones((2, 4)))
+
+
+def _varied_policy(cfg):
+    """An argmax network whose posted prices move across the whole grid."""
+    policy = AlgorithmPolicy(cfg.n_users, cfg.n_prices, hidden=(16, 16),
+                             rng=np.random.default_rng(0))
+    rng = np.random.default_rng(2)
+    policy.set_params([rng.normal(scale=0.5, size=p.shape) for p in policy.params])
+    return policy
+
+
+class TestBatchedPlay:
+    """The 2-D play_protocol equals per-row 1-D calls."""
+
+    def per_row(self, policy, rows, rng=None):
+        pairs = [play_protocol(POW2, policy, [int(b) for b in row], rng) for row in rows]
+        return [w for w, _ in pairs], [g for _, g in pairs]
+
+    def check(self, policy, rows, *, seed=None):
+        rng = None if seed is None else np.random.default_rng(seed)
+        welfare, gaps = play_protocol(POW2, policy, rows, rng)
+        assert welfare.dtype == gaps.dtype == np.int64
+        rng = None if seed is None else np.random.default_rng(seed)
+        assert (welfare.tolist(), gaps.tolist()) == self.per_row(policy, rows, rng)
+
+    @pytest.mark.parametrize("policy", [GreedyPolicy(), ThresholdPolicy()])
+    def test_threshold_rules(self, policy):
+        self.check(policy, random_sequences(POW2, np.random.default_rng(3), 40))
+
+    def test_randomized_rule_with_equal_rng_draws(self):
+        self.check(RandomizedPolicy(), random_sequences(POW2, np.random.default_rng(3), 40),
+                   seed=8)
+
+    def test_protocol_only_policies_stream(self):
+        rows = random_sequences(POW2, np.random.default_rng(4), 25)
+        self.check(OverpricedPolicy(), rows)
+        batched, streamed = PriceRecorder(ThresholdPolicy()), PriceRecorder(ThresholdPolicy())
+        play_protocol(POW2, batched, rows)
+        self.per_row(streamed, rows)
+        assert batched.log == streamed.log
+
+    @pytest.mark.parametrize("count", [1, 7, 23])
+    def test_argmax_learned_policy_across_blocks(self, monkeypatch, count):
+        monkeypatch.setattr(baselines, "_BLOCK_CELLS", 3 * POW2.n_users)
+        policy = _varied_policy(POW2)
+        rows = random_sequences(POW2, np.random.default_rng(5), count)
+        assert len(set(play_batch(POW2, policy, rows, sample=False).prices.ravel())) > 1
+        self.check(LearnedPolicy(policy), rows)
+
+    def test_sampled_learned_policy_in_one_row_blocks_draws_like_streaming(
+            self, monkeypatch):
+        monkeypatch.setattr(baselines, "_BLOCK_CELLS", POW2.n_users)
+        rows = random_sequences(POW2, np.random.default_rng(6), 12)
+        self.check(LearnedPolicy(_varied_policy(POW2), sample=True), rows, seed=10)
+
+
 class TestCompetitiveRatio:
     def test_ratio(self):
         assert competitive_ratio(12.0, 4.0) == 3.0
@@ -297,6 +389,25 @@ class TestEvaluatePolicies:
         with pytest.raises(ValueError):
             evaluate_policies(POW2, default_policies(), mode="typical")
 
+    @pytest.mark.parametrize("n_sequences", [0, -3])
+    def test_random_mode_rejects_empty_sample(self, n_sequences):
+        with pytest.raises(ValueError, match="n_sequences"):
+            evaluate_policies(POW2, default_policies(), mode="random",
+                              n_sequences=n_sequences)
+
+    @pytest.mark.parametrize("n_sequences", [0, -3])
+    def test_worst_mode_rejects_empty_snapshot_attack(self, n_sequences):
+        adversary = make_adversary_policy(POW2, TrainConfig(latent_dim=4, hidden=8),
+                                          derive_rng(1, "adv"))
+        ring = SnapshotRing(4)
+        ring.record(1, adversary.get_params())
+        learned = LearnedPolicy(AlgorithmPolicy(POW2.n_users, POW2.n_prices),
+                                opponent_sampler=snapshot_sequence_sampler(
+                                    POW2, adversary, ring))
+        with pytest.raises(ValueError, match="n_sequences"):
+            evaluate_policies(POW2, {"learned": learned}, mode="worst",
+                              n_sequences=n_sequences)
+
     @pytest.mark.parametrize("mode", ["worst", "random"])
     def test_same_seed_same_table(self, mode):
         first = evaluate_policies(POW2, default_policies(), mode=mode,
@@ -343,3 +454,66 @@ class TestEvaluatePolicies:
                                  mode="worst", n_sequences=30, seed=0)
         assert rows[0].cr == 1.0
         assert rows[0].mean_gap == 0.0
+
+
+# A joint-trained eight-user game. The rows below are results.csv lines
+# computed when eval and bench still streamed every sequence through the
+# learned policy one slot at a time; argmax decoding must reproduce them.
+PIN_CFG = """
+n_users = 8
+n_resources = 3
+price_set = {1, 2, 4, 6, 8}
+budget_set = {1, 2, 4, 8}
+episodes = 192
+batch = 16
+hidden = 16
+encoder_width = 4
+latent_dim = 4
+snapshot_window = 64
+seed = 3
+"""
+PINNED_RESULTS = {
+    "eval-random": (
+        ["eval"], False,
+        [["learned", "random", "", "11.32", "8.386666667"]]),
+    "eval-snapshots": (
+        ["eval"], True,
+        [["learned", "snapshots", "", "11.76", "8.12"]]),
+    "bench-random": (
+        ["bench", "--mode", "random"], False,
+        [["greedy", "random", "", "10.84666667", "7.42"],
+         ["threshold", "random", "", "13.74666667", "4.52"],
+         ["randomized", "random", "", "13.84666667", "4.42"],
+         ["learned", "random", "", "11.08666667", "7.18"]]),
+    "bench-worst": (
+        ["bench", "--mode", "worst"], True,
+        [["greedy", "worst", "8", "3", "21"],
+         ["threshold", "worst", "3.428571429", "7", "17"],
+         ["randomized", "worst", "2.352941176", "4.25", "5.75"],
+         ["learned", "worst", "4.8", "5", "19"]]),
+}
+
+
+class TestPinnedStreamingEval:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        cfg = root / "game.cfg"
+        cfg.write_text(PIN_CFG)
+        assert run_cli(["train", "--config", str(cfg), "--out-dir", str(root / "t")]) == 0
+        return root
+
+    @pytest.mark.parametrize("name", list(PINNED_RESULTS))
+    def test_results_match_streaming_play(self, trained, name):
+        head, snapshots, expected = PINNED_RESULTS[name]
+        argv = [*head, "--config", str(trained / "game.cfg"),
+                "--model", str(trained / "t" / "algorithm.model"),
+                "--n-sequences", "150", "--seed", "4", "--out-dir", str(trained / name)]
+        if snapshots:
+            argv += ["--adversary", str(trained / "t" / "adversary.model"),
+                     "--ring", str(trained / "t" / "adversary.ring")]
+        assert run_cli(argv) == 0
+        with open(trained / name / "results.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == list(RESULTS_HEADER)
+        assert rows[1:] == expected

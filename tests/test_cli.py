@@ -286,6 +286,20 @@ class TestReproducibility:
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
 
+    @pytest.mark.parametrize("sample", [[], ["--sample"]])
+    def test_same_seed_eval_is_byte_identical(self, cfg_path, tmp_path, sample):
+        assert run_cli(["train", "--config", str(cfg_path),
+                        "--out-dir", str(tmp_path / "t")]) == 0
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run_cli(["eval", "--config", str(cfg_path),
+                            "--model", str(tmp_path / "t" / "algorithm.model"),
+                            "--n-sequences", "50", "--seed", "3",
+                            "--out-dir", str(out), *sample]) == 0
+            outputs.append((out / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_model_files_are_reloadable_and_identical(self, cfg_path, tmp_path):
         models = []
         for name in ("a", "b"):
