@@ -58,7 +58,9 @@ print("support sizes:", int((mixed.row_mix > 1e-9).sum()), "budget sequences,",
       int((mixed.col_mix > 1e-9).sum()), "price schedules")
 
 # Fictitious play never solves an LP; its empirical averages yield a
-# certified bracket that must contain the exact value.
+# certified bracket that must contain the exact value. Both players keep
+# the same best response for dozens of steps at a time, so each such run
+# is taken in one update rather than step by step.
 t0 = time.perf_counter()
 fp = fictitious_play(payoff, iterations=20_000)
 print(f"fictitious play bracket: [{fp.lower:.6f}, {fp.upper:.6f}] "

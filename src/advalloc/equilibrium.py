@@ -271,6 +271,26 @@ def solve_acceptance_lp(seq: Sequence[int], n_resources: int) -> tuple[float, np
     return res.objective, res.x[:L]
 
 
+def _positive_int(value, name: str) -> int:
+    """A positive Python or numpy integer (not a bool) as an int."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+    return int(value)
+
+
+def _steps_to_overtake(lead: np.ndarray, gain: np.ndarray, pivot: int) -> float:
+    """Steps until some strategy overtakes the pivot as the first best response.
+
+    Strategy r trails the pivot by lead[r] >= 0 and closes gain[r] per step.
+    An r before the pivot wins ties, so it overtakes once k * gain >= lead;
+    an r after it only once k * gain > lead. inf when nothing closes in.
+    """
+    q = np.divide(lead, gain, out=np.full(lead.shape, np.inf), where=gain > 0)
+    return min(np.ceil(q[:pivot].min(initial=np.inf)), np.floor(q[pivot:].min()) + 1)
+
+
 def fictitious_play(payoff, iterations: int = 100_000, *,
                     checkpoint_every: int = 100) -> FictitiousPlayResult:
     """Simultaneous best-response dynamics with a certified value bracket.
@@ -278,12 +298,22 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     Each step both players best-respond (lowest index on ties) to the
     opponent's empirical average. Any step's averages give valid bounds
     lower <= v* <= upper, so the tightest checkpointed bracket is reported.
+
+    The picks repeat for long runs, so the loop takes one run at a time: it
+    computes how many steps pass before another strategy overtakes either
+    pick and adds the picked column and row that many times in one update.
+    Inside a run the bound at step t + k is (a + k b) / (t + k), monotone in
+    k, so only the run's first and last checkpoint are evaluated; a
+    checkpoint on the run's final step scans the full vectors. On integer
+    payoffs (every PayoffMatrix) the float64 sums are exact integers while
+    below 2**53, so picks, bracket and averages are bit-identical to taking
+    one step at a time. On non-integer payoffs the picks may differ from a
+    per-step loop where rounding breaks a tie; the bracket stays valid, to
+    the same rounding as a per-step loop.
     """
     C = _payoff_array(payoff)
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be positive")
+    iterations = _positive_int(iterations, "iterations")
+    every = _positive_int(checkpoint_every, "checkpoint_every")
     M, K = C.shape
     row_payoff = np.zeros(M)   # cumulative C @ (col picks)
     col_payoff = np.zeros(K)   # cumulative (row picks) @ C
@@ -292,17 +322,32 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     columns: dict[int, np.ndarray] = {}   # contiguous copies of the picked columns
     best_lower = -np.inf
     best_upper = np.inf
-    for t in range(1, iterations + 1):
+    t = 0
+    while t < iterations:
         i = int(row_payoff.argmax())
         j = int(col_payoff.argmin())
-        row_counts[i] += 1
-        col_counts[j] += 1
         column = columns.get(j)
         if column is None:
             column = columns[j] = C[:, j].copy()
-        row_payoff += column
-        col_payoff += C[i, :]
-        if t % checkpoint_every == 0 or t == iterations:
+        row = C[i, :]
+        # at least one step, even if a float quotient underflows to 0
+        run = int(max(1, min(
+            iterations - t,
+            _steps_to_overtake(row_payoff[i] - row_payoff, column - column[i], i),
+            _steps_to_overtake(col_payoff - col_payoff[j], row[j] - row, j))))
+        # checkpoints before the run's final step: (i, j) are still the picks
+        first = (t // every + 1) * every
+        last = (t + run - 1) // every * every
+        for step in {first, last} if first <= last else ():
+            k = step - t
+            best_lower = max(best_lower, float(col_payoff[j] + k * row[j]) / step)
+            best_upper = min(best_upper, float(row_payoff[i] + k * column[i]) / step)
+        row_payoff += run * column
+        col_payoff += run * row
+        row_counts[i] += run
+        col_counts[j] += run
+        t += run
+        if t % every == 0 or t == iterations:
             best_lower = max(best_lower, float(col_payoff.min()) / t)
             best_upper = min(best_upper, float(row_payoff.max()) / t)
     return FictitiousPlayResult(

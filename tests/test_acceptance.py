@@ -6,6 +6,7 @@ oracle equivalence, a convergence target with documented seeds, a
 worst-case ratio, or a reproducibility guarantee. Tolerances are part of
 the claims and are asserted exactly as stated.
 """
+import hashlib
 import itertools
 import time
 
@@ -68,6 +69,13 @@ def test_full_game_value_exact_and_bracketed():
     assert result.width <= 0.1
     assert result.lower - 1e-9 <= mixed.value <= result.upper + 1e-9
     assert abs(result.value - 3.279) <= 0.05
+    # the exact output of the per-step loop (one argmax/argmin per step)
+    assert result.lower == 3.2694202898550726
+    assert result.upper == 3.2905845511482257
+    assert hashlib.sha256(result.row_avg.tobytes()).hexdigest() == (
+        "627e702c3de523586237bb9ed983aa6fcadb3e4eb8c428b23774ba00a704f91e")
+    assert hashlib.sha256(result.col_avg.tobytes()).hexdigest() == (
+        "1ca841eb92a934ed4bf6987043706326bb9b469b13af4c8389767e7866748837")
     assert time.perf_counter() - start < 600.0
 
 

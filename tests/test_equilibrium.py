@@ -231,6 +231,13 @@ class TestFictitiousPlay:
             fp = fictitious_play(C, 1000, checkpoint_every=50)
             assert fp.lower - 1e-9 <= lp.value <= fp.upper + 1e-9
             assert fp.width >= -1e-12
+        # non-integer entries, negatives included: picks may differ from a
+        # per-step loop where rounding breaks a tie, the bracket may not
+        for _ in range(15):
+            C = rng.normal(1.0, 2.5, size=(int(rng.integers(1, 12)), int(rng.integers(1, 12))))
+            lp = solve_zero_sum(C)
+            fp = fictitious_play(C, 1000, checkpoint_every=int(rng.integers(1, 60)))
+            assert fp.lower - 1e-9 <= lp.value <= fp.upper + 1e-9
 
     def test_averages_are_distributions(self):
         C = np.array([[2.0, 0.0], [1.0, 3.0]])
@@ -249,6 +256,24 @@ class TestFictitiousPlay:
         with pytest.raises(ValueError):
             fictitious_play(np.zeros((2, 2)), 0)
 
+    @pytest.mark.parametrize("bad", [True, False, 10.5, 10.0, np.float64(10), "10", None])
+    def test_iterations_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            fictitious_play(np.zeros((2, 2)), bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, np.bool_(True), "2", None])
+    def test_checkpoint_every_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="checkpoint_every must be an integer"):
+            fictitious_play(np.zeros((2, 2)), 10, checkpoint_every=bad)
+
+    def test_numpy_integer_arguments(self):
+        C = np.array([[2.0, 0.0], [1.0, 3.0]])
+        res = fictitious_play(C, np.int64(300), checkpoint_every=np.int32(7))
+        ref = fictitious_play(C, 300, checkpoint_every=7)
+        assert type(res.iterations) is int and res.iterations == 300
+        assert res.lower == ref.lower and res.upper == ref.upper
+        assert np.array_equal(res.row_avg, ref.row_avg)
+
     @pytest.mark.parametrize("every", [0, -1, -100])
     def test_checkpoint_every_must_be_positive(self, every):
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -263,11 +288,32 @@ class TestFictitiousPlay:
     def test_bit_identical_to_reference_loop(self):
         # few distinct values, so both players meet many argmax/argmin ties
         rng = np.random.default_rng(21)
-        for _ in range(12):
-            M, K = int(rng.integers(1, 30)), int(rng.integers(1, 40))
-            C = rng.integers(0, 4, size=(M, K)).astype(float)
-            iterations = int(rng.integers(1, 1500))
-            every = int(rng.integers(1, 60))
+        cases = []   # (C, iterations, checkpoint_every)
+        for low, high in ((0, 4), (0, 4), (-3, 3), (-5, 1)):   # negatives too
+            for _ in range(6):
+                M, K = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+                C = rng.integers(low, high, size=(M, K)).astype(float)
+                cases.append((C, int(rng.integers(1, 1500)), int(rng.integers(1, 60))))
+        # one row or one column: the pivot sits at either end of the other axis
+        for shape in ((1, 9), (9, 1), (1, 1)):
+            C = rng.integers(-2, 3, size=shape).astype(float)
+            cases += [(C, 700, 1), (C, 701, 50)]
+        # every step a checkpoint
+        for _ in range(4):
+            C = rng.integers(-1, 3, size=(7, 11)).astype(float)
+            cases.append((C, int(rng.integers(1, 800)), 1))
+        # a saddle point: once reached, one run spans thousands of steps and
+        # many checkpoints, and iterations end partway through it
+        C = rng.integers(0, 4, size=(12, 15)).astype(float)
+        C[5, :], C[:, 9] = 6.0, -1.0
+        C[5, 9] = 5.0
+        cases += [(C, n, every) for n in (3000, 4321) for every in (1, 7, 100, 5000)]
+        dominant = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])   # row 0, column 0
+        cases += [(dominant, 2500, 1), (dominant, 2499, 100)]
+        # every stopping point of the first 120 steps, most of them inside a run
+        C = rng.integers(0, 3, size=(3, 4)).astype(float)
+        cases += [(C, n, every) for n in range(1, 121) for every in (1, 4)]
+        for C, iterations, every in cases:
             res = fictitious_play(C, iterations, checkpoint_every=every)
             lower, upper, row_avg, col_avg = reference_fictitious_play(C, iterations, every)
             assert res.lower == lower and res.upper == upper
