@@ -75,7 +75,6 @@ from .simplex import InfeasibleError, LpSolution, SimplexError, UnboundedError, 
 from .training import (
     METRICS_HEADER,
     MwState,
-    PolicyRollout,
     SnapshotRing,
     TrainConfig,
     TrainResult,

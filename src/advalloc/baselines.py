@@ -1,18 +1,18 @@
 """Classical posted-price baselines and their worst-case sequence builders.
 
-Every policy speaks one streaming protocol: start(cfg, rng) returns per-run
-state, price(state) posts the slot's price (floats allowed; thresholds are
-not snapped to the price grid), observe(state, budget, accepted) reveals the
-outcome. Acceptance is budget >= price while resources remain, and welfare
-counts accepted budgets, so competitive ratios divide the offline benchmark
-by realized welfare.
-
-A policy may also define play_rows(cfg, rows, rng) -> welfare, scoring a
-whole (count, n_users) array at once; play_protocol uses it for 2-D input.
-LearnedPolicy does, playing fixed blocks of rows through training.play_batch
-(one network call per slot per block, and with sampling one uniform per slot
-across the block). The classical rules and protocol-only wrappers stream row
-after row, as does the adaptive worst_case_for_threshold construction.
+A policy is played in one of two ways. The classical rules speak a
+streaming protocol: start(cfg, rng) returns per-run state, price(state)
+posts the slot's price (floats allowed; thresholds are not snapped to the
+price grid), observe(state, budget, accepted) reveals the outcome. A policy
+that defines play_rows(cfg, rows, rng) -> welfare instead scores a whole
+(count, n_users) array at once, and play_protocol uses it for every input:
+a 1-D sequence is played as one row. LearnedPolicy speaks only play_rows,
+playing fixed blocks of rows through training.play_batch (one network call
+per slot per block, and with sampling one uniform per slot across the
+block). Protocol-only policies stream row after row, as does the adaptive
+worst_case_for_threshold construction. Acceptance is budget >= price while
+resources remain, and welfare counts accepted budgets, so competitive
+ratios divide the offline benchmark by realized welfare.
 
 Worst cases: deterministic threshold policies get the drive-then-starve
 construction (force accepts at the cheapest grid budget, then feed budgets
@@ -33,7 +33,7 @@ import numpy as np
 from .game import GameConfig, benchmark_rows, validate_budgets
 from .nets import AdversaryPolicy, AlgorithmPolicy, sample_categorical
 from .rng import derive_rng
-from .training import PolicyRollout, SnapshotRing, play_batch
+from .training import SnapshotRing, play_batch
 
 RESULTS_HEADER = ("policy", "mode", "cr", "mean_welfare", "mean_gap")
 EVAL_MODES = ("worst", "random")
@@ -75,7 +75,6 @@ def doubling_levels(params: BaselineParams) -> int:
 class _RunState:
     y: int
     threshold: float = 0.0
-    rollout: PolicyRollout | None = None
     params: BaselineParams | None = None
     n_resources: int = 0
 
@@ -139,9 +138,10 @@ class RandomizedPolicy:
 
 
 class LearnedPolicy:
-    """Trained pricing network behind the protocol; decodes by argmax unless
-    sampling is requested. An attached opponent sampler supplies worst-case
-    candidate sequences drawn from trained generator snapshots."""
+    """Trained pricing network scored through play_rows only; decodes by
+    argmax unless sampling is requested. An attached opponent sampler
+    supplies worst-case candidate sequences drawn from trained generator
+    snapshots."""
 
     name = "learned"
 
@@ -150,17 +150,6 @@ class LearnedPolicy:
         self.policy = policy
         self.sample = sample
         self.opponent_sampler = opponent_sampler
-
-    def start(self, cfg: GameConfig, rng=None) -> _RunState:
-        rollout = PolicyRollout(cfg, self.policy, rng=rng, sample=self.sample)
-        return _RunState(y=cfg.n_resources, rollout=rollout)
-
-    def price(self, state: _RunState) -> float:
-        return float(state.rollout.price())
-
-    def observe(self, state: _RunState, budget: int, accepted: bool) -> None:
-        state.rollout.observe(budget, accepted)
-        state.y -= bool(accepted)
 
     def play_rows(self, cfg: GameConfig, rows: np.ndarray,
                   rng: np.random.Generator | None) -> np.ndarray:
@@ -176,6 +165,10 @@ class LearnedPolicy:
 def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
                               ring: SnapshotRing):
     """Budget-row sampler that loads a uniformly drawn snapshot per sequence."""
+    built = (adversary.n_users, adversary.n_budgets)
+    if built != (cfg.n_users, cfg.n_budgets):
+        raise ValueError(f"adversary was built for (n_users, n_budgets) = {built}, "
+                         f"config has {(cfg.n_users, cfg.n_budgets)}")
     budget_arr = np.asarray(cfg.budget_set, dtype=np.int64)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -209,33 +202,35 @@ def play_protocol(cfg: GameConfig, policy, budgets,
     """Play budgets through a policy and score them against the benchmark.
 
     A 1-D sequence returns (welfare, gap) as ints. A 2-D array of rows
-    returns per-row (welfare, gap) int64 arrays: policies with play_rows
-    score all rows in one call, the others stream row after row with the
-    same rng draws as per-row calls. Every row must hold exactly n_users
-    budgets from the budget set.
+    returns per-row (welfare, gap) int64 arrays. Both are scored the same
+    way, a sequence as one row: policies with play_rows score all rows in
+    one call, the others stream row after row with the same rng draws as
+    per-row calls. Every row must hold exactly n_users budgets from the
+    budget set.
     """
-    if np.ndim(budgets) != 2:
-        seq = validate_budgets(cfg, budgets)
-        welfare = _stream(cfg, policy, seq, rng)
-        bench = int(benchmark_rows(np.asarray(seq, dtype=np.int64)[None, :],
-                                   cfg.n_resources)[0])
-        return welfare, bench - welfare
-    rows = np.asarray(budgets)
-    if rows.shape[1] != cfg.n_users:
-        raise ValueError(f"budget rows have {rows.shape[1]} slots, "
-                         f"config has {cfg.n_users}")
-    if rows.dtype.kind not in "iu":
-        raise ValueError(f"budget rows must be integers, got dtype {rows.dtype}")
-    if not np.isin(rows, cfg.budget_set).all():
-        raise ValueError(f"budget rows hold entries not in {cfg.budget_set}")
-    rows = rows.astype(np.int64, copy=False)
+    one_row = np.ndim(budgets) != 2
+    if one_row:
+        rows = np.asarray([validate_budgets(cfg, budgets)], dtype=np.int64)
+    else:
+        rows = np.asarray(budgets)
+        if rows.shape[1] != cfg.n_users:
+            raise ValueError(f"budget rows have {rows.shape[1]} slots, "
+                             f"config has {cfg.n_users}")
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"budget rows must be integers, got dtype {rows.dtype}")
+        if not np.isin(rows, cfg.budget_set).all():
+            raise ValueError(f"budget rows hold entries not in {cfg.budget_set}")
+        rows = rows.astype(np.int64, copy=False)
     play_rows = getattr(policy, "play_rows", None)
     if play_rows is not None:
         welfare = np.asarray(play_rows(cfg, rows, rng), dtype=np.int64)
     else:
         welfare = np.array([_stream(cfg, policy, row, rng) for row in rows.tolist()],
                            dtype=np.int64)
-    return welfare, benchmark_rows(rows, cfg.n_resources) - welfare
+    gaps = benchmark_rows(rows, cfg.n_resources) - welfare
+    if one_row:
+        return int(welfare[0]), int(gaps[0])
+    return welfare, gaps
 
 
 def competitive_ratio(benchmark: float, welfare: float) -> float:

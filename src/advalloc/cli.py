@@ -181,22 +181,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_pricing_model(args, cfg: GameConfig):
+    """The --model pricing network, plus a snapshot sequence sampler built
+    from --adversary and --ring when both are given (else None)."""
+    if (args.adversary is None) != (args.ring is None):
+        raise ValueError("--adversary and --ring must be given together")
+    sampler = None
+    if args.adversary is not None:
+        sampler = snapshot_sequence_sampler(cfg, load_model(args.adversary),
+                                            load_ring(args.ring))
+    policy = load_model(args.model)
+    if not isinstance(policy, AlgorithmPolicy):
+        raise PersistError(f"{args.model} holds an adversary, not a pricing policy")
+    return policy, sampler
+
+
 def cmd_eval(args) -> int:
     if args.n_sequences < 1:
         raise ValueError("--n-sequences must be at least 1")
     ecfg = load_config(args.config)
     cfg = ecfg.game
     _write_manifest(args.out_dir, "eval", args, ["results.csv"], ecfg)
-    policy = load_model(args.model)
-    if not isinstance(policy, AlgorithmPolicy):
-        raise PersistError(f"{args.model} holds an adversary, not a pricing policy")
+    policy, sampler = _load_pricing_model(args, cfg)
     learned = LearnedPolicy(policy, sample=args.sample)
     rng = derive_rng(args.seed, "eval:model")
-    if (args.adversary is None) != (args.ring is None):
-        raise ValueError("--adversary and --ring must be given together")
-    if args.adversary is not None:
-        sampler = snapshot_sequence_sampler(cfg, load_model(args.adversary),
-                                            load_ring(args.ring))
+    if sampler is not None:
         rows = sampler(rng, args.n_sequences)
         mode = "snapshots"
     else:
@@ -280,15 +289,7 @@ def cmd_bench(args) -> int:
                              f"{', '.join(available)}")
         policies[name] = available[name]
     if args.model is not None:
-        sampler = None
-        if (args.adversary is None) != (args.ring is None):
-            raise ValueError("--adversary and --ring must be given together")
-        if args.adversary is not None:
-            sampler = snapshot_sequence_sampler(cfg, load_model(args.adversary),
-                                                load_ring(args.ring))
-        policy = load_model(args.model)
-        if not isinstance(policy, AlgorithmPolicy):
-            raise PersistError(f"{args.model} holds an adversary, not a pricing policy")
+        policy, sampler = _load_pricing_model(args, cfg)
         policies["learned"] = LearnedPolicy(policy, opponent_sampler=sampler)
     rows = evaluate_policies(cfg, policies, mode=args.mode,
                              n_sequences=args.n_sequences, seed=args.seed)

@@ -241,6 +241,10 @@ def _price_grad_matrix(budgets: np.ndarray, lengths: np.ndarray, step: int,
 
 def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
           sample: bool, want_grads: bool):
+    built = (policy.n_users, policy.n_prices)
+    if built != (cfg.n_users, cfg.n_prices):
+        raise ValueError(f"pricing policy was built for (n_users, n_prices) = {built}, "
+                         f"config has {(cfg.n_users, cfg.n_prices)}")
     budgets, lengths = _prepare_budget_rows(cfg, budgets, lengths)
     if sample and rng is None:
         raise ValueError("sampling prices requires an rng")
@@ -310,63 +314,6 @@ def algorithm_gradients(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng, 
     return _play(cfg, policy, budgets, lengths, rng, sample, want_grads=True)
 
 
-class PolicyRollout:
-    """Streaming single-sequence driver; mirrors play_batch step for step."""
-
-    def __init__(self, cfg: GameConfig, policy: AlgorithmPolicy, *,
-                 rng: np.random.Generator | None = None, sample: bool = False):
-        if policy.n_users != cfg.n_users:
-            raise ValueError("policy was built for a different sequence length")
-        if sample and rng is None:
-            raise ValueError("sampling prices requires an rng")
-        self.cfg = cfg
-        self.policy = policy
-        self.rng = rng
-        self.sample = sample
-        self._history = np.zeros((1, cfg.n_users - 1, N_STEP_FEATURES))
-        self._step = 0
-        self._y = cfg.n_resources
-        self._prev_b = 0.0
-        self._prev_p = 0.0
-        self._pending: tuple[np.ndarray, int] | None = None
-
-    def price(self) -> int:
-        """Posted price for the current slot; idempotent until observe()."""
-        if self._step >= self.cfg.n_users:
-            raise RuntimeError("sequence already fully played")
-        if self._pending is None:
-            n = self.cfg.n_users
-            current = np.array([[
-                (self._step + 1) / n,
-                self._y / self.cfg.n_resources,
-                self._prev_b / self.cfg.upper_bound,
-                self._prev_p / self.cfg.price_set[-1],
-            ]])
-            probs, _ = self.policy.forward(self._history, current)
-            if self.sample:
-                idx = int(sample_categorical(self.rng, probs)[0])
-            else:
-                idx = int(np.argmax(probs[0]))
-            self._pending = (current, idx)
-        return self.cfg.price_set[self._pending[1]]
-
-    def observe(self, budget: int, accepted: bool) -> None:
-        """Record the revealed budget and the realized accept for the slot."""
-        if self._pending is None:
-            raise RuntimeError("observe() before price()")
-        current, idx = self._pending
-        if accepted:
-            if self._y <= 0:
-                raise ValueError("accept recorded with no resource left")
-            self._y -= 1
-        if self._step < self.cfg.n_users - 1:
-            self._history[0, self._step, :] = current[0]
-        self._prev_b = float(budget)
-        self._prev_p = float(self.cfg.price_set[idx])
-        self._step += 1
-        self._pending = None
-
-
 @dataclasses.dataclass
 class TrainResult:
     algorithm: AlgorithmPolicy | None
@@ -425,6 +372,44 @@ def _sample_adversary_rows(cfg: GameConfig, adversary: AdversaryPolicy,
     return latents, budget_arr[idx], probs, tape
 
 
+def _ascend(net, grads: list[np.ndarray], tcfg: TrainConfig, lr: float) -> None:
+    if tcfg.clip is not None:
+        clip_grads(grads, tcfg.clip)
+    net.step(grads, lr)
+
+
+def _run_loop(tcfg: TrainConfig, step, snapshots, metrics_hook) -> dict:
+    """Call step() until the episode budget is spent or the stop rule fires.
+
+    step() runs one iteration's updates on tcfg.batch episodes and returns
+    their (gap, welfare) rows. After each iteration the metrics row goes to
+    metrics_hook, then every (ring, net) pair in snapshots records the net's
+    params, then the trailing-gap stop rule is checked. Returns the
+    TrainResult fields metrics, episodes, iterations and stopped_early.
+    """
+    trailing = collections.deque(maxlen=TRAILING_EPISODES)
+    metrics: list[tuple[int, float, float, float]] = []
+    episodes = 0
+    iteration = 0
+    stopped = False
+    while episodes < tcfg.episodes:
+        iteration += 1
+        gap, welfare = step()
+        episodes += tcfg.batch
+        trailing.extend(gap.tolist())
+        metrics.append((iteration, float(gap.mean()), float(welfare.mean()),
+                        _trailing_average(trailing)))
+        if metrics_hook is not None:
+            metrics_hook(metrics[-1])
+        for ring, net in snapshots:
+            ring.record(episodes, net.params)
+        if _should_stop(tcfg, trailing):
+            stopped = True
+            break
+    return dict(metrics=metrics, episodes=episodes, iterations=iteration,
+                stopped_early=stopped)
+
+
 def train_joint(cfg: GameConfig, tcfg: TrainConfig, *,
                 algorithm: AlgorithmPolicy | None = None,
                 adversary: AdversaryPolicy | None = None,
@@ -441,43 +426,23 @@ def train_joint(cfg: GameConfig, tcfg: TrainConfig, *,
     adversary = adversary or make_adversary_policy(cfg, tcfg, rng)
     alg_ring = SnapshotRing(tcfg.snapshot_window)
     adv_ring = SnapshotRing(tcfg.snapshot_window)
-    trailing = collections.deque(maxlen=TRAILING_EPISODES)
-    metrics: list[tuple[int, float, float, float]] = []
-    episodes = 0
-    iteration = 0
-    stopped = False
-    while episodes < tcfg.episodes:
-        iteration += 1
+
+    def step():
         latents, budgets, _, _ = _sample_adversary_rows(cfg, adversary, rng, tcfg.batch)
         result, alg_grads = algorithm_gradients(cfg, algorithm, budgets, rng)
-
         adv_signal = _adversary_grad_probs(cfg, result.prices, budgets)
         for _ in range(tcfg.xi):
             _, tape = adversary.forward(latents)
             grads = adversary.backprop(tape, adv_signal)
             scale_grads(grads, 1.0 / tcfg.batch)
-            if tcfg.clip is not None:
-                clip_grads(grads, tcfg.clip)
-            adversary.step(grads, tcfg.lr_adv)
+            _ascend(adversary, grads, tcfg, tcfg.lr_adv)
+        _ascend(algorithm, alg_grads, tcfg, tcfg.lr_alg)
+        return result.gap, result.welfare
 
-        if tcfg.clip is not None:
-            clip_grads(alg_grads, tcfg.clip)
-        algorithm.step(alg_grads, tcfg.lr_alg)
-
-        episodes += tcfg.batch
-        trailing.extend(result.gap.tolist())
-        metrics.append((iteration, float(result.gap.mean()),
-                        float(result.welfare.mean()), _trailing_average(trailing)))
-        if metrics_hook is not None:
-            metrics_hook(metrics[-1])
-        alg_ring.record(episodes, algorithm.params)
-        adv_ring.record(episodes, adversary.params)
-        if _should_stop(tcfg, trailing):
-            stopped = True
-            break
+    loop = _run_loop(tcfg, step, [(alg_ring, algorithm), (adv_ring, adversary)],
+                     metrics_hook)
     return TrainResult(algorithm=algorithm, adversary=adversary, alg_ring=alg_ring,
-                       adv_ring=adv_ring, mw=None, metrics=metrics,
-                       episodes=episodes, iterations=iteration, stopped_early=stopped)
+                       adv_ring=adv_ring, mw=None, **loop)
 
 
 def train_alg_vs_mw(cfg: GameConfig, tcfg: TrainConfig, adversary_pure_strategies, *,
@@ -495,13 +460,9 @@ def train_alg_vs_mw(cfg: GameConfig, tcfg: TrainConfig, adversary_pure_strategie
     n_experts = experts.shape[0]
     mw = MwState.uniform(n_experts, tcfg.mw_eta)
     ring = SnapshotRing(tcfg.snapshot_window)
-    trailing = collections.deque(maxlen=TRAILING_EPISODES)
-    metrics: list[tuple[int, float, float, float]] = []
-    episodes = 0
-    iteration = 0
-    stopped = False
-    while episodes < tcfg.episodes:
-        iteration += 1
+
+    def step():
+        nonlocal mw
         # expected gap per pure strategy, fresh sampled plays
         rep_rows = np.repeat(experts, tcfg.mw_rollouts, axis=0)
         rep_lens = np.repeat(expert_lengths, tcfg.mw_rollouts)
@@ -513,23 +474,12 @@ def train_alg_vs_mw(cfg: GameConfig, tcfg: TrainConfig, adversary_pure_strategie
         pick = sample_categorical(rng, np.tile(mw.mixture, (tcfg.batch, 1)))
         result, grads = algorithm_gradients(cfg, algorithm, experts[pick], rng,
                                             lengths=expert_lengths[pick])
-        if tcfg.clip is not None:
-            clip_grads(grads, tcfg.clip)
-        algorithm.step(grads, tcfg.lr_alg)
+        _ascend(algorithm, grads, tcfg, tcfg.lr_alg)
+        return result.gap, result.welfare
 
-        episodes += tcfg.batch
-        trailing.extend(result.gap.tolist())
-        metrics.append((iteration, float(result.gap.mean()),
-                        float(result.welfare.mean()), _trailing_average(trailing)))
-        if metrics_hook is not None:
-            metrics_hook(metrics[-1])
-        ring.record(episodes, algorithm.params)
-        if _should_stop(tcfg, trailing):
-            stopped = True
-            break
+    loop = _run_loop(tcfg, step, [(ring, algorithm)], metrics_hook)
     return TrainResult(algorithm=algorithm, adversary=None, alg_ring=ring,
-                       adv_ring=None, mw=mw, metrics=metrics, episodes=episodes,
-                       iterations=iteration, stopped_early=stopped)
+                       adv_ring=None, mw=mw, **loop)
 
 
 def train_adv_vs_mw(cfg: GameConfig, tcfg: TrainConfig, algorithm_pure_strategies, *,
@@ -549,13 +499,9 @@ def train_adv_vs_mw(cfg: GameConfig, tcfg: TrainConfig, algorithm_pure_strategie
         raise ValueError("need at least one pure strategy")
     mw = MwState.uniform(experts.shape[0], tcfg.mw_eta)
     ring = SnapshotRing(tcfg.snapshot_window)
-    trailing = collections.deque(maxlen=TRAILING_EPISODES)
-    metrics: list[tuple[int, float, float, float]] = []
-    episodes = 0
-    iteration = 0
-    stopped = False
-    while episodes < tcfg.episodes:
-        iteration += 1
+
+    def step():
+        nonlocal mw
         # expected gap per price sequence on shared generator samples
         _, roll_budgets, _, _ = _sample_adversary_rows(cfg, adversary, rng,
                                                        tcfg.mw_rollouts)
@@ -571,23 +517,11 @@ def train_adv_vs_mw(cfg: GameConfig, tcfg: TrainConfig, algorithm_pure_strategie
         signal = _adversary_grad_probs(cfg, prices, budgets)
         grads = adversary.backprop(tape, signal)
         scale_grads(grads, 1.0 / tcfg.batch)
-        if tcfg.clip is not None:
-            clip_grads(grads, tcfg.clip)
-        adversary.step(grads, tcfg.lr_adv)
-
-        episodes += tcfg.batch
+        _ascend(adversary, grads, tcfg, tcfg.lr_adv)
         bench = benchmark_rows(budgets, cfg.n_resources)
         welfare = welfare_paired(budgets, prices, cfg.n_resources)
-        gap_vec = bench - welfare
-        trailing.extend(gap_vec.tolist())
-        metrics.append((iteration, float(gap_vec.mean()), float(welfare.mean()),
-                        _trailing_average(trailing)))
-        if metrics_hook is not None:
-            metrics_hook(metrics[-1])
-        ring.record(episodes, adversary.params)
-        if _should_stop(tcfg, trailing):
-            stopped = True
-            break
+        return bench - welfare, welfare
+
+    loop = _run_loop(tcfg, step, [(ring, adversary)], metrics_hook)
     return TrainResult(algorithm=None, adversary=adversary, alg_ring=None,
-                       adv_ring=ring, mw=mw, metrics=metrics, episodes=episodes,
-                       iterations=iteration, stopped_early=stopped)
+                       adv_ring=ring, mw=mw, **loop)

@@ -1,6 +1,8 @@
 """Baseline policies, worst-case constructions, and the evaluation table."""
 import csv
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from advalloc.baselines import (
 )
 from advalloc.cli import run_cli
 from advalloc.game import GameConfig, benchmark_rows
-from advalloc.nets import AlgorithmPolicy
+from advalloc.nets import AdversaryPolicy, AlgorithmPolicy
 from advalloc.rng import derive_rng
 from advalloc.training import (
     SnapshotRing,
@@ -353,6 +355,17 @@ class TestLearnedPolicy:
             assert play_protocol(cfg, learned, seq) == \
                 play_protocol(cfg, GreedyPolicy(), seq)
 
+    def test_sampled_sequences_are_pinned(self):
+        # (welfare, gap) pairs computed when a 1-D call streamed the sequence
+        # slot by slot through the network with one uniform per slot
+        learned = LearnedPolicy(_varied_policy(POW2), sample=True)
+        rng = np.random.default_rng(11)
+        rows = random_sequences(POW2, np.random.default_rng(7), 40)
+        plays = [play_protocol(POW2, learned, [int(b) for b in row], rng) for row in rows]
+        assert all(type(w) is int and type(g) is int for w, g in plays)
+        assert hashlib.sha256(repr(plays).encode()).hexdigest() == \
+            "d0b0de906a304499293d515fee9695d7165237ad99649b581c17a167ff5e16e8"
+
     def test_snapshot_sampler_is_seeded_and_on_grid(self):
         cfg = GameConfig(n_users=4, n_resources=2, price_set=(1, 2),
                          budget_set=(2, 4, 6))
@@ -368,6 +381,16 @@ class TestLearnedPolicy:
         np.testing.assert_array_equal(rows_a, rows_b)
         assert rows_a.shape == (6, 4)
         assert set(rows_a.ravel()) <= {2, 4, 6}
+
+    @pytest.mark.parametrize("built", [(4, 2), (4, 5), (3, 3)])
+    def test_snapshot_sampler_rejects_adversary_of_another_game(self, built):
+        cfg = GameConfig(n_users=4, n_resources=2, price_set=(1, 2),
+                         budget_set=(2, 4, 6))
+        adversary = AdversaryPolicy(*built, latent_dim=2, hidden=(4,))
+        ring = SnapshotRing(2)
+        ring.record(1, adversary.get_params())
+        with pytest.raises(ValueError, match=re.escape(f"{built}, config has (4, 3)")):
+            snapshot_sequence_sampler(cfg, adversary, ring)
 
     def test_opponent_sampler_drives_worst_mode(self):
         cfg = GameConfig(n_users=3, n_resources=1, price_set=(1, 2),

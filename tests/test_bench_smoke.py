@@ -1,8 +1,10 @@
-"""Smoke test of the benchmark harness: one quick pass of each workload.
+"""Smoke tests of the benchmark harness.
 
-Each run executes the workload's commands once through
-`perfbench/run.py --quick` and must finish with every output check passed.
-The run records go to the ignored `perfbench/out/`.
+Each workload runs once through `perfbench/run.py --quick` and must finish
+with every output check passed; the run records go to the ignored
+`perfbench/out/`. The tracer must find every function it wraps, because a
+renamed target would only be recorded as missing and its spans would read
+zero.
 """
 import json
 import subprocess
@@ -23,3 +25,17 @@ def test_quick_pass_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
+
+
+def test_tracer_finds_every_target(monkeypatch):
+    import advalloc.cli  # noqa: F401  (run.py imports the CLI before tracing)
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from bench_trace import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

@@ -170,6 +170,44 @@ class TestEval:
         assert "pricing" in capsys.readouterr().err
 
 
+class TestModelOfAnotherGame:
+    """eval and bench reject nets built for a different game in one line."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("other-game")
+        path = root / "small.cfg"
+        path.write_text(SMALL_CFG)
+        assert run_cli(["train", "--config", str(path), "--out-dir", str(root)]) == 0
+        return root
+
+    @pytest.mark.parametrize("command", [["eval"], ["bench", "--mode", "random"],
+                                         ["bench", "--mode", "worst"]])
+    @pytest.mark.parametrize("game, snapshots, shapes", [
+        ("price_set = {1, 2}", False, ("(4, 3)", "(4, 2)")),
+        ("price_set = {1, 2, 3, 4, 5}", False, ("(4, 3)", "(4, 5)")),
+        ("budget_set = {1, 2}", True, ("(4, 3)", "(4, 2)")),
+        ("budget_set = {1, 2, 3, 4, 5}", True, ("(4, 3)", "(4, 5)")),
+    ])
+    def test_rejected_with_both_shapes(self, trained, tmp_path, capsys, command,
+                                       game, snapshots, shapes):
+        key = game.split(" =")[0]
+        lines = [line for line in SMALL_CFG.splitlines() if not line.startswith(key)]
+        path = tmp_path / "other.cfg"
+        path.write_text("\n".join(lines + [game]) + "\n")
+        argv = [*command, "--config", str(path), "--model", str(trained / "algorithm.model"),
+                "--n-sequences", "20", "--out-dir", str(tmp_path / "out")]
+        if snapshots:
+            argv += ["--adversary", str(trained / "adversary.model"),
+                     "--ring", str(trained / "adversary.ring")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert all(shape in err for shape in shapes)
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+
 class TestNe:
     def test_acceptance_lp_prints_library_value(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "acc"

@@ -1,16 +1,18 @@
 """Tests for the training loops: MW updates, batched play, gradients, loops."""
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from advalloc.game import GameConfig, simulate
 from advalloc.gradients import price_gradient
-from advalloc.nets import AlgorithmPolicy, add_grads, scale_grads
+from advalloc.nets import N_STEP_FEATURES, AlgorithmPolicy, add_grads, scale_grads
 from advalloc.training import (
     METRICS_HEADER,
     TRAILING_EPISODES,
     BatchResult,
     MwState,
-    PolicyRollout,
     SnapshotRing,
     TrainConfig,
     algorithm_gradients,
@@ -172,11 +174,22 @@ class TestPlayBatch:
         with pytest.raises(ValueError):
             play_batch(SMALL, policy, [[1, 2, 3, 1]], lengths=[5], sample=False)
 
+    @pytest.mark.parametrize("built", [(4, 5), (4, 2), (5, 3)])
+    def test_rejects_policy_built_for_another_game(self, built):
+        policy = AlgorithmPolicy(*built, hidden=(4,), encoder_width=2)
+        for play in (lambda: play_batch(SMALL, policy, [[1, 2, 3, 1]], sample=False),
+                     lambda: algorithm_gradients(SMALL, policy, [[1, 2, 3, 1]], None,
+                                                 sample=False)):
+            with pytest.raises(ValueError, match=re.escape(f"{built}, config has (4, 3)")):
+                play()
+
 
 class TestAlgorithmGradients:
     def test_matches_per_slot_oracle(self):
         # vectorized shadow-price signal == scalar per-slot gradient oracle,
-        # accumulated through backprop on the same deterministic trajectory
+        # accumulated through backprop on the same deterministic trajectory;
+        # each slot's features and history are rebuilt by hand from the
+        # posted prices, and argmax over them must post the same price
         rng = np.random.default_rng(12)
         policy = AlgorithmPolicy(4, 3, hidden=(6,), encoder_width=2, rng=rng)
         budgets = rng.integers(1, 4, size=(5, 4))
@@ -185,23 +198,26 @@ class TestAlgorithmGradients:
         ref = None
         for j in range(5):
             bj = tuple(int(v) for v in budgets[j])
-            roll = PolicyRollout(SMALL, policy, sample=False)
+            history = np.zeros((1, 3, N_STEP_FEATURES))
             accepts = []
             y = SMALL.n_resources
             for i in range(4):
-                price = roll.price()
-                signal = price_gradient(SMALL, bj, i, accepts)
-                g = np.array([signal.per_action])
-                probs, tape = policy.forward(roll._history, np.array([[
+                current = np.array([[
                     (i + 1) / 4, y / SMALL.n_resources,
                     (bj[i - 1] / SMALL.upper_bound) if i else 0.0,
-                    (roll._prev_p / SMALL.price_set[-1]) if i else 0.0,
-                ]]))
-                ref = add_grads(ref, policy.backprop(tape, g))
+                    (res.prices[j, i - 1] / SMALL.price_set[-1]) if i else 0.0,
+                ]])
+                probs, tape = policy.forward(history, current)
+                price = SMALL.price_set[int(np.argmax(probs[0]))]
+                assert price == res.prices[j, i]
+                signal = price_gradient(SMALL, bj, i, accepts)
+                ref = add_grads(ref, policy.backprop(tape, np.array([signal.per_action])))
                 took = bool(bj[i] >= price and y > 0)
+                assert took == res.accepted[j, i]
                 accepts.append(took)
                 y -= took
-                roll.observe(bj[i], took)
+                if i < 3:
+                    history[0, i] = current[0]
         scale_grads(ref, 1.0 / 5)
         for a, b in zip(grads, ref):
             assert np.allclose(a, b, atol=1e-12)
@@ -214,41 +230,6 @@ class TestAlgorithmGradients:
         # slot's signal is b - (2+2)/2 = 0, so every gradient vanishes
         assert res.accepted[0, 0]
         assert all(np.allclose(g, 0) for g in grads)
-
-
-class TestPolicyRollout:
-    def test_streaming_matches_batched_argmax(self):
-        rng = np.random.default_rng(21)
-        for trial in range(5):
-            policy = AlgorithmPolicy(4, 3, hidden=(6, 5), encoder_width=3,
-                                     rng=np.random.default_rng(trial))
-            budgets = rng.integers(1, 4, size=4)
-            res = play_batch(SMALL, policy, budgets[None, :], sample=False)
-            roll = PolicyRollout(SMALL, policy, sample=False)
-            y = SMALL.n_resources
-            for i in range(4):
-                p = roll.price()
-                assert p == res.prices[0, i]
-                took = bool(budgets[i] >= p and y > 0)
-                y -= took
-                roll.observe(int(budgets[i]), took)
-
-    def test_price_idempotent_until_observe(self):
-        policy = AlgorithmPolicy(4, 3, hidden=(4,), encoder_width=2,
-                                 rng=np.random.default_rng(0))
-        roll = PolicyRollout(SMALL, policy, rng=np.random.default_rng(1), sample=True)
-        assert roll.price() == roll.price()
-
-    def test_protocol_misuse_raises(self):
-        policy = AlgorithmPolicy(4, 3, hidden=(4,), encoder_width=2)
-        roll = PolicyRollout(SMALL, policy, sample=False)
-        with pytest.raises(RuntimeError):
-            roll.observe(1, False)
-        for i in range(4):
-            roll.price()
-            roll.observe(1, False)
-        with pytest.raises(RuntimeError):
-            roll.price()
 
 
 class TestLoops:
@@ -334,3 +315,56 @@ class TestLoops:
             assert trailing >= 0.0
             assert mean_gap >= 0.0
         assert TRAILING_EPISODES == 500
+
+
+def _fingerprint(res):
+    """sha256 over metrics, counters, final params, MW weights and rings."""
+    h = hashlib.sha256()
+    h.update(repr((res.metrics, res.episodes, res.iterations, res.stopped_early)).encode())
+    for net in (res.algorithm, res.adversary):
+        if net is not None:
+            for p in net.params:
+                h.update(p.tobytes())
+    if res.mw is not None:
+        h.update(res.mw.weights.tobytes())
+    for ring in (res.alg_ring, res.adv_ring):
+        if ring is not None:
+            h.update(repr(ring.episodes).encode())
+            for entry in ring.entries:
+                for p in entry.params:
+                    h.update(p.tobytes())
+    return h.hexdigest()
+
+
+# Fingerprints computed when each loop still carried its own copy of the
+# counter, trailing-window, metrics, hook, ring and early-stop code; the
+# shared loop must reproduce them bit for bit.
+PINNED_LOOPS = {
+    "joint": (
+        lambda hook: train_joint(SMALL, tiny_tcfg(xi=2, clip=1.0, snapshot_window=3),
+                                 metrics_hook=hook),
+        "9fc5b2064c68d526bc2677bd5eae4c73b03e479c617425c16512127f22ba70a8"),
+    "alg-vs-mw": (
+        lambda hook: train_alg_vs_mw(SMALL, tiny_tcfg(clip=1.0, snapshot_window=3),
+                                     [(1, 2, 3, 1), (3, 3), (1,)], metrics_hook=hook),
+        "9e98b2a5df1007d9a02f4439ac2879420e945df6fa9b6d14bf79ebe2dc1539de"),
+    "adv-vs-mw": (
+        lambda hook: train_adv_vs_mw(SMALL, tiny_tcfg(snapshot_window=3),
+                                     [(1, 1, 2, 2), (1, 2, 2, 3), (3, 3, 3, 3)],
+                                     metrics_hook=hook),
+        "4c051d97f44b02d42e483c3dac4ffd18f384f0b06212349a93ffa9e52a431bb1"),
+    "joint-early-stop": (
+        lambda hook: train_joint(SMALL, tiny_tcfg(episodes=10_000, batch=125,
+                                                  target_gap=2.0, stop_rtol=5.0),
+                                 metrics_hook=hook),
+        "c2696fec626e619184b23bf977f8eaa577f86d9e1b360706adba2ba7c0a8a8ec"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_LOOPS))
+def test_loops_match_pinned_fingerprints(name):
+    run, expected = PINNED_LOOPS[name]
+    hooked = []
+    res = run(hooked.append)
+    assert _fingerprint(res) == expected
+    assert hooked == res.metrics
