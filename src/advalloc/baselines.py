@@ -1,26 +1,26 @@
 """Classical posted-price baselines and their worst-case sequence builders.
 
-A policy is played in one of two ways. The classical rules speak a
-streaming protocol: start(cfg, rng) returns per-run state, price(state)
-posts the slot's price (floats allowed; thresholds are not snapped to the
-price grid), observe(state, budget, accepted) reveals the outcome. A policy
-that defines play_rows(cfg, rows, rng) -> welfare instead scores a whole
-(count, n_users) array at once, and play_protocol uses it for every input:
-a 1-D sequence is played as one row. LearnedPolicy speaks only play_rows,
-playing fixed blocks of rows through training.play_batch (one network call
-per slot per block, and with sampling one uniform per slot across the
-block). Protocol-only policies stream row after row, as does the adaptive
-worst_case_for_threshold construction. Acceptance is budget >= price while
-resources remain, and welfare counts accepted budgets, so competitive
-ratios divide the offline benchmark by realized welfare.
+Every policy speaks one protocol: play_rows(cfg, rows, rng) -> welfare
+scores a whole (count, n_users) array of budget rows, and play_protocol
+plays a 1-D sequence as one row. The classical rules post a price that
+depends only on how many units are sold, so each is a price schedule by
+units sold: schedules(cfg, rng, count) returns one (R + 1)-entry row per
+sequence (floats allowed; thresholds are not snapped to the price grid),
+and the randomized rule draws its level per row. LearnedPolicy plays fixed
+blocks of rows through training.play_batch (one network call per slot per
+block, and with sampling one uniform per slot across the block).
+Acceptance is budget >= price while resources remain, and welfare counts
+accepted budgets, so competitive ratios divide the offline benchmark by
+realized welfare.
 
 Worst cases: deterministic threshold policies get the drive-then-starve
 construction (force accepts at the cheapest grid budget, then feed budgets
-just under the final price); the randomized policy gets the doubling ladder
-scored in exact expectation over its threshold draw; a learned policy is
-attacked by sampling its trained opponent's snapshots. Anything following
-the protocol (an externally implemented optimal-threshold rule, for
-instance) plugs into the same evaluation; none is special-cased.
+just under the final price), built in closed form from the schedule; the
+randomized policy gets the doubling ladder scored in exact expectation over
+its threshold draw; a learned policy is attacked by sampling its trained
+opponent's snapshots. Anything defining play_rows (an externally
+implemented optimal-threshold rule, for instance) plugs into the same
+evaluation; none is special-cased.
 """
 from __future__ import annotations
 
@@ -71,67 +71,64 @@ def doubling_levels(params: BaselineParams) -> int:
     return int(math.floor(math.log2(params.upper / params.lower) + 1e-12)) + 1
 
 
-@dataclasses.dataclass
-class _RunState:
-    y: int
-    threshold: float = 0.0
-    params: BaselineParams | None = None
-    n_resources: int = 0
+def _play_schedules(rows: np.ndarray, schedules: np.ndarray, n_resources: int) -> np.ndarray:
+    """Welfare of (M, N) budget rows, row j posting schedules[j, k] after k sales."""
+    count = len(rows)
+    at = np.arange(count)
+    sold = np.zeros(count, dtype=np.int64)
+    welfare = np.zeros(count, dtype=np.int64)
+    for b in rows.T:
+        take = (sold < n_resources) & (b >= schedules[at, sold])
+        welfare += b * take
+        sold += take
+    return welfare
 
 
-class GreedyPolicy:
+class _ScheduleRule:
+    """A rule whose posted price depends only on the number of units sold."""
+
+    def schedules(self, cfg: GameConfig, rng: np.random.Generator | None,
+                  count: int) -> np.ndarray:
+        """(count, R + 1) prices; entry k is posted after k sales."""
+        raise NotImplementedError
+
+    def play_rows(self, cfg: GameConfig, rows: np.ndarray,
+                  rng: np.random.Generator | None) -> np.ndarray:
+        return _play_schedules(rows, self.schedules(cfg, rng, len(rows)), cfg.n_resources)
+
+    def worst_case(self, cfg: GameConfig) -> tuple[int, ...]:
+        return worst_case_for_threshold(self, cfg)
+
+
+class GreedyPolicy(_ScheduleRule):
     """Posts the lowest budget value, accepting everyone while units remain."""
 
     name = "greedy"
 
-    def start(self, cfg: GameConfig, rng=None) -> _RunState:
-        return _RunState(y=cfg.n_resources, threshold=float(cfg.lower_bound))
-
-    def price(self, state: _RunState) -> float:
-        return state.threshold
-
-    def observe(self, state: _RunState, budget: int, accepted: bool) -> None:
-        state.y -= bool(accepted)
-
-    def worst_case(self, cfg: GameConfig) -> tuple[int, ...]:
-        return worst_case_for_threshold(self, cfg)
+    def schedules(self, cfg, rng, count):
+        return np.full((count, cfg.n_resources + 1), float(cfg.lower_bound))
 
 
-class ThresholdPolicy:
+class ThresholdPolicy(_ScheduleRule):
     """Deterministic rule pricing at (U e / L)^z (L / e) for utilization z."""
 
     name = "threshold"
 
-    def start(self, cfg: GameConfig, rng=None) -> _RunState:
-        return _RunState(y=cfg.n_resources, params=BaselineParams.from_config(cfg),
-                         n_resources=cfg.n_resources)
-
-    def price(self, state: _RunState) -> float:
-        z = (state.n_resources - state.y) / state.n_resources
-        return threshold_price(state.params, z)
-
-    def observe(self, state: _RunState, budget: int, accepted: bool) -> None:
-        state.y -= bool(accepted)
-
-    def worst_case(self, cfg: GameConfig) -> tuple[int, ...]:
-        return worst_case_for_threshold(self, cfg)
+    def schedules(self, cfg, rng, count):
+        params, r = BaselineParams.from_config(cfg), cfg.n_resources
+        row = [threshold_price(params, k / r) for k in range(r + 1)]
+        return np.tile(row, (count, 1))
 
 
-class RandomizedPolicy:
+class RandomizedPolicy(_ScheduleRule):
     """Per-sequence threshold L*2^i with i drawn uniformly from the levels."""
 
     name = "randomized"
 
-    def start(self, cfg: GameConfig, rng: np.random.Generator) -> _RunState:
+    def schedules(self, cfg, rng, count):
         params = BaselineParams.from_config(cfg)
-        i = int(rng.integers(doubling_levels(params)))
-        return _RunState(y=cfg.n_resources, threshold=params.lower * 2.0 ** i)
-
-    def price(self, state: _RunState) -> float:
-        return state.threshold
-
-    def observe(self, state: _RunState, budget: int, accepted: bool) -> None:
-        state.y -= bool(accepted)
+        levels = params.lower * 2.0 ** rng.integers(doubling_levels(params), size=count)
+        return np.repeat(levels[:, None], cfg.n_resources + 1, axis=1)
 
     def worst_case(self, cfg: GameConfig) -> tuple[int, ...]:
         return doubling_ladder(cfg)
@@ -182,31 +179,14 @@ def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
     return draw
 
 
-def _stream(cfg: GameConfig, policy, budgets: Sequence[int], rng) -> int:
-    """Welfare of one trusted sequence played slot by slot through the protocol."""
-    state = policy.start(cfg, rng)
-    y = cfg.n_resources
-    welfare = 0
-    for b in budgets:
-        p = policy.price(state)
-        take = y > 0 and b >= p
-        policy.observe(state, b, bool(take))
-        if take:
-            welfare += b
-            y -= 1
-    return welfare
-
-
 def play_protocol(cfg: GameConfig, policy, budgets,
                   rng: np.random.Generator | None = None):
     """Play budgets through a policy and score them against the benchmark.
 
     A 1-D sequence returns (welfare, gap) as ints. A 2-D array of rows
-    returns per-row (welfare, gap) int64 arrays. Both are scored the same
-    way, a sequence as one row: policies with play_rows score all rows in
-    one call, the others stream row after row with the same rng draws as
-    per-row calls. Every row must hold exactly n_users budgets from the
-    budget set.
+    returns per-row (welfare, gap) int64 arrays. Both are scored by one
+    policy.play_rows call, a sequence as one row. Every row must hold
+    exactly n_users budgets from the budget set.
     """
     one_row = np.ndim(budgets) != 2
     if one_row:
@@ -221,12 +201,7 @@ def play_protocol(cfg: GameConfig, policy, budgets,
         if not np.isin(rows, cfg.budget_set).all():
             raise ValueError(f"budget rows hold entries not in {cfg.budget_set}")
         rows = rows.astype(np.int64, copy=False)
-    play_rows = getattr(policy, "play_rows", None)
-    if play_rows is not None:
-        welfare = np.asarray(play_rows(cfg, rows, rng), dtype=np.int64)
-    else:
-        welfare = np.array([_stream(cfg, policy, row, rng) for row in rows.tolist()],
-                           dtype=np.int64)
+    welfare = np.asarray(policy.play_rows(cfg, rows, rng), dtype=np.int64)
     gaps = benchmark_rows(rows, cfg.n_resources) - welfare
     if one_row:
         return int(welfare[0]), int(gaps[0])
@@ -256,50 +231,36 @@ def _snap_down_strict(grid: Sequence[int], price: float) -> int | None:
 
 
 def worst_case_for_threshold(policy, cfg: GameConfig) -> tuple[int, ...]:
-    """Adversarial sequence for a deterministic threshold-style policy.
+    """Adversarial sequence for a deterministic rule with a price schedule s,
+    s[k] posted after k sales.
 
     For each target utilization t in 1..R: force t accepts at the cheapest
     grid budget the posted price admits, then starve the remaining slots
-    with the largest grid budget strictly below the running price maximum
-    (or the top budget once nothing can be accepted). Returns the
-    max-competitive-ratio candidate; infeasible targets are skipped.
+    with the largest grid budget strictly below max(s[:t+1]) (or the top
+    budget once nothing can be accepted). Returns the first
+    max-competitive-ratio candidate; candidates off the grid are skipped.
+    This closed form is the adaptive construction only for a non-decreasing
+    schedule, so a decreasing one is rejected.
     """
     grid = cfg.budget_set
-    best_seq = None
-    best_cr = -math.inf
-    for target in range(1, cfg.n_resources + 1):
-        state = policy.start(cfg, None)
-        seq: list[int] = []
-        accepts = 0
-        p_star = -math.inf
-        feasible = True
-        for _ in range(cfg.n_users):
-            price = policy.price(state)
-            p_star = max(p_star, price)
-            if accepts < target:
-                b = _snap_up(grid, price)
-            elif accepts >= cfg.n_resources:
-                b = grid[-1]
-            else:
-                b = _snap_down_strict(grid, p_star)
-            if b is None:
-                feasible = False
-                break
-            take = accepts < cfg.n_resources and b >= price
-            policy.observe(state, b, take)
-            seq.append(b)
-            accepts += take
-        if not feasible:
-            continue
-        welfare, gap_value = play_protocol(cfg, policy, seq)
-        cr = competitive_ratio(welfare + gap_value, welfare)
-        if cr > best_cr:
-            best_cr = cr
-            best_seq = tuple(seq)
-    if best_seq is None:
+    n, r = cfg.n_users, cfg.n_resources
+    s = policy.schedules(cfg, None, 1)[0]
+    if (np.diff(s) < 0).any():
+        raise ValueError(f"{type(policy).__name__} posts a decreasing price schedule "
+                         f"{s.tolist()}")
+    candidates = []
+    for target in range(1, r + 1):
+        forced = [_snap_up(grid, p) for p in s[:min(target, n)]]
+        starve = grid[-1] if target == r else _snap_down_strict(grid, s[:target + 1].max())
+        seq = forced + [starve] * (n - len(forced))
+        if None not in seq:
+            candidates.append(seq)
+    if not candidates:
         # the policy prices everything off the grid; any sequence starves it
-        return (grid[-1],) * cfg.n_users
-    return best_seq
+        return (grid[-1],) * n
+    welfare, gaps = play_protocol(cfg, policy, np.asarray(candidates, dtype=np.int64))
+    crs = [competitive_ratio(w + g, w) for w, g in zip(welfare.tolist(), gaps.tolist())]
+    return tuple(candidates[crs.index(max(crs))])
 
 
 def doubling_ladder(cfg: GameConfig) -> tuple[int, ...]:
@@ -324,17 +285,11 @@ def randomized_worst_case_cr(cfg: GameConfig) -> tuple[float, float, float]:
     params = BaselineParams.from_config(cfg)
     ladder = doubling_ladder(cfg)
     levels = doubling_levels(params)
-    welfare_sum = 0.0
-    for i in range(levels):
-        threshold = params.lower * 2.0 ** i
-        y = cfg.n_resources
-        for b in ladder:
-            if y > 0 and b >= threshold:
-                welfare_sum += b
-                y -= 1
-    bench = int(benchmark_rows(np.asarray(ladder, dtype=np.int64)[None, :],
-                               cfg.n_resources)[0])
-    mean_welfare = welfare_sum / levels
+    rows = np.tile(np.asarray(ladder, dtype=np.int64), (levels, 1))
+    thresholds = params.lower * 2.0 ** np.arange(levels)
+    schedules = np.repeat(thresholds[:, None], cfg.n_resources + 1, axis=1)
+    mean_welfare = int(_play_schedules(rows, schedules, cfg.n_resources).sum()) / levels
+    bench = int(benchmark_rows(rows[:1], cfg.n_resources)[0])
     return competitive_ratio(bench, mean_welfare), mean_welfare, bench - mean_welfare
 
 

@@ -276,6 +276,8 @@ def cmd_ne(args) -> int:
 def cmd_bench(args) -> int:
     if args.n_sequences < 1:
         raise ValueError("--n-sequences must be at least 1")
+    if args.model is None and (args.adversary is not None or args.ring is not None):
+        raise ValueError("--adversary and --ring need --model")
     ecfg = load_config(args.config)
     cfg = ecfg.game
     _write_manifest(args.out_dir, "bench", args, ["results.csv"], ecfg)

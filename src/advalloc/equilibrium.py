@@ -20,6 +20,7 @@ import numpy as np
 from .game import (
     GameConfig,
     benchmark_rows,
+    checked_int,
     validate_budgets,
     validate_prices,
     welfare_grid,
@@ -248,8 +249,7 @@ def solve_acceptance_lp(seq: Sequence[int], n_resources: int) -> tuple[float, np
     if (seq < 0).any():
         raise ValueError("budgets must be non-negative")
     L = seq.shape[0]
-    if n_resources < 1:
-        raise ValueError("n_resources must be positive")
+    n_resources = checked_int(n_resources, "n_resources")
     bench = np.empty(L)
     for j in range(L):
         prefix = np.sort(seq[: j + 1])
@@ -269,15 +269,6 @@ def solve_acceptance_lp(seq: Sequence[int], n_resources: int) -> tuple[float, np
     b[L + 1:] = 1.0
     res = solve_lp(c, A_ub=A, b_ub=b)
     return res.objective, res.x[:L]
-
-
-def _positive_int(value, name: str) -> int:
-    """A positive Python or numpy integer (not a bool) as an int."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
-    return int(value)
 
 
 def _steps_to_overtake(lead: np.ndarray, gain: np.ndarray, pivot: int) -> float:
@@ -312,8 +303,8 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     the same rounding as a per-step loop.
     """
     C = _payoff_array(payoff)
-    iterations = _positive_int(iterations, "iterations")
-    every = _positive_int(checkpoint_every, "checkpoint_every")
+    iterations = checked_int(iterations, "iterations")
+    every = checked_int(checkpoint_every, "checkpoint_every")
     M, K = C.shape
     row_payoff = np.zeros(M)   # cumulative C @ (col picks)
     col_payoff = np.zeros(K)   # cumulative (row picks) @ C

@@ -27,6 +27,14 @@ def _as_int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def checked_int(value, name: str, minimum: int = 1) -> int:
+    """A Python or numpy integer (not a bool) of at least minimum, as an int."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class GameConfig:
     """Instance description: N users, R resource units, price set A, budget set B."""
@@ -39,12 +47,8 @@ class GameConfig:
     def __post_init__(self):
         object.__setattr__(self, "price_set", _as_int_tuple(self.price_set, "price_set"))
         object.__setattr__(self, "budget_set", _as_int_tuple(self.budget_set, "budget_set"))
-        if not isinstance(self.n_users, (int, np.integer)) or self.n_users < 1:
-            raise ValueError(f"n_users must be a positive integer, got {self.n_users!r}")
-        if not isinstance(self.n_resources, (int, np.integer)) or self.n_resources < 1:
-            raise ValueError(f"n_resources must be a positive integer, got {self.n_resources!r}")
-        object.__setattr__(self, "n_users", int(self.n_users))
-        object.__setattr__(self, "n_resources", int(self.n_resources))
+        for name in ("n_users", "n_resources"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
         for name, vals in (("price_set", self.price_set), ("budget_set", self.budget_set)):
             if not vals:
                 raise ValueError(f"{name} must be non-empty")

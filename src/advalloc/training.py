@@ -23,6 +23,7 @@ import numpy as np
 from .game import (
     GameConfig,
     benchmark_rows,
+    checked_int,
     validate_budgets,
     validate_prices,
     welfare_grid,
@@ -67,15 +68,12 @@ class TrainConfig:
     stop_rtol: float = 0.1
 
     def __post_init__(self):
-        if self.episodes < 0:
-            raise ValueError("episodes must be >= 0")
-        if self.batch < 1 or self.xi < 1:
-            raise ValueError("batch and xi must be >= 1")
+        for name in ("episodes", "batch", "xi", "snapshot_window", "mw_rollouts",
+                     "latent_dim", "hidden", "encoder_width"):
+            setattr(self, name, checked_int(getattr(self, name), name,
+                                            minimum=0 if name == "episodes" else 1))
         if self.lr_alg <= 0 or self.lr_adv <= 0 or self.mw_eta <= 0:
             raise ValueError("learning rates must be positive")
-        if (self.snapshot_window < 1 or self.mw_rollouts < 1
-                or self.latent_dim < 1 or self.hidden < 1 or self.encoder_width < 1):
-            raise ValueError("window, rollouts, and net sizes must be >= 1")
         if self.clip is not None and self.clip <= 0:
             raise ValueError("clip must be positive when set")
         if self.stop_rtol <= 0:
@@ -154,10 +152,9 @@ class SnapshotRing:
     """Bounded ring of recent parameter snapshots tagged by episode count."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._entries: collections.deque[TrainSnapshot] = collections.deque(maxlen=capacity)
+        self.capacity = checked_int(capacity, "capacity")
+        self._entries: collections.deque[TrainSnapshot] = collections.deque(
+            maxlen=self.capacity)
 
     def record(self, episode: int, params: Sequence[np.ndarray]) -> None:
         self._entries.append(TrainSnapshot(

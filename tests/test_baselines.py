@@ -9,6 +9,7 @@ import pytest
 
 import advalloc.baselines as baselines
 from advalloc.baselines import (
+    EVAL_MODES,
     RESULTS_HEADER,
     BaselineParams,
     EvalRow,
@@ -43,39 +44,38 @@ POW2 = GameConfig(n_users=8, n_resources=3, price_set=(1, 2, 4, 8),
                   budget_set=(1, 2, 4, 8))
 
 
-class PriceRecorder:
-    """Wraps a policy and logs (price, budget, accepted) triples."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.log = []
-
-    def start(self, cfg, rng=None):
-        return self.inner.start(cfg, rng)
-
-    def price(self, state):
-        p = self.inner.price(state)
-        self.log.append([p, None, None])
-        return p
-
-    def observe(self, state, budget, accepted):
-        self.log[-1][1:] = [budget, accepted]
-        self.inner.observe(state, budget, accepted)
-
-
-class OverpricedPolicy:
-    """Always prices above every budget; never sells anything."""
+class OverpricedPolicy(baselines._ScheduleRule):
+    """Prices above every budget whatever is sold; never sells anything."""
 
     name = "overpriced"
 
-    def start(self, cfg, rng=None):
-        return cfg.upper_bound + 1.0
+    def schedules(self, cfg, rng, count):
+        return np.full((count, cfg.n_resources + 1), cfg.upper_bound + 1.0)
 
-    def price(self, state):
-        return state
 
-    def observe(self, state, budget, accepted):
-        pass
+class FixedSchedule(baselines._ScheduleRule):
+    """Posts prices[k] after k sales, whatever the game."""
+
+    name = "fixed"
+
+    def __init__(self, prices):
+        self.prices = np.asarray(prices, dtype=np.float64)
+
+    def schedules(self, cfg, rng, count):
+        return np.tile(self.prices, (count, 1))
+
+
+def _sweep_configs():
+    """Seeded games with N in 1..9 and R in 1..6, R = N and R > N included."""
+    rng = np.random.default_rng(2024)
+    configs = [GameConfig(n_users=3, n_resources=3, price_set=(1,), budget_set=(1, 2, 5)),
+               GameConfig(n_users=2, n_resources=5, price_set=(1,), budget_set=(2, 3, 9))]
+    for _ in range(60):
+        budgets = rng.choice(np.arange(1, 21), size=int(rng.integers(1, 6)), replace=False)
+        configs.append(GameConfig(n_users=int(rng.integers(1, 10)),
+                                  n_resources=int(rng.integers(1, 7)), price_set=(1,),
+                                  budget_set=tuple(sorted(int(b) for b in budgets))))
+    return configs
 
 
 class TestBaselineParams:
@@ -135,8 +135,7 @@ class TestDoublingLevels:
         cfg = GameConfig(n_users=3, n_resources=1, price_set=(1,),
                          budget_set=(1, 2, 4))
         rng = np.random.default_rng(5)
-        policy = RandomizedPolicy()
-        draws = [policy.start(cfg, rng).threshold for _ in range(3000)]
+        draws = RandomizedPolicy().schedules(cfg, rng, 3000)[:, 0].tolist()
         counts = {t: draws.count(t) for t in (1.0, 2.0, 4.0)}
         assert set(counts) == {1.0, 2.0, 4.0}
         for c in counts.values():
@@ -158,27 +157,25 @@ class TestPlayProtocol:
         assert gap == 8
 
     def test_acceptance_requires_budget_at_or_above_price(self):
-        rec = PriceRecorder(ThresholdPolicy())
-        rng = np.random.default_rng(2)
-        for row in random_sequences(POW2, rng, 50):
-            rec.log.clear()
-            play_protocol(POW2, rec, [int(b) for b in row])
-            sold = 0
-            for price, budget, accepted in rec.log:
-                if accepted:
-                    assert budget >= price
+        params = BaselineParams.from_config(POW2)
+        rows = random_sequences(POW2, np.random.default_rng(2), 50)
+        expected = []
+        for row in rows.tolist():
+            sold, welfare = 0, 0
+            for b in row:
+                if sold < POW2.n_resources and \
+                        b >= threshold_price(params, sold / POW2.n_resources):
+                    welfare += b
                     sold += 1
-                else:
-                    assert budget < price or sold >= POW2.n_resources
-            assert sold <= POW2.n_resources
+            expected.append(welfare)
+        assert ThresholdPolicy().play_rows(POW2, rows, None).tolist() == expected
 
     def test_threshold_policy_raises_price_as_units_sell(self):
-        rec = PriceRecorder(ThresholdPolicy())
-        play_protocol(POW2, rec, (8,) * 8)
-        prices = [p for p, _, _ in rec.log]
-        assert all(a < b for a, b in zip(prices[:3], prices[1:4]))
+        (prices,) = ThresholdPolicy().schedules(POW2, None, 1)
+        assert len(prices) == POW2.n_resources + 1
+        assert all(a < b for a, b in zip(prices, prices[1:]))
         # sold out after R accepts: the price holds at its ceiling
-        assert prices[3] == pytest.approx(8.0)
+        assert prices[-1] == pytest.approx(8.0)
 
 
 class TestPlayProtocolInput:
@@ -241,14 +238,6 @@ class TestBatchedPlay:
         self.check(RandomizedPolicy(), random_sequences(POW2, np.random.default_rng(3), 40),
                    seed=8)
 
-    def test_protocol_only_policies_stream(self):
-        rows = random_sequences(POW2, np.random.default_rng(4), 25)
-        self.check(OverpricedPolicy(), rows)
-        batched, streamed = PriceRecorder(ThresholdPolicy()), PriceRecorder(ThresholdPolicy())
-        play_protocol(POW2, batched, rows)
-        self.per_row(streamed, rows)
-        assert batched.log == streamed.log
-
     @pytest.mark.parametrize("count", [1, 7, 23])
     def test_argmax_learned_policy_across_blocks(self, monkeypatch, count):
         monkeypatch.setattr(baselines, "_BLOCK_CELLS", 3 * POW2.n_users)
@@ -302,8 +291,41 @@ class TestGreedyWorstCase:
             assert competitive_ratio(w + g, w) <= worst_cr
 
     def test_unsellable_policy_gets_top_budget_filler(self):
-        seq = worst_case_for_threshold(OverpricedPolicy(), POW2)
-        assert seq == (8,) * 8
+        assert worst_case_for_threshold(OverpricedPolicy(), POW2) == (8,) * 8
+        for cfg in _sweep_configs():
+            assert worst_case_for_threshold(OverpricedPolicy(), cfg) == \
+                (cfg.upper_bound,) * cfg.n_users
+
+    def test_rejects_decreasing_schedule(self):
+        with pytest.raises(ValueError, match="decreasing"):
+            worst_case_for_threshold(FixedSchedule([1.0, 4.0, 2.0, 8.0]), POW2)
+
+    def test_closed_form_matches_adaptive_construction(self):
+        # the slot-by-slot drive-then-starve loop, against random
+        # non-decreasing schedules that run on and off the grid
+        rng = np.random.default_rng(21)
+        for cfg in _sweep_configs():
+            prices = np.sort(rng.uniform(0.5, cfg.upper_bound + 2.0, cfg.n_resources + 1))
+            best_seq, best_cr = (cfg.upper_bound,) * cfg.n_users, -math.inf
+            for target in range(1, cfg.n_resources + 1):
+                seq, sold, top = [], 0, -math.inf
+                for _ in range(cfg.n_users):
+                    top = max(top, prices[sold])
+                    if sold < target:
+                        b = baselines._snap_up(cfg.budget_set, prices[sold])
+                    elif sold >= cfg.n_resources:
+                        b = cfg.upper_bound
+                    else:
+                        b = baselines._snap_down_strict(cfg.budget_set, top)
+                    if b is None:
+                        break
+                    sold += sold < cfg.n_resources and b >= prices[sold]
+                    seq.append(b)
+                else:
+                    w, g = play_protocol(cfg, FixedSchedule(prices), seq)
+                    if competitive_ratio(w + g, w) > best_cr:
+                        best_seq, best_cr = tuple(seq), competitive_ratio(w + g, w)
+            assert worst_case_for_threshold(FixedSchedule(prices), cfg) == best_seq
 
 
 class TestRandomizedWorstCase:
@@ -405,6 +427,26 @@ class TestLearnedPolicy:
             w, g = play_protocol(cfg, learned, [int(b) for b in cand])
             crs.append(competitive_ratio(w + g, w))
         assert row.cr == max(crs)
+
+
+class TestPinnedBaselines:
+    """Worst cases and eval tables pinned when the classical rules still
+    streamed every sequence slot by slot through start/price/observe."""
+
+    def test_sweep_matches_pinned_fingerprint(self):
+        configs = _sweep_configs()
+        assert any(c.n_resources == c.n_users for c in configs)
+        assert any(c.n_resources > c.n_users for c in configs)
+        h = hashlib.sha256()
+        for seed, cfg in enumerate(configs):
+            h.update(repr(GreedyPolicy().worst_case(cfg)).encode())
+            h.update(repr(ThresholdPolicy().worst_case(cfg)).encode())
+            h.update(repr(randomized_worst_case_cr(cfg)).encode())
+            for mode in EVAL_MODES:
+                h.update(repr(evaluate_policies(cfg, default_policies(), mode=mode,
+                                                n_sequences=20, seed=seed)).encode())
+        assert h.hexdigest() == \
+            "392b75be71e29c6dfcf151e6a371c3e80d050497f6d6c307cfe575b362933fd6"
 
 
 class TestEvaluatePolicies:

@@ -299,6 +299,18 @@ class TestBench:
                         "--out-dir", str(tmp_path / "x")]) == 1
         assert "psychic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--adversary", "missing.model"],
+                                       ["--ring", "missing.ring"],
+                                       ["--adversary", "missing.model",
+                                        "--ring", "missing.ring"]])
+    def test_snapshot_flags_need_a_model(self, cfg_path, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert run_cli(["bench", "--config", str(cfg_path), *flags,
+                        "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: --adversary and --ring need --model"
+        assert not out.exists()
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("argv_tail", [

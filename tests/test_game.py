@@ -49,6 +49,11 @@ class TestGameConfig:
         with pytest.raises(ValueError):
             cfg(3, 1, (1.5, 2.5), (1, 2))
 
+    @pytest.mark.parametrize("n,r", [(True, 1), (3, np.bool_(True)), (2.0, 1), (3, 1.5)])
+    def test_rejects_non_integer_counts(self, n, r):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            cfg(n, r, (1,), (1,))
+
     def test_lists_coerced_to_tuples(self):
         c = cfg(2, 1, [1, 2], [3, 4])
         assert c.price_set == (1, 2)

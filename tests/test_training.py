@@ -50,6 +50,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("field", ["episodes", "batch", "xi", "snapshot_window",
+                                       "mw_rollouts", "latent_dim", "hidden",
+                                       "encoder_width"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.bool_(True), "2", None])
+    def test_integer_fields_reject_non_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: bad})
+
+    def test_integer_fields_take_numpy_integers_as_int(self):
+        t = TrainConfig(episodes=np.int64(0), batch=np.int32(3))
+        assert type(t.episodes) is int and t.episodes == 0
+        assert type(t.batch) is int and t.batch == 3
+
 
 class TestMw:
     def test_textbook_update(self):
