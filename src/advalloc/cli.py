@@ -230,6 +230,10 @@ def _mix_rows(side, mix, sequences):
 
 
 def cmd_ne(args) -> int:
+    if args.strategy_files and args.mode not in ("lp", "fp"):
+        raise ValueError(f"--strategy-files needs --mode lp or fp, not {args.mode}")
+    if args.strategy_files and len(args.strategy_files) > 2:
+        raise ValueError("at most two strategy files: budgets, prices")
     ecfg = load_config(args.config)
     cfg = ecfg.game
     _write_manifest(args.out_dir, "ne", args, ["strategies.csv"], ecfg)
@@ -247,8 +251,6 @@ def cmd_ne(args) -> int:
 
     row_strategies = col_strategies = None
     if args.strategy_files:
-        if len(args.strategy_files) > 2:
-            raise ValueError("at most two strategy files: budgets, prices")
         paths = list(args.strategy_files) + ["-"] * (2 - len(args.strategy_files))
         if paths[0] != "-":
             row_strategies = _read_strategy_file(paths[0])

@@ -19,6 +19,7 @@ import numpy as np
 
 from .game import (
     GameConfig,
+    _narrowest_int,
     benchmark_rows,
     checked_int,
     validate_budgets,
@@ -36,9 +37,11 @@ _BLOCK_CELLS = 1 << 18   # payoff cells built per welfare_grid call
 class PayoffTooLargeError(ValueError):
     """Matrix would exceed the memory cap.
 
-    Every solver here (LP, strategy generation, fictitious play) reads the
-    full matrix, so the routes out are a smaller instance, a larger
-    ``max_bytes``, or ``ne --mode acceptance-lp`` for long sequences.
+    The cap counts the integer output's real bytes, which with one row block
+    is the build's peak. Every solver here (LP, strategy generation,
+    fictitious play) reads the full matrix, so the routes out are a smaller
+    instance, a larger ``max_bytes``, or ``ne --mode acceptance-lp`` for long
+    sequences.
     """
 
 
@@ -48,7 +51,7 @@ class PayoffMatrix:
 
     rows: np.ndarray      # (M, N) budget sequences, zero-padded to length N
     cols: np.ndarray      # (K, N) price sequences, zero-padded
-    values: np.ndarray    # (M, K) float64 gaps
+    values: np.ndarray    # (M, K) gaps, narrowest signed integer dtype holding them
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,9 +115,11 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
     column is replayed only along the row's real length because zero budgets
     never accept. Column strategies must be full length.
 
-    The float64 values are filled one block of rows at a time, so peak memory
-    is the output plus one block of about 256K cells: ``max_bytes``, which caps
-    the output, bounds the real footprint.
+    Gaps lie in [0, max benchmark], so values are stored in the narrowest
+    signed integer dtype holding that range (int8 on the 7-user games) and
+    filled one block of rows at a time: peak memory is the integer output
+    plus one block of about 256K cells, and ``max_bytes``, which caps the
+    output's real size, bounds the footprint.
     """
     if row_strategies is None:
         rows = enumerate_strategies(cfg.budget_set, cfg.n_users)
@@ -128,14 +133,15 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
         for s in col_strategies:
             validate_prices(cfg, s)
         cols = _pad_rows(col_strategies, cfg.n_users)
-    needed = rows.shape[0] * cols.shape[0] * 8
+    bench = benchmark_rows(rows, cfg.n_resources)
+    dtype = _narrowest_int(0, int(bench.max(initial=0)))
+    needed = rows.shape[0] * cols.shape[0] * dtype.itemsize
     if needed > max_bytes:
         raise PayoffTooLargeError(
-            f"{rows.shape[0]}x{cols.shape[0]} needs {needed / 1e9:.1f} GB > cap; "
+            f"{rows.shape[0]}x{cols.shape[0]} needs {needed / 1e6:.1f} MB > cap; "
             "shrink the instance or raise max_bytes, or use "
             "`ne --mode acceptance-lp` for long sequences")
-    bench = benchmark_rows(rows, cfg.n_resources)
-    values = np.empty((rows.shape[0], cols.shape[0]), dtype=np.float64)
+    values = np.empty((rows.shape[0], cols.shape[0]), dtype=dtype)
     step = max(1, _BLOCK_CELLS // max(1, cols.shape[0]))
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
@@ -145,10 +151,12 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
 
 
 def _payoff_array(payoff) -> np.ndarray:
-    """The 2-D float64 values of a PayoffMatrix or of a raw array.
+    """The 2-D values of a PayoffMatrix (its integer array) or of a raw array.
 
-    Only raw arrays are checked for NaN and infinities: a PayoffMatrix holds
-    integer gaps by construction.
+    Only raw arrays are converted to float64 and checked for NaN and
+    infinities: a PayoffMatrix holds integer gaps by construction, and its
+    consumers upcast only the slices they read, so no full float64 copy is
+    made.
     """
     raw = not isinstance(payoff, PayoffMatrix)
     C = np.asarray(payoff, dtype=np.float64) if raw else payoff.values
@@ -181,8 +189,11 @@ def _certify(C: np.ndarray, mixed: MixedStrategy, tol: float) -> None:
     if abs(mixed.row_value - mixed.col_value) > tol:
         raise ArithmeticError(
             f"player values disagree: {mixed.row_value} vs {mixed.col_value}")
-    col_payoff = C @ mixed.col_mix
-    row_payoff = mixed.row_mix @ C
+    # only each mix's support is upcast: C @ col_mix would copy all of C
+    cs = np.flatnonzero(mixed.col_mix)
+    rs = np.flatnonzero(mixed.row_mix)
+    col_payoff = C[:, cs] @ mixed.col_mix[cs]
+    row_payoff = mixed.row_mix[rs] @ C[rs, :]
     if col_payoff.max() > v + tol or row_payoff.min() < v - tol:
         raise ArithmeticError("equilibrium certificate violated")
 
@@ -215,10 +226,11 @@ def _solve_by_strategy_generation(C: np.ndarray, tol: float) -> MixedStrategy:
         # exact best responses against the subgame optimum
         col_full = np.zeros(K)
         col_full[col_support] = sub_col
-        row_payoffs = C[:, col_support] @ sub_col
+        # upcast before the product: matmul's own cast sums in another order
+        row_payoffs = C[:, col_support].astype(np.float64, copy=False) @ sub_col
         best_row = int(np.argmax(row_payoffs))
         upper = float(row_payoffs[best_row])
-        col_payoffs = sub_row @ C[row_support, :]
+        col_payoffs = sub_row @ C[row_support, :].astype(np.float64, copy=False)
         best_col = int(np.argmin(col_payoffs))
         lower = float(col_payoffs[best_col])
         if upper - lower <= tol:
@@ -293,9 +305,11 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     The picks repeat for long runs, so the loop takes one run at a time: it
     computes how many steps pass before another strategy overtakes either
     pick and adds the picked column and row that many times in one update.
-    Inside a run the bound at step t + k is (a + k b) / (t + k), monotone in
-    k, so only the run's first and last checkpoint are evaluated; a
-    checkpoint on the run's final step scans the full vectors. On integer
+    Each picked column and row is converted to float64 once and cached, so
+    an integer PayoffMatrix is never copied whole. Inside a run the bound at
+    step t + k is (a + k b) / (t + k), monotone in k, so only the run's first
+    and last checkpoint are evaluated; a checkpoint on the run's final step
+    scans the full vectors. On integer
     payoffs (every PayoffMatrix) the float64 sums are exact integers while
     below 2**53, so picks, bracket and averages are bit-identical to taking
     one step at a time. On non-integer payoffs the picks may differ from a
@@ -310,7 +324,9 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     col_payoff = np.zeros(K)   # cumulative (row picks) @ C
     row_counts = np.zeros(M)
     col_counts = np.zeros(K)
-    columns: dict[int, np.ndarray] = {}   # contiguous copies of the picked columns
+    # contiguous float64 copies of the picked columns and rows
+    columns: dict[int, np.ndarray] = {}
+    rows: dict[int, np.ndarray] = {}
     best_lower = -np.inf
     best_upper = np.inf
     t = 0
@@ -319,8 +335,10 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
         j = int(col_payoff.argmin())
         column = columns.get(j)
         if column is None:
-            column = columns[j] = C[:, j].copy()
-        row = C[i, :]
+            column = columns[j] = C[:, j].astype(np.float64)
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = C[i, :].astype(np.float64)
         # at least one step, even if a float quotient underflows to 0
         run = int(max(1, min(
             iterations - t,

@@ -27,11 +27,15 @@ def _as_int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def checked_int(value, name: str, minimum: int = 1) -> int:
-    """A Python or numpy integer (not a bool) of at least minimum, as an int."""
+def checked_int(value, name: str, minimum: int | None = 1) -> int:
+    """A Python or numpy integer (not a bool) of at least minimum, as an int.
+
+    minimum=None sets no lower bound.
+    """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
-            or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -72,6 +72,7 @@ class TrainConfig:
                      "latent_dim", "hidden", "encoder_width"):
             setattr(self, name, checked_int(getattr(self, name), name,
                                             minimum=0 if name == "episodes" else 1))
+        self.seed = checked_int(self.seed, "seed", minimum=None)
         if self.lr_alg <= 0 or self.lr_adv <= 0 or self.mw_eta <= 0:
             raise ValueError("learning rates must be positive")
         if self.clip is not None and self.clip <= 0:

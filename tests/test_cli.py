@@ -229,6 +229,17 @@ class TestNe:
                         "--out-dir", str(tmp_path / "x")]) == 1
         assert "sequence" in capsys.readouterr().err
 
+    def test_strategy_files_rejected_outside_lp_and_fp(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "acc"
+        assert run_cli(["ne", "--config", str(cfg_path), "--mode", "acceptance-lp",
+                        "--strategy-files", str(tmp_path / "nonexistent.txt"),
+                        "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --strategy-files needs --mode lp or fp, "
+                                "not acceptance-lp\n")
+        assert not out.exists()
+
     def test_lp_matches_library_and_fp_brackets_it(self, cfg_path, tmp_path, capsys):
         game = load_config(cfg_path).game
         expected = solve_zero_sum(build_payoff_matrix(game)).value

@@ -1,5 +1,6 @@
 """Equilibrium values: payoff construction, LP solving, fictitious play."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ def scipy_game_value(C):
 
 def cfg(n, r, prices, budgets):
     return GameConfig(n_users=n, n_resources=r, price_set=prices, budget_set=budgets)
+
+
+FULL_GAME = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))   # 2187x16384, gaps 0..18
+MB = 1_000_000
 
 
 class TestEnumerate:
@@ -74,8 +79,8 @@ class TestBuildPayoff:
         # sha256 of the 729x4096 matrix built by one welfare_grid call over
         # all rows, so the row-blocked build must reproduce it byte for byte
         pm = build_payoff_matrix(cfg(6, 3, (1, 3, 5, 7), (2, 4, 6)))
-        assert pm.values.dtype == np.float64
-        assert hashlib.sha256(pm.values.tobytes()).hexdigest() == (
+        assert pm.values.dtype == np.int8
+        assert hashlib.sha256(pm.values.astype(np.float64).tobytes()).hexdigest() == (
             "a64a5ff44969d9ebe2054ecd07ea40a41aedbacbf4bf012e513ee59647d0981e")
 
     def test_partial_last_block_with_prefix_rows(self, monkeypatch):
@@ -102,8 +107,83 @@ class TestBuildPayoff:
         with pytest.raises(PayoffTooLargeError) as err:
             build_payoff_matrix(c, max_bytes=1000)
         assert str(err.value) == (
-            "2187x16384 needs 0.3 GB > cap; shrink the instance or raise max_bytes, "
+            "2187x16384 needs 35.8 MB > cap; shrink the instance or raise max_bytes, "
             "or use `ne --mode acceptance-lp` for long sequences")
+
+
+class TestNarrowValues:
+    """Gaps are stored in the narrowest signed integer dtype that holds them."""
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        # the int8 matrix needs 35.8 MB, so a 40 MB cap admits it
+        return build_payoff_matrix(FULL_GAME, max_bytes=40_000_000)
+
+    def test_full_game_is_int8(self, full):
+        assert full.values.dtype == np.int8
+        assert full.values.nbytes == 2187 * 16384
+        assert full.values.min() == 0 and full.values.max() <= 18
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            i = int(rng.integers(full.shape[0]))
+            j = int(rng.integers(full.shape[1]))
+            assert full.values[i, j] == gap(FULL_GAME, full.rows[i].tolist(),
+                                            full.cols[j].tolist())
+
+    def test_cap_counts_real_bytes(self):
+        with pytest.raises(PayoffTooLargeError, match="needs 35.8 MB"):
+            build_payoff_matrix(FULL_GAME, max_bytes=30_000_000)
+
+    @pytest.mark.parametrize("game, dtype", [
+        (cfg(3, 2, (1, 2), (1, 2, 3)), np.int8),
+        (cfg(3, 2, (50, 100), (50, 100)), np.int16),     # benchmark up to 200
+        (cfg(2, 1, (1, 40_000), (1, 40_000)), np.int32),  # benchmark 40000
+    ])
+    def test_dtype_follows_the_largest_benchmark(self, game, dtype):
+        pm = build_payoff_matrix(game)
+        assert pm.values.dtype == dtype
+        for i, r in enumerate(pm.rows.tolist()):
+            for j, p in enumerate(pm.cols.tolist()):
+                assert pm.values[i, j] == gap(game, r, p)
+
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("game", [
+        cfg(3, 2, (1, 2), (1, 2, 3)),
+        cfg(4, 2, (1, 2, 3), (1, 2, 3)),
+        cfg(5, 2, (1, 3), (1, 2, 4)),
+        cfg(3, 2, (50, 100), (50, 100)),
+    ])
+    def test_same_results_as_float64_input(self, game, direct, monkeypatch):
+        if not direct:   # force strategy generation on these small games
+            monkeypatch.setattr(equilibrium, "DIRECT_LP_CELLS", 0)
+        pm = build_payoff_matrix(game)
+        C = pm.values.astype(np.float64)
+        a, b = solve_zero_sum(pm), solve_zero_sum(C)
+        assert (a.row_value, a.col_value) == (b.row_value, b.col_value)
+        assert np.array_equal(a.row_mix, b.row_mix)
+        assert np.array_equal(a.col_mix, b.col_mix)
+        for iterations, every in ((1, 1), (997, 7), (5000, 100)):
+            a = fictitious_play(pm, iterations, checkpoint_every=every)
+            b = fictitious_play(C, iterations, checkpoint_every=every)
+            assert (a.lower, a.upper) == (b.lower, b.upper)
+            assert np.array_equal(a.row_avg, b.row_avg)
+            assert np.array_equal(a.col_avg, b.col_avg)
+
+    def test_memory_stays_near_the_integer_matrix(self):
+        # a full float64 copy of this matrix would add 287 MB
+        tracemalloc.start()
+        try:
+            pm = build_payoff_matrix(FULL_GAME)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak <= pm.values.nbytes + 8 * MB
+            for solve in (solve_zero_sum, lambda p: fictitious_play(p, 100_000)):
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                solve(pm)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - base <= 16 * MB
+        finally:
+            tracemalloc.stop()
 
 
 class TestSolveZeroSum:

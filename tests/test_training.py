@@ -63,6 +63,16 @@ class TestTrainConfig:
         assert type(t.episodes) is int and t.episodes == 0
         assert type(t.batch) is int and t.batch == 3
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.bool_(True), "2", None])
+    def test_seed_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+            TrainConfig(seed=bad)
+
+    @pytest.mark.parametrize("seed", [0, -7, 2**70, np.int64(-3), np.uint32(5)])
+    def test_seed_takes_any_integer_as_int(self, seed):
+        t = TrainConfig(seed=seed)
+        assert type(t.seed) is int and t.seed == int(seed)
+
 
 class TestMw:
     def test_textbook_update(self):
