@@ -63,6 +63,7 @@ from .gradients import DualInfo, ProbGradient, budget_gradient, price_gradient, 
 from .nets import (
     AdversaryPolicy,
     AlgorithmPolicy,
+    EncodedHistory,
     HistoryEncoder,
     SoftmaxMlp,
     StaleTapeError,

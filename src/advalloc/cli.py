@@ -53,6 +53,7 @@ STRATEGIES_HEADER = ("side", "index", "probability", "sequence")
 MW_HEADER = ("expert", "weight", "probability")
 METRICS_FLUSH_EVERY = 100
 MIX_EPS = 1e-12  # strategy rows below this probability are not written
+FP_ITERATIONS = 100_000
 
 
 def _fmt(value) -> str:
@@ -234,6 +235,11 @@ def cmd_ne(args) -> int:
         raise ValueError(f"--strategy-files needs --mode lp or fp, not {args.mode}")
     if args.strategy_files and len(args.strategy_files) > 2:
         raise ValueError("at most two strategy files: budgets, prices")
+    if args.mode == "fp":
+        if args.iterations is None:
+            args.iterations = FP_ITERATIONS
+    elif args.iterations is not None:
+        raise ValueError(f"--iterations needs --mode fp, not {args.mode}")
     ecfg = load_config(args.config)
     cfg = ecfg.game
     _write_manifest(args.out_dir, "ne", args, ["strategies.csv"], ecfg)
@@ -395,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FILE",
                    help="restrict pure strategies: budgets file then prices "
                         "file, '-' keeps a side fully enumerated")
-    p.add_argument("--iterations", type=int, default=100_000,
-                   help="fictitious-play steps (fp mode)")
+    p.add_argument("--iterations", type=int, default=None,
+                   help=f"fictitious-play steps (fp mode, default {FP_ITERATIONS})")
     p.set_defaults(func=cmd_ne, seed=0)
 
     p = sub.add_parser("bench", help="baseline comparison table")

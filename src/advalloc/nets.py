@@ -2,9 +2,12 @@
 
 The pricing policy encodes the padded feature history with one shared affine
 layer plus a per-slot bias matrix, concatenates the current slot's features,
-and runs a few dense leaky-rectifier layers into a softmax over prices. The
-budget generator maps a Gaussian latent through dense layers into one softmax
-head per slot over the budget set.
+and runs a few dense leaky-rectifier layers into a softmax over prices. Its
+forward takes the raw history or an EncodedHistory; a caller playing slot by
+slot keeps the latter and encodes each new row once with
+HistoryEncoder.extend. The budget generator maps a Gaussian latent through
+dense layers into one softmax head per slot over the budget set; equal-size
+heads are normalized in one reshaped reduction.
 
 Backprop starts from externally supplied gradients on the output
 probabilities (the objective is always sum_a g_a * P_a here), so no loss
@@ -26,8 +29,20 @@ class StaleTapeError(RuntimeError):
     """Tape predates a parameter update and would give wrong gradients."""
 
 
+def _checked_slope(slope) -> float:
+    """The leaky-rectifier slope as a float; it must lie in [0, 1]."""
+    try:
+        value = float(slope)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"slope must be a finite number in [0, 1], got {slope!r}")
+    return value
+
+
 def leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0, z, slope * z)
+    # equals np.where(z > 0, z, slope * z), signed zeros included, for slope in [0, 1]
+    return np.maximum(z, slope * z)
 
 
 def leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
@@ -40,8 +55,20 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-s, s, size=shape)
 
 
+def _equal_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray | None:
+    """a with its last axis split into (n_heads, size) when all heads share one
+    size, else None; reductions along the new last axis match per-head ones."""
+    if len(set(head_sizes)) != 1:
+        return None
+    return a.reshape(*a.shape[:-1], len(head_sizes), head_sizes[0])
+
+
 def softmax_heads(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
     """Row-wise softmax applied independently per contiguous head block."""
+    blocks = _equal_heads(z, head_sizes)
+    if blocks is not None:
+        e = np.exp(blocks - blocks.max(axis=-1, keepdims=True))
+        return (e / e.sum(axis=-1, keepdims=True)).reshape(z.shape)
     out = np.empty_like(z)
     start = 0
     for size in head_sizes:
@@ -107,7 +134,7 @@ class SoftmaxMlp:
             raise ValueError(f"heads {head_sizes} do not tile output {layer_sizes[-1]}")
         self.layer_sizes = layer_sizes
         self.head_sizes = head_sizes
-        self.slope = float(slope)
+        self.slope = _checked_slope(slope)
         self.version = 0
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -157,14 +184,20 @@ class SoftmaxMlp:
         grad_probs = np.atleast_2d(np.asarray(grad_probs, dtype=np.float64))
         if grad_probs.shape != tape.probs.shape:
             raise ValueError(f"grad shape {grad_probs.shape} != {tape.probs.shape}")
-        dz = np.empty_like(tape.probs)
-        start = 0
-        for size in self.head_sizes:
-            p = tape.probs[:, start:start + size]
-            g = grad_probs[:, start:start + size]
-            inner = (g * p).sum(axis=1, keepdims=True)
-            dz[:, start:start + size] = p * (g - inner)
-            start += size
+        p_heads = _equal_heads(tape.probs, self.head_sizes)
+        if p_heads is not None:
+            g_heads = _equal_heads(grad_probs, self.head_sizes)
+            inner = (g_heads * p_heads).sum(axis=-1, keepdims=True)
+            dz = (p_heads * (g_heads - inner)).reshape(tape.probs.shape)
+        else:
+            dz = np.empty_like(tape.probs)
+            start = 0
+            for size in self.head_sizes:
+                p = tape.probs[:, start:start + size]
+                g = grad_probs[:, start:start + size]
+                inner = (g * p).sum(axis=1, keepdims=True)
+                dz[:, start:start + size] = p * (g - inner)
+                start += size
         grads: list[np.ndarray] = []
         for k in range(len(self.weights) - 1, -1, -1):
             a_prev = tape.activations[k]
@@ -197,6 +230,21 @@ class EncoderTape:
     pre_act: np.ndarray
 
 
+@dataclasses.dataclass
+class EncodedHistory:
+    """Raw history rows with their encoder pre-activations and flat output.
+
+    HistoryEncoder.encode builds one and HistoryEncoder.extend fills one more
+    row in place, so a slot-by-slot caller encodes each row once. It is valid
+    only for the encoder parameters it was built with.
+    """
+
+    version: int
+    history: np.ndarray   # (batch, n_slots, n_features)
+    pre_act: np.ndarray   # (batch, n_slots, width)
+    flat: np.ndarray      # (batch, n_slots * width): flattened leaky(pre_act)
+
+
 class HistoryEncoder:
     """Shared affine map plus per-slot bias over the padded feature history.
 
@@ -211,7 +259,7 @@ class HistoryEncoder:
         self.n_slots = int(n_slots)
         self.width = int(width)
         self.n_features = int(n_features)
-        self.slope = float(slope)
+        self.slope = _checked_slope(slope)
         self.version = 0
         if rng is None:
             self.weight = np.zeros((n_features, width))
@@ -227,8 +275,10 @@ class HistoryEncoder:
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
-    def forward(self, history: np.ndarray) -> tuple[np.ndarray, EncoderTape]:
-        history = np.asarray(history, dtype=np.float64)
+    def encode(self, history: np.ndarray) -> EncodedHistory:
+        """Encode a raw (batch, n_slots, n_features) history in one product."""
+        # copy: extend() writes into the history, callers may reuse theirs
+        history = np.array(history, dtype=np.float64)
         if history.ndim == 2:
             history = history[None]
         if history.shape[1:] != (self.n_slots, self.n_features):
@@ -236,8 +286,44 @@ class HistoryEncoder:
                 f"history shape {history.shape[1:]} != {(self.n_slots, self.n_features)}")
         z = history @ self.weight + self.bias
         flat = leaky(z, self.slope).reshape(history.shape[0], self.out_width)
-        # copy: callers often reuse one history buffer across steps
-        return flat, EncoderTape(version=self.version, history=history.copy(), pre_act=z)
+        return EncodedHistory(version=self.version, history=history, pre_act=z, flat=flat)
+
+    def extend(self, encoded: EncodedHistory, slot: int, row: np.ndarray) -> None:
+        """Write one raw row at slot and encode it, bit-identical to encode().
+
+        numpy's stacked product runs one BLAS gemm per batch entry (a gemv
+        when n_slots == 1), and a gemm row does not depend on the rows beside
+        it. So the whole batch's row goes through one gemm when batch and
+        n_slots are both above 1; otherwise a slice of at most two slots
+        takes the same kernel as encode().
+        """
+        self._check_current(encoded)
+        history = encoded.history
+        history[:, slot] = row
+        if history.shape[0] > 1 and self.n_slots > 1:
+            z = history[:, slot] @ self.weight
+        else:
+            lo = max(0, min(slot, self.n_slots - 2))
+            z = (history[:, lo:lo + 2] @ self.weight)[:, slot - lo]
+        z += self.bias[slot]
+        encoded.pre_act[:, slot] = z
+        encoded.flat[:, slot * self.width:(slot + 1) * self.width] = leaky(z, self.slope)
+
+    def _check_current(self, encoded: EncodedHistory) -> None:
+        if encoded.version != self.version:
+            raise StaleTapeError("history was encoded before a parameter update")
+
+    def forward(self, history) -> tuple[np.ndarray, EncoderTape]:
+        """Flat encoding of a raw history array or of an EncodedHistory."""
+        if isinstance(history, EncodedHistory):
+            self._check_current(history)
+            encoded = history
+        else:
+            encoded = self.encode(history)
+        # copy: the caller goes on extending its encoded history
+        return encoded.flat, EncoderTape(version=self.version,
+                                         history=encoded.history.copy(),
+                                         pre_act=encoded.pre_act.copy())
 
     def backprop(self, tape: EncoderTape, grad_flat: np.ndarray) -> list[np.ndarray]:
         if tape.version != self.version:
@@ -272,7 +358,7 @@ class AlgorithmPolicy:
             raise ValueError("need at least one user and one price")
         self.n_users = int(n_users)
         self.n_prices = int(n_prices)
-        self.slope = float(slope)
+        self.slope = _checked_slope(slope)
         self.version = 0
         self.encoder = HistoryEncoder(n_users - 1, encoder_width, slope=slope, rng=rng)
         in_width = self.encoder.out_width + N_STEP_FEATURES
@@ -298,7 +384,13 @@ class AlgorithmPolicy:
         self.encoder.version += 1
         self.mlp.version += 1
 
-    def forward(self, history: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, AlgTape]:
+    def forward(self, history, current: np.ndarray) -> tuple[np.ndarray, AlgTape]:
+        """Price probabilities for the current slot's features.
+
+        history is the raw (batch, n_users - 1, N_STEP_FEATURES) array, future
+        rows zero, or an EncodedHistory from self.encoder holding the same rows;
+        both give bit-identical probabilities and tapes.
+        """
         current = np.atleast_2d(np.asarray(current, dtype=np.float64))
         flat, enc_tape = self.encoder.forward(history)
         x = np.concatenate([flat, current], axis=1)
@@ -339,7 +431,7 @@ class AdversaryPolicy:
         self.n_users = int(n_users)
         self.n_budgets = int(n_budgets)
         self.latent_dim = int(latent_dim)
-        self.slope = float(slope)
+        self.slope = _checked_slope(slope)
         self.version = 0
         sizes = (latent_dim, *hidden, n_users * n_budgets)
         self.mlp = SoftmaxMlp(sizes, (n_budgets,) * n_users, slope=slope, rng=rng)

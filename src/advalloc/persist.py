@@ -122,7 +122,10 @@ def load_model(path):
     with open(path, "rb") as f:
         header = _read_header(f, MODEL_FORMAT)
         blob = f.read()
-    policy = _rebuild(header)
+    try:
+        policy = _rebuild(header)
+    except ValueError as exc:
+        raise PersistError(f"header describes an invalid model: {exc}") from exc
     shapes = [tuple(s) for s in header["shapes"]]
     if shapes != [p.shape for p in policy.params]:
         raise PersistError("header shapes do not match the declared architecture")

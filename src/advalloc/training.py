@@ -252,7 +252,7 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
     max_price = float(price_arr[-1])
     r = cfg.n_resources
 
-    history = np.zeros((batch, n - 1, N_STEP_FEATURES))
+    history = policy.encoder.encode(np.zeros((batch, n - 1, N_STEP_FEATURES)))
     y = np.full(batch, r, dtype=np.int64)
     welfare = np.zeros(batch, dtype=np.int64)
     price_idx = np.zeros((batch, n), dtype=np.int64)
@@ -283,7 +283,7 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
             grad_total = add_grads(grad_total, policy.backprop(tape, g))
         y = y - take
         if i < n - 1:
-            history[:, i, :] = current
+            policy.encoder.extend(history, i, current)
         prev_b = b.astype(np.float64)
         prev_p = p.astype(np.float64)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from advalloc.cli import MW_HEADER, STRATEGIES_HEADER, run_cli
+from advalloc.cli import FP_ITERATIONS, MW_HEADER, STRATEGIES_HEADER, run_cli
 from advalloc.baselines import RESULTS_HEADER
 from advalloc.config import load_config
 from advalloc.equilibrium import build_payoff_matrix, solve_acceptance_lp, solve_zero_sum
@@ -228,6 +228,27 @@ class TestNe:
         assert run_cli(["ne", "--config", str(bare), "--mode", "acceptance-lp",
                         "--out-dir", str(tmp_path / "x")]) == 1
         assert "sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,count", [("lp", "5"), ("acceptance-lp", "0")])
+    def test_iterations_rejected_outside_fp(self, cfg_path, tmp_path, capsys, mode,
+                                            count):
+        out = tmp_path / mode
+        assert run_cli(["ne", "--config", str(cfg_path), "--mode", mode,
+                        "--iterations", count, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --iterations needs --mode fp, not {mode}\n"
+        assert not out.exists()
+
+    def test_fp_records_its_default_iterations(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "fp"
+        assert run_cli(["ne", "--config", str(cfg_path), "--mode", "fp",
+                        "--out-dir", str(out)]) == 0
+        manifest = (out / "run-manifest.txt").read_text()
+        assert f"  iterations = {FP_ITERATIONS}\n" in manifest
+        assert run_cli(["ne", "--config", str(cfg_path), "--mode", "lp",
+                        "--out-dir", str(tmp_path / "lp")]) == 0
+        assert "iterations" not in (tmp_path / "lp" / "run-manifest.txt").read_text()
 
     def test_strategy_files_rejected_outside_lp_and_fp(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "acc"

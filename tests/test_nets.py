@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from advalloc import nets
 from advalloc.nets import (
+    N_STEP_FEATURES,
     AdversaryPolicy,
     AlgorithmPolicy,
     HistoryEncoder,
@@ -11,6 +13,7 @@ from advalloc.nets import (
     add_grads,
     clip_grads,
     glorot_uniform,
+    leaky,
     sample_categorical,
     scale_grads,
     softmax_heads,
@@ -344,3 +347,106 @@ class TestGradHelpers:
         g = [np.full(4, 0.1)]
         clip_grads(g, 10.0)
         assert np.allclose(g[0], 0.1)
+
+
+def loop_softmax_heads(z, head_sizes):
+    """Reference: one softmax per head block, in a Python loop."""
+    out = np.empty_like(z)
+    start = 0
+    for size in head_sizes:
+        block = z[..., start:start + size]
+        shifted = block - block.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        out[..., start:start + size] = e / e.sum(axis=-1, keepdims=True)
+        start += size
+    return out
+
+
+def same_bits(a, b):
+    # array_equal alone treats -0.0 and 0.0 as equal
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestBitIdentity:
+    """The vectorized paths reproduce the straightforward ones bit for bit."""
+
+    @pytest.mark.parametrize("heads", [(5,) * 25, (3,) * 7, (9,), (12,), (17,)])
+    @pytest.mark.parametrize("batch", [1, 3, 32, 81])
+    def test_equal_heads_match_per_head_loop(self, heads, batch):
+        rng = np.random.default_rng(batch * 100 + len(heads) + heads[0])
+        z = rng.normal(size=(batch, sum(heads)), scale=4.0)
+        assert same_bits(softmax_heads(z, heads), loop_softmax_heads(z, heads))
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_leaky_matches_where(self, slope):
+        rng = np.random.default_rng(7)
+        z = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324],
+                            rng.normal(size=200, scale=10.0)])
+        assert same_bits(leaky(z, slope), np.where(z > 0, z, slope * z))
+
+    def test_equal_head_backprop_matches_per_head_loop(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pol = AdversaryPolicy(25, 5, latent_dim=6, hidden=(16, 16), rng=rng)
+        latents = rng.normal(size=(32, 6))
+        signal = rng.normal(size=(32, 25, 5))
+        probs, tape = pol.forward(latents)
+        grads = pol.backprop(tape, signal)
+        monkeypatch.setattr(nets, "_equal_heads", lambda a, head_sizes: None)
+        loop_probs, loop_tape = pol.forward(latents)
+        loop_grads = pol.backprop(loop_tape, signal)
+        assert same_bits(probs, loop_probs)
+        assert all(same_bits(g, h) for g, h in zip(grads, loop_grads))
+
+    @pytest.mark.parametrize("n_users,batch", [(2, 1), (2, 40), (3, 1), (3, 2),
+                                               (7, 1), (7, 32), (25, 1), (25, 17)])
+    def test_encoded_history_matches_raw(self, n_users, batch):
+        rng = np.random.default_rng(n_users * 10 + batch)
+        pol = AlgorithmPolicy(n_users, 4, hidden=(12, 12), encoder_width=5, rng=rng)
+        # bias is zero at init; make it matter
+        pol.encoder.bias[...] = rng.normal(size=pol.encoder.bias.shape)
+        raw = np.zeros((batch, n_users - 1, N_STEP_FEATURES))
+        encoded = pol.encoder.encode(raw)
+        for i in range(n_users):
+            current = rng.normal(size=(batch, N_STEP_FEATURES))
+            signal = rng.normal(size=(batch, 4))
+            p_raw, t_raw = pol.forward(raw, current)
+            p_enc, t_enc = pol.forward(encoded, current)
+            assert same_bits(p_raw, p_enc), i
+            assert same_bits(t_raw.enc_tape.pre_act, t_enc.enc_tape.pre_act), i
+            g_raw = pol.backprop(t_raw, signal)
+            g_enc = pol.backprop(t_enc, signal)
+            assert all(same_bits(g, h) for g, h in zip(g_raw, g_enc)), i
+            if i < n_users - 1:
+                raw[:, i] = current
+                pol.encoder.extend(encoded, i, current)
+
+    def test_encoded_history_goes_stale_on_step(self):
+        rng = np.random.default_rng(9)
+        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
+        encoded = pol.encoder.encode(np.zeros((2, 2, N_STEP_FEATURES)))
+        pol.step(pol.zero_grads(), lr=0.1)
+        with pytest.raises(StaleTapeError):
+            pol.forward(encoded, np.zeros((2, N_STEP_FEATURES)))
+        with pytest.raises(StaleTapeError):
+            pol.encoder.extend(encoded, 0, np.zeros((2, N_STEP_FEATURES)))
+
+
+class TestSlope:
+    BUILDERS = [
+        lambda slope: SoftmaxMlp((3, 2), (2,), slope=slope),
+        lambda slope: HistoryEncoder(2, 3, slope=slope),
+        lambda slope: AlgorithmPolicy(3, 2, slope=slope),
+        lambda slope: AdversaryPolicy(3, 2, slope=slope),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("slope", [2.0, -0.01, 1.0 + 1e-12, float("nan"),
+                                       float("inf"), -float("inf"), "steep", None])
+    def test_rejected(self, build, slope):
+        with pytest.raises(ValueError, match="slope"):
+            build(slope)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("slope", [0, 0.0, 0.2, 1])
+    def test_accepted(self, build, slope):
+        assert build(slope).slope == float(slope)

@@ -102,6 +102,18 @@ class TestModelCorruption:
         assert "9" in str(err.value)
         assert str(FORMAT_VERSION) in str(err.value)
 
+    @pytest.mark.parametrize("make", [seeded_algorithm, seeded_adversary])
+    @pytest.mark.parametrize("slope", [2.0, -1.0, "NaN"])
+    def test_slope_outside_unit_interval(self, tmp_path, make, slope):
+        path = tmp_path / "m"
+        save_model(path, make())
+        head, _, tail = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["slope"] = float(slope)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + tail)
+        with pytest.raises(PersistError, match="slope"):
+            load_model(path)
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "m"
         path.write_bytes(b"\x89PNG not json at all\n1234")

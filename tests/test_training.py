@@ -197,6 +197,29 @@ class TestPlayBatch:
         with pytest.raises(ValueError):
             play_batch(SMALL, policy, [[1, 2, 3, 1]], lengths=[5], sample=False)
 
+    @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 1), (4, 6), (9, 40)])
+    @pytest.mark.parametrize("grads", [False, True])
+    def test_one_policy_forward_per_slot(self, monkeypatch, n_users, batch, grads):
+        # the perf harness times the pricer by wrapping AlgorithmPolicy.forward
+        cfg = GameConfig(n_users=n_users, n_resources=2, price_set=(1, 2, 3),
+                         budget_set=(1, 2, 3))
+        rng = np.random.default_rng(n_users + batch)
+        policy = AlgorithmPolicy(n_users, 3, hidden=(4,), encoder_width=2, rng=rng)
+        calls = []
+        forward = AlgorithmPolicy.forward
+
+        def counted(self, history, current):
+            calls.append(len(current))
+            return forward(self, history, current)
+
+        monkeypatch.setattr(AlgorithmPolicy, "forward", counted)
+        budgets = rng.integers(1, 4, size=(batch, n_users))
+        if grads:
+            algorithm_gradients(cfg, policy, budgets, rng)
+        else:
+            play_batch(cfg, policy, budgets, rng)
+        assert calls == [batch] * n_users
+
     @pytest.mark.parametrize("built", [(4, 5), (4, 2), (5, 3)])
     def test_rejects_policy_built_for_another_game(self, built):
         policy = AlgorithmPolicy(*built, hidden=(4,), encoder_width=2)
