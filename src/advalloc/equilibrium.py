@@ -220,16 +220,25 @@ def _solve_by_strategy_generation(C: np.ndarray, tol: float) -> MixedStrategy:
     M, K = C.shape
     row_support = [0]
     col_support = [0]
+    # float64 copies of the support columns in order of entry, one buffer row
+    # each, converted once: a column of the row-major matrix is a strided
+    # gather. columns[:k].T is the same column-major (M, k) layout as the
+    # gather C[:, col_support] returns, so it feeds the same gemv. Support
+    # rows are contiguous slices, cheap to upcast each round; a row cache
+    # would hold |support| x K float64 for the whole solve (1.8 MB for the
+    # full 7-user game's 14 support rows).
+    columns = np.empty((8, M))
+    columns[0] = C[:, 0]
     for _ in range(M + K + 1):
         sub = C[np.ix_(row_support, col_support)]
         _, sub_row, _, sub_col = _game_lps(sub)
         # exact best responses against the subgame optimum
         col_full = np.zeros(K)
         col_full[col_support] = sub_col
-        # upcast before the product: matmul's own cast sums in another order
-        row_payoffs = C[:, col_support].astype(np.float64, copy=False) @ sub_col
+        row_payoffs = columns[:len(col_support)].T @ sub_col
         best_row = int(np.argmax(row_payoffs))
         upper = float(row_payoffs[best_row])
+        # upcast before the product: matmul's own cast sums in another order
         col_payoffs = sub_row @ C[row_support, :].astype(np.float64, copy=False)
         best_col = int(np.argmin(col_payoffs))
         lower = float(col_payoffs[best_col])
@@ -243,6 +252,10 @@ def _solve_by_strategy_generation(C: np.ndarray, tol: float) -> MixedStrategy:
         if best_row not in row_support:
             row_support.append(best_row)
         if best_col not in col_support:
+            k = len(col_support)
+            if k == columns.shape[0]:
+                columns = np.concatenate([columns, np.empty_like(columns)])
+            columns[k] = C[:, best_col]
             col_support.append(best_col)
     raise ArithmeticError("strategy generation failed to close the certificate")
 

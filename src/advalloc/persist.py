@@ -9,12 +9,14 @@ bit-exact inverses of saves.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from typing import Sequence
 
 import numpy as np
 
+from .game import checked_int
 from .nets import AdversaryPolicy, AlgorithmPolicy
 from .training import SnapshotRing
 
@@ -77,6 +79,17 @@ def _read_header(f, expected_format: str) -> dict:
     return header
 
 
+@contextlib.contextmanager
+def _header_errors(what: str):
+    """Report a missing or wrongly typed header key as a PersistError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise PersistError(f"{what} header lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PersistError(f"header describes an invalid {what}: {exc}") from exc
+
+
 def _split_payload(blob: bytes, shapes: list[tuple[int, ...]],
                    what: str) -> list[np.ndarray]:
     expected = sum(math.prod(s) for s in shapes) * _DTYPE.itemsize
@@ -122,11 +135,9 @@ def load_model(path):
     with open(path, "rb") as f:
         header = _read_header(f, MODEL_FORMAT)
         blob = f.read()
-    try:
+    with _header_errors("model"):
         policy = _rebuild(header)
-    except ValueError as exc:
-        raise PersistError(f"header describes an invalid model: {exc}") from exc
-    shapes = [tuple(s) for s in header["shapes"]]
+        shapes = [tuple(s) for s in header["shapes"]]
     if shapes != [p.shape for p in policy.params]:
         raise PersistError("header shapes do not match the declared architecture")
     policy.set_params(_split_payload(blob, shapes, "model"))
@@ -155,9 +166,11 @@ def load_ring(path) -> SnapshotRing:
     with open(path, "rb") as f:
         header = _read_header(f, RING_FORMAT)
         blob = f.read()
-    ring = SnapshotRing(header["capacity"])
-    episodes = header["episodes"]
-    shapes = [tuple(s) for s in header["shapes"]]
+    with _header_errors("ring"):
+        ring = SnapshotRing(header["capacity"])
+        episodes = [checked_int(e, "episode", minimum=None) for e in header["episodes"]]
+        shapes = [tuple(checked_int(d, "shape entry", minimum=0) for d in s)
+                  for s in header["shapes"]]
     per_entry = sum(math.prod(s) for s in shapes) * _DTYPE.itemsize
     if len(episodes) > ring.capacity:
         raise PersistError(

@@ -6,7 +6,22 @@ Tableau form with explicit slack and artificial columns. Entering variable by
 Dantzig's rule (most negative reduced cost, lowest index on ties); a stall of
 degenerate pivots switches to Bland's rule, which guarantees termination.
 Pivot tolerance 1e-9. Leaving row: minimum ratio, ties broken by the smallest
-basis variable index.
+basis variable index. Inputs are validated once, in ``solve_lp``: constraint
+matrices and right-hand sides come in pairs of matching shape, and every
+entry is finite.
+
+A pivot subtracts the rank-1 update only from the block it can change: rows
+whose pivot-column entry is nonzero times columns whose pivot-row entry is
+nonzero. The block is gathered and scattered through fancy indexing, which
+costs several times the dense in-place update per cell, so it is used only
+when ``BLOCK_FIXED_CELLS + BLOCK_CELL_COST * block cells`` is at most the
+tableau's cells; the dense update runs otherwise. Long acceptance LPs take
+the block path (the L = 240 tableau is 481 x 963, its blocks average 188 x
+121); payoff subgames, half of whose cells change per pivot, stay dense.
+Both paths compute every changed entry as the same ``T - f * r`` and give
+bit-identical solutions. Outside the block the dense update rewrites only
+the sign of zeros, and no solution reads a zero's sign: the right-hand side
+column never holds -0.0 after a pivot, either way.
 """
 from __future__ import annotations
 
@@ -17,6 +32,11 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 STALL_LIMIT = 256
+# Cost of the block update in dense-update cells (numpy on x86-64):
+# BLOCK_CELL_COST per block cell plus BLOCK_FIXED_CELLS for the indexing, so
+# tableaus under 4096 cells always take the dense update.
+BLOCK_CELL_COST = 8
+BLOCK_FIXED_CELLS = 4096
 
 
 class SimplexError(RuntimeError):
@@ -39,11 +59,20 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    pivot = T[row, col]
+    T[row] /= pivot
+    if pivot < 0:   # only when driving out an artificial
+        T[row] += 0.0   # the dense update turns the -0.0 this wrote into +0.0
+    pivot_row = T[row]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    obj -= obj[col] * T[row]
+    rows = factors.nonzero()[0]
+    cols = pivot_row.nonzero()[0]
+    if BLOCK_FIXED_CELLS + BLOCK_CELL_COST * rows.size * cols.size <= T.size:
+        T[rows[:, None], cols] -= factors[rows, None] * pivot_row[cols]
+    else:
+        T -= factors[:, None] * pivot_row
+    obj -= obj[col] * pivot_row
     basis[row] = col
 
 
@@ -54,27 +83,29 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
     bland = False
     stall = 0
     last_val = obj[-1]
+    blocked = ~allowed
     while True:
         cols = obj[:-1].copy()
-        cols[~allowed] = 0.0
+        cols[blocked] = 0.0
         cols[basis] = 0.0
         if bland:
-            candidates = np.flatnonzero(cols < -PIVOT_TOL)
+            candidates = (cols < -PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 return iters
             col = int(candidates[0])
         else:
-            col = int(np.argmin(cols))
+            col = int(cols.argmin())
             if cols[col] >= -PIVOT_TOL:
                 return iters
-        ratios = np.full(T.shape[0], np.inf)
-        positive = T[:, col] > PIVOT_TOL
-        ratios[positive] = T[positive, -1] / T[positive, col]
-        best = ratios.min()
-        if not np.isfinite(best):
+        # minimum ratio over the entries that can pivot
+        column = T[:, col]
+        positive = (column > PIVOT_TOL).nonzero()[0]
+        ratios = T[positive, -1] / column[positive]
+        best = ratios.min(initial=np.inf)
+        if not best < np.inf:   # also catches NaN
             raise UnboundedError("unbounded: no positive pivot in entering column")
-        tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
-        row = int(tied[np.argmin(basis[tied])])
+        tied = positive[ratios <= best + PIVOT_TOL]
+        row = int(tied[basis[tied].argmin()])
         _pivot(T, obj, basis, row, col)
         iters += 1
         if iters > max_iter:
@@ -89,32 +120,43 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         last_val = obj[-1]
 
 
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _constraint_pair(A, b, n: int, a_name: str, b_name: str):
+    """The float64 (A, b) of one constraint kind, or None if neither is given."""
+    if A is None and b is None:
+        return None
+    if A is None or b is None:
+        raise ValueError(f"{a_name} and {b_name} must be given together, "
+                         f"got only {b_name if A is None else a_name}")
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    if b.ndim != 1 or A.shape != (b.shape[0], n):
+        raise ValueError(f"{a_name} shape {A.shape} inconsistent with c ({n},) "
+                         f"and {b_name} {b.shape}")
+    return _finite(A, a_name), _finite(b, b_name)
+
+
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
              max_iter: int | None = None) -> LpSolution:
+    """Solve the LP; inputs are validated here, once, before any pivot."""
     c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 1:
+        raise ValueError(f"c must be a 1-D vector, got shape {c.shape}")
+    _finite(c, "c")
     n = c.shape[0]
-    blocks = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=np.float64))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=np.float64))
-        if A_ub.shape != (b_ub.shape[0], n):
-            raise ValueError(f"A_ub shape {A_ub.shape} inconsistent with c/b_ub")
-        n_ub = A_ub.shape[0]
-        blocks.append(A_ub)
-        rhs.append(b_ub)
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=np.float64))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=np.float64))
-        if A_eq.shape != (b_eq.shape[0], n):
-            raise ValueError(f"A_eq shape {A_eq.shape} inconsistent with c/b_eq")
-        blocks.append(A_eq)
-        rhs.append(b_eq)
+    ub = _constraint_pair(A_ub, b_ub, n, "A_ub", "b_ub")
+    eq = _constraint_pair(A_eq, b_eq, n, "A_eq", "b_eq")
+    blocks = [pair for pair in (ub, eq) if pair is not None]
     if not blocks:
         raise ValueError("no constraints given")
-    A = np.vstack(blocks)
-    b = np.concatenate(rhs)
+    n_ub = 0 if ub is None else ub[0].shape[0]
+    A = np.vstack([pair[0] for pair in blocks])
+    b = np.concatenate([pair[1] for pair in blocks])
     m = A.shape[0]
 
     # slack columns for the <= rows

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: dispatch, artifacts, exit codes, reproducibility."""
 import csv
+import json
 import math
 
 import numpy as np
@@ -161,6 +162,19 @@ class TestEval:
                         "--model", str(trained / "algorithm.model"),
                         "--ring", str(trained / "adversary.ring"),
                         "--out-dir", str(tmp_path / "x")]) == 1
+
+    def test_broken_model_header_is_one_error_line(self, cfg_path, trained, tmp_path,
+                                                   capsys):
+        path = trained / "algorithm.model"
+        head, _, tail = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        del header["hidden"]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + tail)
+        capsys.readouterr()
+        assert run_cli(["eval", "--config", str(cfg_path), "--model", str(path),
+                        "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: model header lacks the key 'hidden'\n"
 
     def test_adversary_model_is_rejected(self, cfg_path, trained, tmp_path, capsys):
         code = run_cli(["eval", "--config", str(cfg_path),

@@ -187,6 +187,10 @@ class TestNarrowValues:
 
 
 class TestSolveZeroSum:
+    @pytest.fixture(scope="class")
+    def full(self):
+        return build_payoff_matrix(FULL_GAME)
+
     def test_lowest_price_dominates(self):
         mixed = solve_zero_sum(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert mixed.value == pytest.approx(0.0, abs=1e-9)
@@ -226,6 +230,23 @@ class TestSolveZeroSum:
         generated = _solve_by_strategy_generation(C, 1e-9)
         assert generated.value == pytest.approx(direct.value, abs=1e-7)
 
+    @pytest.mark.parametrize("seed", range(9))
+    def test_strategy_generation_matches_the_gathering_loop(self, full, seed):
+        # seeded submatrices of the 7-user game, as integers and as floats
+        rng = np.random.default_rng(seed)
+        M, K = ((20, 40), (36, 63), (60, 120))[seed % 3]
+        rows = np.sort(rng.choice(full.shape[0], M, replace=False))
+        cols = np.sort(rng.choice(full.shape[1], K, replace=False))
+        sub = full.values[np.ix_(rows, cols)]
+        for C in (PayoffMatrix(full.rows[rows], full.cols[cols], sub),
+                  sub.astype(np.float64)):
+            got = equilibrium._solve_by_strategy_generation(
+                equilibrium._payoff_array(C), equilibrium.VALUE_TOL)
+            want = reference_strategy_generation(sub.astype(np.float64))
+            assert (got.row_value, got.col_value) == want[:2]
+            assert got.row_mix.tobytes() == want[2].tobytes()
+            assert got.col_mix.tobytes() == want[3].tobytes()
+
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
             solve_zero_sum(np.zeros((0, 3)))
@@ -237,6 +258,27 @@ class TestSolveZeroSum:
         C = np.array([[1.0, 0.0], [0.0, bad]])
         with pytest.raises(ValueError, match="finite"):
             solve_zero_sum(C)
+
+
+def reference_strategy_generation(C):
+    """Strategy generation that gathers and upcasts the support columns every
+    round: C[:, support] is column-major, so the cached columns must be too."""
+    M, K = C.shape
+    rs, cs = [0], [0]
+    while True:
+        _, sub_row, _, sub_col = equilibrium._game_lps(C[np.ix_(rs, cs)])
+        row_payoffs = C[:, cs].astype(np.float64, copy=False) @ sub_col
+        col_payoffs = sub_row @ C[rs, :].astype(np.float64, copy=False)
+        best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
+        upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
+        if upper - lower <= equilibrium.VALUE_TOL:
+            row_mix, col_mix = np.zeros(M), np.zeros(K)
+            row_mix[rs], col_mix[cs] = sub_row, sub_col
+            return lower, upper, row_mix, col_mix
+        if best_row not in rs:
+            rs.append(best_row)
+        if best_col not in cs:
+            cs.append(best_col)
 
 
 class TestAcceptanceLp:

@@ -74,6 +74,14 @@ class TestModelRoundTrip:
             save_model(tmp_path / "x", object())
 
 
+def edit_header(path, edit):
+    """Rewrite a saved file's JSON header line through edit(header)."""
+    head, _, tail = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + tail)
+
+
 class TestModelCorruption:
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m"
@@ -112,6 +120,22 @@ class TestModelCorruption:
         header["slope"] = float(slope)
         path.write_bytes(json.dumps(header).encode() + b"\n" + tail)
         with pytest.raises(PersistError, match="slope"):
+            load_model(path)
+
+    @pytest.mark.parametrize("make", [seeded_algorithm, seeded_adversary])
+    @pytest.mark.parametrize("key", ["hidden", "shapes"])
+    def test_missing_key(self, tmp_path, make, key):
+        path = tmp_path / "m"
+        save_model(path, make())
+        edit_header(path, lambda header: header.pop(key))
+        with pytest.raises(PersistError, match=f"model header lacks the key '{key}'"):
+            load_model(path)
+
+    def test_wrongly_typed_key(self, tmp_path):
+        path = tmp_path / "m"
+        save_model(path, seeded_algorithm())
+        edit_header(path, lambda header: header.update(n_users="3"))
+        with pytest.raises(PersistError, match="invalid model"):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
@@ -164,4 +188,25 @@ class TestRingRoundTrip:
         payload = np.zeros(2, dtype="<f8").tobytes()
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(PersistError, match="exceed"):
+            load_ring(path)
+
+
+class TestRingHeader:
+    @pytest.fixture
+    def path(self, tmp_path):
+        ring = SnapshotRing(2)
+        ring.record(1, [np.arange(4.0)])
+        save_ring(tmp_path / "ring", ring)
+        return tmp_path / "ring"
+
+    def test_missing_capacity(self, path):
+        edit_header(path, lambda header: header.pop("capacity"))
+        with pytest.raises(PersistError, match="ring header lacks the key 'capacity'"):
+            load_ring(path)
+
+    @pytest.mark.parametrize("key, value", [("capacity", "2"), ("episodes", 5),
+                                            ("episodes", [1.5]), ("shapes", [["4"]])])
+    def test_wrongly_typed_key(self, path, key, value):
+        edit_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(PersistError, match="invalid ring"):
             load_ring(path)
