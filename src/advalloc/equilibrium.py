@@ -1,10 +1,10 @@
 """Nash-equilibrium machinery for the sequence game.
 
 The zero-sum game has budget sequences as row (maximizer) strategies and
-price sequences as column (minimizer) strategies; entries are gaps. Small
-games are solved exactly with one LP per player; larger ones go through
-strategy generation (double oracle): subgames solved by the same simplex,
-best responses by exact payoff scans, terminating only when the upper and
+price sequences as column (minimizer) strategies; entries are gaps. Games
+of every size are solved exactly by strategy generation (double oracle):
+each subgame is one simplex LP whose duals give the row player's mix, best
+responses are exact payoff scans, and the loop ends only when the upper and
 lower certificates meet. Fictitious play provides an any-size approximate
 value bracket. A separate prefix-family LP computes the optimal per-user
 acceptance probabilities against a fixed budget sequence.
@@ -30,7 +30,6 @@ from .simplex import solve_lp
 
 VALUE_TOL = 1e-6
 DEFAULT_MATRIX_CAP = 2 * 1024**3
-DIRECT_LP_CELLS = 300_000
 _BLOCK_CELLS = 1 << 18   # payoff cells built per welfare_grid call
 
 
@@ -167,21 +166,13 @@ def _payoff_array(payoff) -> np.ndarray:
     return C
 
 
-def _game_lps(C: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Solve both players' LPs on a (possibly restricted) payoff matrix."""
-    M, K = C.shape
-    shift = float(C.min())
-    Cs = C - shift + 1.0  # strictly positive entries keep the value positive
-    # column player: max 1'u s.t. Cs u <= 1  (u = col_mix / value)
-    col = solve_lp(-np.ones(K), A_ub=Cs, b_ub=np.ones(M))
-    total_u = -col.objective
-    v_col = 1.0 / total_u
-    col_mix = col.x * v_col
-    # row player: min 1'w s.t. Cs' w >= 1  (w = row_mix / value)
-    row = solve_lp(np.ones(M), A_ub=-Cs.T, b_ub=-np.ones(K))
-    v_row = 1.0 / row.objective
-    row_mix = row.x * v_row
-    return v_row + shift - 1.0, row_mix, v_col + shift - 1.0, col_mix
+def _game_lps(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal (row_mix, col_mix) from one LP, the column player's
+    max 1'u s.t. Cs u <= 1 (u = col_mix / value); its duals w solve the row
+    player's min 1'w s.t. Cs' w >= 1 (w = row_mix / value)."""
+    Cs = C - float(C.min()) + 1.0  # strictly positive entries keep the value positive
+    col = solve_lp(-np.ones(C.shape[1]), A_ub=Cs, b_ub=np.ones(C.shape[0]))
+    return col.duals / col.duals.sum(), col.x / col.x.sum()
 
 
 def _certify(C: np.ndarray, mixed: MixedStrategy, tol: float) -> None:
@@ -199,24 +190,13 @@ def _certify(C: np.ndarray, mixed: MixedStrategy, tol: float) -> None:
 
 
 def solve_zero_sum(payoff, *, tol: float = VALUE_TOL) -> MixedStrategy:
-    """Exact equilibrium of the matrix game.
+    """Exact equilibrium of the matrix game by strategy generation.
 
-    Games up to a few hundred thousand cells are solved directly; beyond
-    that, strategy generation grows row/column supports until the
-    best-response certificate closes, so the result is exact either way.
+    The double oracle of McMahan, Gordon & Blum (ICML 2003): each round
+    solves the subgame on the current supports with one LP and adds both
+    players' exact best responses, until the best-response bounds meet.
     """
     C = _payoff_array(payoff)
-    M, K = C.shape
-    if M * K <= DIRECT_LP_CELLS:
-        v_row, row_mix, v_col, col_mix = _game_lps(C)
-        mixed = MixedStrategy(row_mix=row_mix, col_mix=col_mix,
-                              row_value=v_row, col_value=v_col)
-        _certify(C, mixed, tol)
-        return mixed
-    return _solve_by_strategy_generation(C, tol)
-
-
-def _solve_by_strategy_generation(C: np.ndarray, tol: float) -> MixedStrategy:
     M, K = C.shape
     row_support = [0]
     col_support = [0]
@@ -230,8 +210,7 @@ def _solve_by_strategy_generation(C: np.ndarray, tol: float) -> MixedStrategy:
     columns = np.empty((8, M))
     columns[0] = C[:, 0]
     for _ in range(M + K + 1):
-        sub = C[np.ix_(row_support, col_support)]
-        _, sub_row, _, sub_col = _game_lps(sub)
+        sub_row, sub_col = _game_lps(C[np.ix_(row_support, col_support)])
         # exact best responses against the subgame optimum
         col_full = np.zeros(K)
         col_full[col_support] = sub_col
@@ -271,6 +250,8 @@ def solve_acceptance_lp(seq: Sequence[int], n_resources: int) -> tuple[float, np
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 1 or seq.shape[0] == 0:
         raise ValueError("sequence must be a non-empty 1-D list of budgets")
+    if not np.isfinite(seq).all():
+        raise ValueError("budgets in the sequence must be finite")
     if (seq < 0).any():
         raise ValueError("budgets must be non-negative")
     L = seq.shape[0]

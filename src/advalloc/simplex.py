@@ -8,7 +8,7 @@ degenerate pivots switches to Bland's rule, which guarantees termination.
 Pivot tolerance 1e-9. Leaving row: minimum ratio, ties broken by the smallest
 basis variable index. Inputs are validated once, in ``solve_lp``: constraint
 matrices and right-hand sides come in pairs of matching shape, and every
-entry is finite.
+entry is finite. A solve also returns the duals of its ``<=`` rows.
 
 A pivot subtracts the rank-1 update only from the block it can change: rows
 whose pivot-column entry is nonzero times columns whose pivot-row entry is
@@ -53,9 +53,14 @@ class UnboundedError(SimplexError):
 
 @dataclasses.dataclass
 class LpSolution:
+    """``duals``: the multipliers lambda >= 0 of the ``<=`` rows (length 0
+    without them), the slack columns' reduced costs after phase 2. Negating a
+    row keeps its multiplier; phase 1 drops only equality rows, since every
+    ``<=`` row has its own slack."""
     x: np.ndarray
     objective: float
     iterations: int
+    duals: np.ndarray
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -220,4 +225,5 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
     x_full = np.zeros(total)
     x_full[basis] = T[:, -1]
     x = x_full[:n]
-    return LpSolution(x=x, objective=float(c @ x), iterations=iterations)
+    return LpSolution(x=x, objective=float(c @ x), iterations=iterations,
+                      duals=obj[n:n + n_ub].copy())

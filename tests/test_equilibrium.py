@@ -1,5 +1,6 @@
 """Equilibrium values: payoff construction, LP solving, fictitious play."""
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from advalloc.equilibrium import (
     solve_zero_sum,
 )
 from advalloc.game import GameConfig, gap
+from advalloc.simplex import solve_lp
 
 
 def scipy_game_value(C):
@@ -146,16 +148,13 @@ class TestNarrowValues:
             for j, p in enumerate(pm.cols.tolist()):
                 assert pm.values[i, j] == gap(game, r, p)
 
-    @pytest.mark.parametrize("direct", [True, False])
     @pytest.mark.parametrize("game", [
         cfg(3, 2, (1, 2), (1, 2, 3)),
         cfg(4, 2, (1, 2, 3), (1, 2, 3)),
         cfg(5, 2, (1, 3), (1, 2, 4)),
         cfg(3, 2, (50, 100), (50, 100)),
     ])
-    def test_same_results_as_float64_input(self, game, direct, monkeypatch):
-        if not direct:   # force strategy generation on these small games
-            monkeypatch.setattr(equilibrium, "DIRECT_LP_CELLS", 0)
+    def test_same_results_as_float64_input(self, game):
         pm = build_payoff_matrix(game)
         C = pm.values.astype(np.float64)
         a, b = solve_zero_sum(pm), solve_zero_sum(C)
@@ -223,29 +222,36 @@ class TestSolveZeroSum:
             assert (mixed.row_mix @ C).min() >= mixed.value - 1e-6
 
     def test_strategy_generation_path_matches_direct(self):
+        # a dense random game against HiGHS solving the whole game as one LP
         rng = np.random.default_rng(3)
         C = rng.integers(0, 12, size=(80, 90)).astype(float)
-        direct = solve_zero_sum(C)
-        from advalloc.equilibrium import _solve_by_strategy_generation
-        generated = _solve_by_strategy_generation(C, 1e-9)
-        assert generated.value == pytest.approx(direct.value, abs=1e-7)
+        generated = solve_zero_sum(C, tol=1e-9)
+        assert generated.value == pytest.approx(scipy_game_value(C), abs=1e-7)
 
     @pytest.mark.parametrize("seed", range(9))
-    def test_strategy_generation_matches_the_gathering_loop(self, full, seed):
+    def test_strategy_generation_matches_the_gathering_loop(self, full, seed, monkeypatch):
         # seeded submatrices of the 7-user game, as integers and as floats
         rng = np.random.default_rng(seed)
         M, K = ((20, 40), (36, 63), (60, 120))[seed % 3]
         rows = np.sort(rng.choice(full.shape[0], M, replace=False))
         cols = np.sort(rng.choice(full.shape[1], K, replace=False))
         sub = full.values[np.ix_(rows, cols)]
+        want = reference_strategy_generation(sub.astype(np.float64))
+        lps = []
+
+        def counting(*args, **kwargs):
+            lps.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "solve_lp", counting)
         for C in (PayoffMatrix(full.rows[rows], full.cols[cols], sub),
                   sub.astype(np.float64)):
-            got = equilibrium._solve_by_strategy_generation(
-                equilibrium._payoff_array(C), equilibrium.VALUE_TOL)
-            want = reference_strategy_generation(sub.astype(np.float64))
+            lps.clear()
+            got = solve_zero_sum(C)
             assert (got.row_value, got.col_value) == want[:2]
             assert got.row_mix.tobytes() == want[2].tobytes()
             assert got.col_mix.tobytes() == want[3].tobytes()
+            assert len(lps) == want[4]   # one LP per round
 
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -262,11 +268,12 @@ class TestSolveZeroSum:
 
 def reference_strategy_generation(C):
     """Strategy generation that gathers and upcasts the support columns every
-    round: C[:, support] is column-major, so the cached columns must be too."""
+    round: C[:, support] is column-major, so the cached columns must be too.
+    Returns (lower, upper, row_mix, col_mix, rounds)."""
     M, K = C.shape
     rs, cs = [0], [0]
-    while True:
-        _, sub_row, _, sub_col = equilibrium._game_lps(C[np.ix_(rs, cs)])
+    for rounds in itertools.count(1):
+        sub_row, sub_col = equilibrium._game_lps(C[np.ix_(rs, cs)])
         row_payoffs = C[:, cs].astype(np.float64, copy=False) @ sub_col
         col_payoffs = sub_row @ C[rs, :].astype(np.float64, copy=False)
         best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
@@ -274,7 +281,7 @@ def reference_strategy_generation(C):
         if upper - lower <= equilibrium.VALUE_TOL:
             row_mix, col_mix = np.zeros(M), np.zeros(K)
             row_mix[rs], col_mix[cs] = sub_row, sub_col
-            return lower, upper, row_mix, col_mix
+            return lower, upper, row_mix, col_mix, rounds
         if best_row not in rs:
             rs.append(best_row)
         if best_col not in cs:
@@ -317,6 +324,11 @@ class TestAcceptanceLp:
             solve_acceptance_lp([1, 2], 0)
         with pytest.raises(ValueError):
             solve_acceptance_lp([-1, 2], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_budgets(self, bad):
+        with pytest.raises(ValueError, match="^budgets in the sequence must be finite"):
+            solve_acceptance_lp([1.0, bad], 1)
 
 
 def reference_fictitious_play(C, iterations, checkpoint_every):

@@ -1,5 +1,6 @@
 """Simplex solver vs hand results and scipy's HiGHS as an independent oracle;
-input validation; the block update against the old dense pivot."""
+dual feasibility and strong duality of the returned duals; input validation;
+the block update against the old dense pivot; payoff subgames against HiGHS."""
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -17,6 +18,7 @@ from advalloc.simplex import (
 
 FULL_GAME = GameConfig(n_users=7, n_resources=3,
                        price_set=(1, 3, 5, 7), budget_set=(2, 4, 6))
+SMALL_GAME = GameConfig(n_users=7, n_resources=3, price_set=(1, 2, 3), budget_set=(1, 2, 3))
 # the acceptance LPs of the exact-n7 benchmark: (sequence, R)
 ACCEPTANCE_LPS = {
     "staircase": (tuple(v for v in range(1, 6) for _ in range(5)), 5),
@@ -38,11 +40,15 @@ class TestHandCases:
         res = solve_lp([2, 3], A_ub=[[-1, -1], [-1, 0]], b_ub=[-4, -1])
         assert res.objective == pytest.approx(8.0, abs=1e-8)
         assert res.x == pytest.approx([4.0, 0.0], abs=1e-8)
+        # negated rows keep their multipliers: x + y >= 4 binds at price 2
+        assert res.duals == pytest.approx([2.0, 0.0], abs=1e-9)
+        assert_dual_optimal(res, [2, 3], [[-1, -1], [-1, 0]], [-4, -1])
 
     def test_equality(self):
         res = solve_lp([1, 2], A_eq=[[1, 1]], b_eq=[3])
         assert res.objective == pytest.approx(3.0, abs=1e-9)
         assert res.x == pytest.approx([3.0, 0.0], abs=1e-9)
+        assert res.duals.shape == (0,)
 
     def test_mixed(self):
         # min x1 + x2 + x3, x1 + x2 = 2, x2 + x3 >= 1
@@ -78,6 +84,16 @@ class TestHandCases:
             solve_lp([1])
 
 
+def assert_dual_optimal(res, c, A_ub, b_ub, tol=1e-9):
+    """The duals are feasible (lambda >= 0, c + A_ub'lambda >= 0) and meet
+    strong duality (-b_ub'lambda equals the objective)."""
+    lam = res.duals
+    assert lam.shape == (len(b_ub),)
+    assert (lam >= -tol).all()
+    assert (np.asarray(c) + np.asarray(A_ub, dtype=float).T @ lam >= -tol).all()
+    assert -np.asarray(b_ub, dtype=float) @ lam == pytest.approx(res.objective, abs=tol)
+
+
 def random_bounded_lps():
     """60 small integer LPs, each capped so it is bounded."""
     rng = np.random.default_rng(1234)
@@ -103,6 +119,7 @@ class TestAgainstScipy:
             # returned point must be feasible
             assert (A_full @ res.x <= b_full + 1e-7).all()
             assert (res.x >= -1e-9).all()
+            assert_dual_optimal(res, c, A_full, b_full)
 
     def test_random_with_equalities(self):
         rng = np.random.default_rng(99)
@@ -228,7 +245,7 @@ def outcome(lp, pivot=None, always_block=False):
             res = solve_lp(**lp)
         except SimplexError as exc:
             return repr(exc)
-        return res.x.tobytes(), res.objective, res.iterations
+        return res.x.tobytes(), res.objective, res.iterations, res.duals.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -254,8 +271,8 @@ class TestKernelBitIdentity:
 
     def test_full_game_strategy_generation(self, full_game):
         lps = recorded_lps(lambda: solve_zero_sum(full_game))
-        assert len(lps) == 88
-        assert sum(solve_lp(**lp).iterations for lp in lps) == 4789
+        assert len(lps) == 48
+        assert sum(solve_lp(**lp).iterations for lp in lps) == 2219
         for k, lp in enumerate(lps):
             assert outcome(lp) == outcome(lp, pivot=dense_pivot), f"LP {k}"
 
@@ -265,12 +282,12 @@ class TestKernelBitIdentity:
         self.assert_same_as_dense(list(family()))
 
 
-def payoff_submatrix(full_game, seed, M, K):
-    """Sorted random rows, then sorted random columns, of the 7-user matrix."""
+def payoff_submatrix(game, seed, M, K):
+    """Sorted random rows, then sorted random columns, of a 7-user matrix."""
     rng = np.random.default_rng(seed)
-    rows = np.sort(rng.choice(full_game.shape[0], M, replace=False))
-    cols = np.sort(rng.choice(full_game.shape[1], K, replace=False))
-    return full_game.values[np.ix_(rows, cols)]
+    rows = np.sort(rng.choice(game.shape[0], M, replace=False))
+    cols = np.sort(rng.choice(game.shape[1], K, replace=False))
+    return game.values[np.ix_(rows, cols)]
 
 
 def highs_value(C):
@@ -284,19 +301,19 @@ def highs_value(C):
     return res.fun
 
 
-class TestKnownPayoffSubgameFailures:
-    """Seeded submatrices of the full 7-user game on which the dense simplex
-    still fails (the tableau drifts; it is never rebuilt). Strict: a fix
-    turns these into XPASS, a change in how they fail into a failure."""
+@pytest.fixture(scope="module")
+def small_game():
+    return build_payoff_matrix(SMALL_GAME)
 
-    @pytest.mark.parametrize("seed, M, K", [
-        pytest.param(26, 36, 63, marks=pytest.mark.xfail(
-            strict=True, raises=UnboundedError, reason="tableau drift")),
-        pytest.param(34, 36, 63, marks=pytest.mark.xfail(
-            strict=True, raises=UnboundedError, reason="tableau drift")),
-        pytest.param(13, 60, 120, marks=pytest.mark.xfail(
-            strict=True, raises=ArithmeticError, reason="player values disagree")),
-    ])
-    def test_value_matches_highs(self, full_game, seed, M, K):
-        C = payoff_submatrix(full_game, seed, M, K)
+
+class TestPayoffSubgamesAgainstHighs:
+    """Seeded submatrices of both 7-user games solved within 1e-7 of HiGHS.
+    The range keeps seeds 26 and 34 at 36x63 and 13 at 60x120 of the full
+    game, which broke a solver that ran a second LP for the row player."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("M, K", [(20, 40), (36, 63), (60, 120)])
+    @pytest.mark.parametrize("game", ["full_game", "small_game"])
+    def test_value_matches_highs(self, request, game, M, K, seed):
+        C = payoff_submatrix(request.getfixturevalue(game), seed, M, K)
         assert solve_zero_sum(C).value == pytest.approx(highs_value(C), abs=1e-7)
