@@ -148,15 +148,19 @@ class TestNarrowValues:
             for j, p in enumerate(pm.cols.tolist()):
                 assert pm.values[i, j] == gap(game, r, p)
 
+    @pytest.mark.parametrize("direct", [True, False])
     @pytest.mark.parametrize("game", [
         cfg(3, 2, (1, 2), (1, 2, 3)),
         cfg(4, 2, (1, 2, 3), (1, 2, 3)),
         cfg(5, 2, (1, 3), (1, 2, 4)),
         cfg(3, 2, (50, 100), (50, 100)),
     ])
-    def test_same_results_as_float64_input(self, game):
+    def test_same_results_as_float64_input(self, game, direct):
         pm = build_payoff_matrix(game)
         C = pm.values.astype(np.float64)
+        if direct:   # the whole game as one LP, without strategy generation
+            a, b = equilibrium._game_lps(pm.values), equilibrium._game_lps(C)
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         a, b = solve_zero_sum(pm), solve_zero_sum(C)
         assert (a.row_value, a.col_value) == (b.row_value, b.col_value)
         assert np.array_equal(a.row_mix, b.row_mix)
