@@ -4,15 +4,15 @@ Classical pricing rules and their worst enemies
 
 Three textbook baselines play the allocation game: greedy (price at the
 floor), a deterministic threshold that climbs as stock depletes, and a
-randomized flat threshold drawn from a doubling ladder. Each rule comes
-with its own adversarial construction, so worst-case competitive ratios
-are computed, not estimated.
+randomized flat threshold drawn from a doubling ladder. Each rule is a
+mixture of price schedules by units sold, so one exact dynamic program
+finds its worst sequence over all |B|^N of them: worst-case competitive
+ratios are computed, not estimated.
 """
 import numpy as np
 
-from advalloc import (BaselineParams, GameConfig, ThresholdPolicy,
-                      default_policies, doubling_ladder, evaluate_policies,
-                      play_protocol, threshold_price, worst_case_for_threshold)
+from advalloc import (BaselineParams, GameConfig, default_policies,
+                      evaluate_policies, exact_worst_case, threshold_price)
 
 cfg = GameConfig(n_users=12, n_resources=3, price_set=(1, 2, 4, 8, 16),
                  budget_set=(1, 2, 4, 8, 16))
@@ -25,17 +25,14 @@ for sold in range(cfg.n_resources + 1):
     z = sold / cfg.n_resources
     print(f"  {sold} sold -> price {threshold_price(params, z):8.3f}")
 
-# Its tailored worst case starves every price it can and force-feeds the
-# ones it cannot, then pads with rich users once the stock is gone.
-attack = worst_case_for_threshold(ThresholdPolicy(), cfg)
-welfare, gap_value = play_protocol(cfg, ThresholdPolicy(), attack)
-print("\nworst case for the threshold rule:", attack)
-print(f"welfare {welfare}, benchmark {welfare + gap_value}, "
-      f"ratio {(welfare + gap_value) / welfare:.3f}")
-
-# The randomized rule spreads one threshold draw over the doubling
-# ladder; its ratio is an exact expectation, no sampling involved.
-print("\ndoubling ladder:", doubling_ladder(cfg))
+# Each rule's worst sequence: the one with the largest ratio of benchmark
+# to expected welfare (the largest gap breaks ties), found by a DP over
+# (slot, units sold under each schedule, benchmark picks left).
+print()
+for name, policy in default_policies().items():
+    cr, welfare, gap_value, seq = exact_worst_case(cfg, policy.mixture(cfg))
+    print(f"worst case for {name:<10} {seq}")
+    print(f"  expected welfare {welfare:.2f}, gap {gap_value:.2f}, ratio {cr:.3f}")
 
 # Side-by-side table, worst case first, then average-case play on shared
 # uniform random sequences (the ratio column only means something against
@@ -54,9 +51,10 @@ print(f"\ngreedy worst-case ratio equals U/L = "
       f"{cfg.upper_bound / cfg.lower_bound:.1f} whenever the sequence "
       f"has room for {cfg.n_resources} cheap and {cfg.n_resources} rich users")
 
-# Randomization helps: the adversary cannot aim at a threshold it cannot
-# predict, so the expected ratio stays below the deterministic one even
-# though both rules quote from the same price range.
+# Randomization does not help here: a flat threshold drawn from the ladder
+# sells nothing to a sequence of floor budgets unless it draws the lowest
+# level, so an all-floor sequence holds its expected welfare to 1/levels of
+# the benchmark. The deterministic threshold's exact worst ratio is lower.
 worst = {r.policy: r.cr for r in
          evaluate_policies(cfg, default_policies(), mode="worst", seed=4)}
 print(f"deterministic threshold cr {worst['threshold']:.2f} vs "

@@ -18,14 +18,12 @@ from .baselines import (
     ThresholdPolicy,
     competitive_ratio,
     default_policies,
-    doubling_ladder,
     evaluate_policies,
+    exact_worst_case,
     play_protocol,
     random_sequences,
-    randomized_worst_case_cr,
     snapshot_sequence_sampler,
     threshold_price,
-    worst_case_for_threshold,
 )
 from .completion import (
     CompletionResult,

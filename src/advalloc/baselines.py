@@ -1,36 +1,29 @@
-"""Classical posted-price baselines and their worst-case sequence builders.
+"""Classical posted-price baselines and their exact worst cases.
 
 Every policy speaks one protocol: play_rows(cfg, rows, rng) -> welfare
 scores a whole (count, n_users) array of budget rows, and play_protocol
-plays a 1-D sequence as one row. The classical rules post a price that
-depends only on how many units are sold, so each is a price schedule by
-units sold: schedules(cfg, rng, count) returns one (R + 1)-entry row per
-sequence (floats allowed; thresholds are not snapped to the price grid),
-and the randomized rule draws its level per row. LearnedPolicy plays fixed
-blocks of rows through training.play_batch (one network call per slot per
-block, and with sampling one uniform per slot across the block).
-Acceptance is budget >= price while resources remain, and welfare counts
-accepted budgets, so competitive ratios divide the offline benchmark by
-realized welfare.
+plays a 1-D sequence as one row. Each classical rule defines only its
+mixture(cfg): an (L, R + 1) table of price schedules by units sold (floats
+allowed; thresholds are not snapped to the price grid), played with equal
+weight, so one row is drawn per sequence. LearnedPolicy plays blocks of
+rows through training.play_batch. Acceptance is budget >= price while
+resources remain; welfare counts accepted budgets, and competitive ratios
+divide the offline benchmark by welfare.
 
-Worst cases: deterministic threshold policies get the drive-then-starve
-construction (force accepts at the cheapest grid budget, then feed budgets
-just under the final price), built in closed form from the schedule; the
-randomized policy gets the doubling ladder scored in exact expectation over
-its threshold draw; a learned policy is attacked by sampling its trained
-opponent's snapshots. Anything defining play_rows (an externally
-implemented optimal-threshold rule, for instance) plugs into the same
-evaluation; none is special-cased.
+Worst cases: exact_worst_case finds the sequence of largest competitive
+ratio over all |B|^N for every schedule rule; a learned policy is attacked
+by sampling its trained opponent's snapshots. Anything defining play_rows
+plugs into the same evaluation.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .game import GameConfig, benchmark_rows, validate_budgets
+from .game import GameConfig, benchmark_rows, checked_int, validate_budgets
 from .nets import AdversaryPolicy, AlgorithmPolicy, sample_categorical
 from .rng import derive_rng
 from .training import SnapshotRing, play_batch
@@ -40,6 +33,9 @@ EVAL_MODES = ("worst", "random")
 # LearnedPolicy.play_rows plays at most this many budget cells (rows x
 # n_users) per batch, so scoring many rows keeps a flat memory peak
 _BLOCK_CELLS = 1 << 11
+# exact_worst_case refuses a schedule table whose DP tracks more (reachable
+# sold-count state, benchmark picks left) cells than this per slot
+MAX_WORST_CASE_CELLS = 50_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,10 +69,9 @@ def doubling_levels(params: BaselineParams) -> int:
 
 def _play_schedules(rows: np.ndarray, schedules: np.ndarray, n_resources: int) -> np.ndarray:
     """Welfare of (M, N) budget rows, row j posting schedules[j, k] after k sales."""
-    count = len(rows)
-    at = np.arange(count)
-    sold = np.zeros(count, dtype=np.int64)
-    welfare = np.zeros(count, dtype=np.int64)
+    at = np.arange(len(rows))
+    sold = np.zeros(len(rows), dtype=np.int64)
+    welfare = np.zeros(len(rows), dtype=np.int64)
     for b in rows.T:
         take = (sold < n_resources) & (b >= schedules[at, sold])
         welfare += b * take
@@ -87,17 +82,23 @@ def _play_schedules(rows: np.ndarray, schedules: np.ndarray, n_resources: int) -
 class _ScheduleRule:
     """A rule whose posted price depends only on the number of units sold."""
 
+    def mixture(self, cfg: GameConfig) -> np.ndarray:
+        """(L, R + 1) price schedules by units sold, each played with weight 1/L."""
+        raise NotImplementedError
+
     def schedules(self, cfg: GameConfig, rng: np.random.Generator | None,
                   count: int) -> np.ndarray:
-        """(count, R + 1) prices; entry k is posted after k sales."""
-        raise NotImplementedError
+        """(count, R + 1) prices, one mixture row drawn per sequence."""
+        table = self.mixture(cfg)
+        if len(table) == 1:
+            return np.repeat(table, count, axis=0)
+        if rng is None:
+            raise ValueError(f"{type(self).__name__} draws a schedule per sequence: pass an rng")
+        return table[rng.integers(len(table), size=count)]
 
     def play_rows(self, cfg: GameConfig, rows: np.ndarray,
                   rng: np.random.Generator | None) -> np.ndarray:
         return _play_schedules(rows, self.schedules(cfg, rng, len(rows)), cfg.n_resources)
-
-    def worst_case(self, cfg: GameConfig) -> tuple[int, ...]:
-        return worst_case_for_threshold(self, cfg)
 
 
 class GreedyPolicy(_ScheduleRule):
@@ -105,8 +106,8 @@ class GreedyPolicy(_ScheduleRule):
 
     name = "greedy"
 
-    def schedules(self, cfg, rng, count):
-        return np.full((count, cfg.n_resources + 1), float(cfg.lower_bound))
+    def mixture(self, cfg):
+        return np.full((1, cfg.n_resources + 1), float(cfg.lower_bound))
 
 
 class ThresholdPolicy(_ScheduleRule):
@@ -114,10 +115,9 @@ class ThresholdPolicy(_ScheduleRule):
 
     name = "threshold"
 
-    def schedules(self, cfg, rng, count):
+    def mixture(self, cfg):
         params, r = BaselineParams.from_config(cfg), cfg.n_resources
-        row = [threshold_price(params, k / r) for k in range(r + 1)]
-        return np.tile(row, (count, 1))
+        return np.array([[threshold_price(params, k / r) for k in range(r + 1)]])
 
 
 class RandomizedPolicy(_ScheduleRule):
@@ -125,13 +125,10 @@ class RandomizedPolicy(_ScheduleRule):
 
     name = "randomized"
 
-    def schedules(self, cfg, rng, count):
+    def mixture(self, cfg):
         params = BaselineParams.from_config(cfg)
-        levels = params.lower * 2.0 ** rng.integers(doubling_levels(params), size=count)
+        levels = params.lower * 2.0 ** np.arange(doubling_levels(params))
         return np.repeat(levels[:, None], cfg.n_resources + 1, axis=1)
-
-    def worst_case(self, cfg: GameConfig) -> tuple[int, ...]:
-        return doubling_ladder(cfg)
 
 
 class LearnedPolicy:
@@ -215,82 +212,89 @@ def competitive_ratio(benchmark: float, welfare: float) -> float:
     return benchmark / welfare
 
 
-def _snap_up(grid: Sequence[int], price: float) -> int | None:
-    for g in grid:
-        if g >= price:
-            return g
-    return None
+def _schedule_moves(cfg: GameConfig, table: np.ndarray):
+    """(budget, accepts, succ), each (S, C): move c from reachable sold-count
+    state u (state 0 is all zeros) posts budget[u, c], which accepts[u, c]
+    rows of the (L, R + 1) schedule table accept, and leads to succ[u, c].
 
-
-def _snap_down_strict(grid: Sequence[int], price: float) -> int | None:
-    best = None
-    for g in grid:
-        if g < price:
-            best = g
-    return best
-
-
-def worst_case_for_threshold(policy, cfg: GameConfig) -> tuple[int, ...]:
-    """Adversarial sequence for a deterministic rule with a price schedule s,
-    s[k] posted after k sales.
-
-    For each target utilization t in 1..R: force t accepts at the cheapest
-    grid budget the posted price admits, then starve the remaining slots
-    with the largest grid budget strictly below max(s[:t+1]) (or the top
-    budget once nothing can be accepted). Returns the first
-    max-competitive-ratio candidate; candidates off the grid are skipped.
-    This closed form is the adaptive construction only for a non-decreasing
-    schedule, so a decreasing one is rejected.
+    Between two posted prices the same rows accept and a move's gain is
+    linear in its budget, so only the smallest budget at or above each
+    posted price, the largest below it and the two extreme budgets are tried.
     """
-    grid = cfg.budget_set
-    n, r = cfg.n_users, cfg.n_resources
-    s = policy.schedules(cfg, None, 1)[0]
-    if (np.diff(s) < 0).any():
-        raise ValueError(f"{type(policy).__name__} posts a decreasing price schedule "
-                         f"{s.tolist()}")
-    candidates = []
-    for target in range(1, r + 1):
-        forced = [_snap_up(grid, p) for p in s[:min(target, n)]]
-        starve = grid[-1] if target == r else _snap_down_strict(grid, s[:target + 1].max())
-        seq = forced + [starve] * (n - len(forced))
-        if None not in seq:
-            candidates.append(seq)
-    if not candidates:
-        # the policy prices everything off the grid; any sequence starves it
-        return (grid[-1],) * n
-    welfare, gaps = play_protocol(cfg, policy, np.asarray(candidates, dtype=np.int64))
-    crs = [competitive_ratio(w + g, w) for w, g in zip(welfare.tolist(), gaps.tolist())]
-    return tuple(candidates[crs.index(max(crs))])
+    units = min(cfg.n_resources, cfg.n_users)  # no row sells more than N
+    budgets = np.asarray(cfg.budget_set, dtype=np.int64)
+    index, moves = {bytes(8 * len(table)): 0}, []
+    frontier = np.zeros((1, len(table)), dtype=np.int64)
+    while len(frontier):
+        price = np.where(frontier < units, table[np.arange(len(table)), frontier], np.inf)
+        up = np.searchsorted(budgets, price)
+        ends = np.broadcast_to([0, len(budgets) - 1], (len(up), 2))
+        budget = budgets[np.clip(np.hstack([up, up - 1, ends]), 0, len(budgets) - 1)]
+        accept = budget[:, :, None] >= price[:, None, :]
+        reached = (frontier[:, None, :] + accept).reshape(-1, len(table))
+        keys = [state.tobytes() for state in reached]
+        fresh = {k: state for k, state in zip(keys, reached) if k not in index}
+        index.update({k: len(index) + i for i, k in enumerate(fresh)})
+        if len(index) * (units + 1) > MAX_WORST_CASE_CELLS:
+            raise ValueError(f"exact worst case needs over {MAX_WORST_CASE_CELLS} cells: "
+                             f"{len(index)}+ reachable sold-count states x {units + 1} picks")
+        succ = np.reshape([index[k] for k in keys], budget.shape)
+        moves.append((budget, accept.sum(axis=2), succ))
+        frontier = np.asarray(list(fresh.values()), dtype=np.int64).reshape(-1, len(table))
+    return tuple(np.concatenate(part) for part in zip(*moves))
 
 
-def doubling_ladder(cfg: GameConfig) -> tuple[int, ...]:
-    """Gradually increasing budgets: R copies of each snapped threshold level,
-    topped up with the largest budget."""
-    params = BaselineParams.from_config(cfg)
-    seq: list[int] = []
-    for i in range(doubling_levels(params)):
-        snapped = _snap_up(cfg.budget_set, params.lower * 2.0 ** i)
-        if snapped is not None:
-            seq.extend([snapped] * cfg.n_resources)
-    seq.extend([cfg.budget_set[-1]] * cfg.n_users)
-    return tuple(seq[:cfg.n_users])
+def _best_sequence(cfg: GameConfig, table: np.ndarray, moves, p: int, q: int):
+    """(sequence, bench, W) maximizing (q L bench - p W, L bench - W) in
+    lexicographic order, W the welfare summed over the L schedule rows."""
+    budget, accepts, succ = moves
+    n, units = len(table), min(cfg.n_resources, cfg.n_users)
+    # the first key scaled past the second's range compares both in one integer
+    scale = 2 * n * units * cfg.upper_bound + 1
+    dtype = np.int64 if scale ** 3 < 2 ** 63 else object
+    unpicked = -(p * scale + 1) * budget.astype(dtype) * accepts.astype(dtype)
+    picked = unpicked + (q * scale + 1) * n * budget.astype(dtype)
+    value, choices = np.zeros((len(budget), units + 1), dtype=dtype), []
+    for _ in range(cfg.n_users):
+        after = value[succ]
+        keep = unpicked[:, :, None] + after
+        # choice c >= C plays move c - C and picks its budget; with no picks
+        # left that option copies the move and loses the tie
+        take = np.concatenate([keep[:, :, :1], picked[:, :, None] + after[:, :, :-1]], axis=2)
+        options = np.concatenate([keep, take], axis=1)
+        choices.append(options.argmax(axis=1))
+        value = options.max(axis=1)
+    seq, state, left, width = [], 0, units, budget.shape[1]
+    for choice in reversed(choices):
+        c = int(choice[state, left])
+        c, left = (c - width, left - 1) if c >= width else (c, left)
+        seq.append(int(budget[state, c]))
+        state = succ[state, c]
+    rows = np.asarray([seq], dtype=np.int64)
+    total = _play_schedules(np.repeat(rows, n, axis=0), table, cfg.n_resources).sum()
+    return tuple(seq), int(benchmark_rows(rows, cfg.n_resources)[0]), int(total)
 
 
-def randomized_worst_case_cr(cfg: GameConfig) -> tuple[float, float, float]:
-    """Exact expected performance of the randomized rule on the ladder.
+def exact_worst_case(cfg: GameConfig, schedules) -> tuple[float, float, float, tuple[int, ...]]:
+    """(cr, mean welfare, gap, sequence) of the budget sequence of largest
+    competitive ratio (largest gap on ties) against an (L, R + 1) table of
+    price schedules by units sold, played with equal weight. If some
+    sequence starves every row, cr is inf on the starving one of largest gap.
 
-    Returns (cr, expected welfare, expected gap) with the expectation taken
-    over the uniform threshold draw, not Monte-Carlo.
+    Against a sequence fixed in advance every row plays deterministically,
+    so a backward DP over (slot, units sold under each row, benchmark picks
+    left) maximizes any linear objective. Dinkelbach's method in exact
+    integers gives the ratio: from p/q = +inf, maximize (q L bench - p W,
+    L bench - W) and move p/q to the found L bench / W until nothing beats it.
     """
-    params = BaselineParams.from_config(cfg)
-    ladder = doubling_ladder(cfg)
-    levels = doubling_levels(params)
-    rows = np.tile(np.asarray(ladder, dtype=np.int64), (levels, 1))
-    thresholds = params.lower * 2.0 ** np.arange(levels)
-    schedules = np.repeat(thresholds[:, None], cfg.n_resources + 1, axis=1)
-    mean_welfare = int(_play_schedules(rows, schedules, cfg.n_resources).sum()) / levels
-    bench = int(benchmark_rows(rows[:1], cfg.n_resources)[0])
-    return competitive_ratio(bench, mean_welfare), mean_welfare, bench - mean_welfare
+    table = np.asarray(schedules, dtype=np.float64)
+    n, moves = len(table), _schedule_moves(cfg, table)
+    p, q = 1, 0  # ratio +inf: a sequence starving every row beats any other
+    while True:
+        seq, bench, total = _best_sequence(cfg, table, moves, p, q)
+        if q * n * bench == p * total:
+            return competitive_ratio(p, q), total / n, (n * bench - total) / n, seq
+        p, q = n * bench, total
 
 
 def random_sequences(cfg: GameConfig, rng: np.random.Generator,
@@ -311,17 +315,15 @@ class EvalRow:
 
 def _worst_row(cfg: GameConfig, name: str, policy, rng: np.random.Generator,
                n_candidates: int) -> EvalRow:
-    if isinstance(policy, RandomizedPolicy):
-        cr, welfare, gap_value = randomized_worst_case_cr(cfg)
+    if hasattr(policy, "mixture"):
+        try:
+            cr, welfare, gap_value, _ = exact_worst_case(cfg, policy.mixture(cfg))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
         return EvalRow(name, "worst", cr, welfare, gap_value)
-    sampler = getattr(policy, "opponent_sampler", None)
-    if sampler is not None:
-        candidates = sampler(rng, n_candidates)
-    elif hasattr(policy, "worst_case"):
-        candidates = np.asarray(policy.worst_case(cfg), dtype=np.int64)[None, :]
-    else:
-        candidates = random_sequences(cfg, rng, n_candidates)
-    welfare, gaps = play_protocol(cfg, policy, candidates, rng)
+    sampler = getattr(policy, "opponent_sampler", None) or \
+        (lambda r, count: random_sequences(cfg, r, count))
+    welfare, gaps = play_protocol(cfg, policy, sampler(rng, n_candidates), rng)
     welfare, gaps = welfare.tolist(), gaps.tolist()
     crs = [competitive_ratio(w + g, w) for w, g in zip(welfare, gaps)]
     # max() keeps the first of equal (cr, gap) keys
@@ -333,16 +335,15 @@ def evaluate_policies(cfg: GameConfig, policies, *, mode: str,
                       n_sequences: int = 1000, seed: int = 0) -> list[EvalRow]:
     """Score named policies in one mode.
 
-    worst: each policy's adversarial construction (exact expectation for the
-    randomized rule, snapshot attack candidates for a learned policy);
-    rows carry the achieved competitive ratio.
+    worst: the exact worst case of each schedule rule, snapshot attack
+    candidates for a learned policy, uniform random candidates for any
+    other policy; rows carry the achieved competitive ratio.
     random: welfare and gap averaged over shared uniform sequences; the
     competitive-ratio column is left empty.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    if n_sequences < 1:
-        raise ValueError(f"n_sequences must be at least 1, got {n_sequences}")
+    n_sequences = checked_int(n_sequences, "n_sequences")
     named = list(policies.items()) if isinstance(policies, dict) else \
         [(p.name, p) for p in policies]
     rows: list[EvalRow] = []

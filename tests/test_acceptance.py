@@ -6,6 +6,7 @@ oracle equivalence, a convergence target with documented seeds, a
 worst-case ratio, or a reproducibility guarantee. Tolerances are part of
 the claims and are asserted exactly as stated.
 """
+import csv
 import hashlib
 import itertools
 import time
@@ -16,7 +17,9 @@ import pytest
 from advalloc.baselines import (
     GreedyPolicy,
     LearnedPolicy,
-    competitive_ratio,
+    RandomizedPolicy,
+    _ScheduleRule,
+    exact_worst_case,
     play_protocol,
 )
 from advalloc.cli import run_cli
@@ -196,11 +199,50 @@ def test_greedy_worst_case_ratio_is_exact():
     ]
     for cfg in configs:
         assert cfg.n_users >= 2 * cfg.n_resources
-        policy = GreedyPolicy()
-        seq = policy.worst_case(cfg)
-        welfare, gap_value = play_protocol(cfg, policy, seq)
-        ratio = competitive_ratio(welfare + gap_value, welfare)
+        ratio, welfare, gap_value, seq = exact_worst_case(cfg, GreedyPolicy().mixture(cfg))
         assert ratio == cfg.upper_bound / cfg.lower_bound, cfg
+        assert play_protocol(cfg, GreedyPolicy(), seq) == (welfare, gap_value)
+
+
+def _game_file(cfg):
+    def braces(values):
+        return "{" + ", ".join(map(str, values)) + "}"
+    return (f"n_users = {cfg.n_users}\nn_resources = {cfg.n_resources}\n"
+            f"price_set = {braces(cfg.price_set)}\nbudget_set = {braces(cfg.budget_set)}\n")
+
+
+@pytest.mark.parametrize("cfg,expected", [
+    (FULL_GAME, {"greedy": 3.0, "threshold": 2.25, "randomized": 2.0}),
+    (STAIRCASE_GAME, {"greedy": 5.0, "threshold": 25 / 9, "randomized": 3.0}),
+], ids=["full-7-user", "staircase-25-user"])
+def test_bench_worst_mode_ratios_are_exact(tmp_path, cfg, expected):
+    cfg_path = tmp_path / "game.cfg"
+    cfg_path.write_text(_game_file(cfg))
+    assert run_cli(["bench", "--config", str(cfg_path), "--mode", "worst",
+                    "--out-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["policy"]: float(r["cr"]) for r in rows} == pytest.approx(expected, rel=1e-9)
+
+
+class _Schedule(_ScheduleRule):
+    """One row of a schedule mixture, played on its own."""
+
+    def __init__(self, prices):
+        self.prices = prices
+
+    def mixture(self, cfg):
+        return self.prices[None, :]
+
+
+def test_randomized_rule_worst_cases_on_full_game():
+    table = RandomizedPolicy().mixture(FULL_GAME)
+    cr, welfare, gap_value, _ = exact_worst_case(FULL_GAME, table)
+    assert (cr, welfare, gap_value) == (2.0, 3.0, 3.0)
+    # the largest expected gap over all 3^7 sequences comes at a lower ratio
+    rows = np.array(list(itertools.product(FULL_GAME.budget_set, repeat=FULL_GAME.n_users)))
+    gaps = sum(play_protocol(FULL_GAME, _Schedule(t), rows)[1] for t in table) / len(table)
+    assert gaps.max() == 7.0
 
 
 def test_single_user_game_is_free():

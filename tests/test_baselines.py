@@ -1,8 +1,10 @@
-"""Baseline policies, worst-case constructions, and the evaluation table."""
+"""Baseline policies, their exact worst cases, and the evaluation table."""
 import csv
+import functools
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,15 +21,13 @@ from advalloc.baselines import (
     ThresholdPolicy,
     competitive_ratio,
     default_policies,
-    doubling_ladder,
     doubling_levels,
     evaluate_policies,
+    exact_worst_case,
     play_protocol,
     random_sequences,
-    randomized_worst_case_cr,
     snapshot_sequence_sampler,
     threshold_price,
-    worst_case_for_threshold,
 )
 from advalloc.cli import run_cli
 from advalloc.game import GameConfig, benchmark_rows
@@ -49,8 +49,8 @@ class OverpricedPolicy(baselines._ScheduleRule):
 
     name = "overpriced"
 
-    def schedules(self, cfg, rng, count):
-        return np.full((count, cfg.n_resources + 1), cfg.upper_bound + 1.0)
+    def mixture(self, cfg):
+        return np.full((1, cfg.n_resources + 1), cfg.upper_bound + 1.0)
 
 
 class FixedSchedule(baselines._ScheduleRule):
@@ -61,8 +61,8 @@ class FixedSchedule(baselines._ScheduleRule):
     def __init__(self, prices):
         self.prices = np.asarray(prices, dtype=np.float64)
 
-    def schedules(self, cfg, rng, count):
-        return np.tile(self.prices, (count, 1))
+    def mixture(self, cfg):
+        return self.prices[None, :]
 
 
 def _sweep_configs():
@@ -170,6 +170,12 @@ class TestPlayProtocol:
             expected.append(welfare)
         assert ThresholdPolicy().play_rows(POW2, rows, None).tolist() == expected
 
+    def test_randomized_rule_needs_an_rng(self):
+        with pytest.raises(ValueError, match="pass an rng"):
+            play_protocol(POW2, RandomizedPolicy(), (1, 2, 4, 8, 1, 2, 4, 8))
+        # a single-schedule rule draws nothing
+        assert play_protocol(POW2, ThresholdPolicy(), (1, 2, 4, 8, 1, 2, 4, 8)) == (7, 13)
+
     def test_threshold_policy_raises_price_as_units_sell(self):
         (prices,) = ThresholdPolicy().schedules(POW2, None, 1)
         assert len(prices) == POW2.n_resources + 1
@@ -262,9 +268,107 @@ class TestCompetitiveRatio:
         assert competitive_ratio(5.0, welfare) == math.inf
 
 
+def _small_sweep_configs(limit=300_000):
+    """The sweep games whose |B|^N sequences exhaustive search can play."""
+    return [c for c in _sweep_configs() if c.n_budgets ** c.n_users <= limit]
+
+
+def _all_sequences(cfg):
+    """Every one of the |B|^N budget sequences, (|B|^N, n_users)."""
+    idx = np.indices((cfg.n_budgets,) * cfg.n_users).reshape(cfg.n_users, -1).T
+    return np.asarray(cfg.budget_set, dtype=np.int64)[idx]
+
+
+def _exhaustive_worst(cfg, table):
+    """(cr, gap at the largest cr, largest gap) of a schedule table over all
+    sequences, from exhaustive play; gaps are Fractions, cr is a float."""
+    rows = _all_sequences(cfg)
+    total = sum(FixedSchedule(t).play_rows(cfg, rows, None) for t in table)
+    scaled_bench = len(table) * benchmark_rows(rows, cfg.n_resources)
+    gaps = scaled_bench - total
+    largest_gap = Fraction(int(gaps.max()), len(table))
+    if (total == 0).any():
+        return math.inf, Fraction(int(gaps[total == 0].max()), len(table)), largest_gap
+    first = int(np.argmax(scaled_bench / total))
+    p, q = int(scaled_bench[first]), int(total[first])
+    assert (scaled_bench * q <= total * p).all()  # no float rounding hid a larger ratio
+    at_worst = scaled_bench * q == total * p
+    return p / q, Fraction(int(gaps[at_worst].max()), len(table)), largest_gap
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_rule(cfg, name):
+    return _exhaustive_worst(cfg, default_policies()[name].mixture(cfg))
+
+
+def _largest_gap(cfg, table):
+    """The DP's largest gap over all sequences (p = q = 1 maximizes L bench - W)."""
+    moves = baselines._schedule_moves(cfg, table)
+    _, bench, total = baselines._best_sequence(cfg, table, moves, 1, 1)
+    return Fraction(len(table) * bench - total, len(table))
+
+
+FULL_GAME = GameConfig(n_users=7, n_resources=3, price_set=(1, 3, 5, 7),
+                       budget_set=(2, 4, 6))
+SMALL_GAME = GameConfig(n_users=7, n_resources=3, price_set=(1, 2, 3),
+                        budget_set=(1, 2, 3))
+
+
+class TestExactWorstCase:
+    """exact_worst_case against exhaustive play over all |B|^N sequences."""
+
+    def check(self, cfg, table, expected):
+        cr, welfare, gap_value, seq = exact_worst_case(cfg, table)
+        worst_cr, worst_gap, largest_gap = expected
+        assert cr == worst_cr
+        assert gap_value == float(worst_gap)
+        assert _largest_gap(cfg, table) == largest_gap
+        # replaying the sequence once per schedule reproduces the reported row
+        plays = [play_protocol(cfg, FixedSchedule(t), seq) for t in table]
+        assert welfare == sum(w for w, _ in plays) / len(table)
+        assert gap_value == sum(g for _, g in plays) / len(table)
+        assert competitive_ratio(welfare + gap_value, welfare) == pytest.approx(cr, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["greedy", "threshold", "randomized"])
+    def test_default_rules_match_exhaustive_search(self, name):
+        configs = [*_small_sweep_configs(), POW2, FULL_GAME, SMALL_GAME]
+        assert len(configs) > 50
+        for cfg in configs:
+            self.check(cfg, default_policies()[name].mixture(cfg), _exhaustive_rule(cfg, name))
+
+    def test_random_schedules_match_exhaustive_search(self):
+        # mixtures of up to three schedules, decreasing ones included, whose
+        # prices run on and off the grid
+        rng = np.random.default_rng(21)
+        for cfg in _small_sweep_configs(20_000):
+            table = rng.uniform(0.5, cfg.upper_bound + 2.0,
+                                (int(rng.integers(1, 4)), cfg.n_resources + 1))
+            self.check(cfg, table, _exhaustive_worst(cfg, table))
+
+    def test_huge_budgets_stay_exact(self):
+        # past int64 range for the DP's packed keys, Python integers take over
+        cfg = GameConfig(n_users=5, n_resources=2, price_set=(1,),
+                         budget_set=(1, 3, 10 ** 6, 3 * 10 ** 6, 10 ** 7))
+        for policy in default_policies().values():
+            table = policy.mixture(cfg)
+            self.check(cfg, table, _exhaustive_worst(cfg, table))
+
+    def test_decreasing_schedule_matches_exhaustive_search(self):
+        table = np.array([[1.0, 4.0, 2.0, 8.0]])
+        self.check(POW2, table, _exhaustive_worst(POW2, table))
+
+    def test_state_count_guard(self):
+        cfg = GameConfig(n_users=50, n_resources=10, price_set=(1,),
+                         budget_set=tuple(range(1, 101)))
+        with pytest.raises(ValueError, match=r"\d+\+ reachable sold-count states"):
+            exact_worst_case(cfg, RandomizedPolicy().mixture(cfg))
+        with pytest.raises(ValueError, match="^randomized: "):
+            evaluate_policies(cfg, {"randomized": RandomizedPolicy()}, mode="worst")
+
+
 class TestGreedyWorstCase:
     def test_shape_drains_then_starves(self):
-        seq = GreedyPolicy().worst_case(POW2)
+        *_, seq = exact_worst_case(POW2, GreedyPolicy().mixture(POW2))
         assert seq == (1, 1, 1, 8, 8, 8, 8, 8)
 
     @pytest.mark.parametrize("cfg", [
@@ -275,79 +379,34 @@ class TestGreedyWorstCase:
     ])
     def test_ratio_is_exactly_bound_spread(self, cfg):
         assert cfg.n_users >= 2 * cfg.n_resources
-        seq = GreedyPolicy().worst_case(cfg)
-        welfare, gap = play_protocol(cfg, GreedyPolicy(), seq)
-        assert competitive_ratio(welfare + gap, welfare) == \
-            cfg.upper_bound / cfg.lower_bound
+        cr, *_ = exact_worst_case(cfg, GreedyPolicy().mixture(cfg))
+        assert cr == cfg.upper_bound / cfg.lower_bound
 
     @pytest.mark.parametrize("policy", [GreedyPolicy(), ThresholdPolicy()])
     def test_constructed_case_dominates_random_play(self, policy):
-        seq = policy.worst_case(POW2)
-        welfare, gap = play_protocol(POW2, policy, seq)
-        worst_cr = competitive_ratio(welfare + gap, welfare)
+        worst_cr, *_ = exact_worst_case(POW2, policy.mixture(POW2))
         rng = np.random.default_rng(17)
         for row in random_sequences(POW2, rng, 1000):
             w, g = play_protocol(POW2, policy, [int(b) for b in row])
             assert competitive_ratio(w + g, w) <= worst_cr
 
     def test_unsellable_policy_gets_top_budget_filler(self):
-        assert worst_case_for_threshold(OverpricedPolicy(), POW2) == (8,) * 8
-        for cfg in _sweep_configs():
-            assert worst_case_for_threshold(OverpricedPolicy(), cfg) == \
-                (cfg.upper_bound,) * cfg.n_users
-
-    def test_rejects_decreasing_schedule(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            worst_case_for_threshold(FixedSchedule([1.0, 4.0, 2.0, 8.0]), POW2)
-
-    def test_closed_form_matches_adaptive_construction(self):
-        # the slot-by-slot drive-then-starve loop, against random
-        # non-decreasing schedules that run on and off the grid
-        rng = np.random.default_rng(21)
-        for cfg in _sweep_configs():
-            prices = np.sort(rng.uniform(0.5, cfg.upper_bound + 2.0, cfg.n_resources + 1))
-            best_seq, best_cr = (cfg.upper_bound,) * cfg.n_users, -math.inf
-            for target in range(1, cfg.n_resources + 1):
-                seq, sold, top = [], 0, -math.inf
-                for _ in range(cfg.n_users):
-                    top = max(top, prices[sold])
-                    if sold < target:
-                        b = baselines._snap_up(cfg.budget_set, prices[sold])
-                    elif sold >= cfg.n_resources:
-                        b = cfg.upper_bound
-                    else:
-                        b = baselines._snap_down_strict(cfg.budget_set, top)
-                    if b is None:
-                        break
-                    sold += sold < cfg.n_resources and b >= prices[sold]
-                    seq.append(b)
-                else:
-                    w, g = play_protocol(cfg, FixedSchedule(prices), seq)
-                    if competitive_ratio(w + g, w) > best_cr:
-                        best_seq, best_cr = tuple(seq), competitive_ratio(w + g, w)
-            assert worst_case_for_threshold(FixedSchedule(prices), cfg) == best_seq
+        for cfg in [POW2, *_sweep_configs()]:
+            cr, welfare, gap_value, seq = exact_worst_case(cfg, OverpricedPolicy().mixture(cfg))
+            assert (cr, welfare) == (math.inf, 0.0)
+            assert gap_value == min(cfg.n_resources, cfg.n_users) * cfg.upper_bound
+            assert seq == (cfg.upper_bound,) * cfg.n_users
 
 
 class TestRandomizedWorstCase:
-    def test_ladder_is_gradual_and_full_length(self):
-        ladder = doubling_ladder(POW2)
-        assert ladder == (1, 1, 1, 2, 2, 2, 4, 4)
-        assert all(a <= b for a, b in zip(ladder, ladder[1:]))
-
-    def test_ladder_pads_with_top_budget(self):
-        cfg = GameConfig(n_users=6, n_resources=1, price_set=(1,),
-                         budget_set=(1, 2, 4))
-        assert doubling_ladder(cfg) == (1, 2, 4, 4, 4, 4)
-
     def test_exact_expectation_matches_enumeration(self):
-        cr, mean_welfare, mean_gap = randomized_worst_case_cr(POW2)
-        ladder = doubling_ladder(POW2)
-        bench = int(benchmark_rows(np.asarray(ladder)[None, :],
-                                   POW2.n_resources)[0])
+        cr, mean_welfare, mean_gap, seq = exact_worst_case(
+            POW2, RandomizedPolicy().mixture(POW2))
+        bench = int(benchmark_rows(np.asarray(seq)[None, :], POW2.n_resources)[0])
         welfares = []
         for threshold in (1.0, 2.0, 4.0, 8.0):
             y, w = POW2.n_resources, 0
-            for b in ladder:
+            for b in seq:
                 if y > 0 and b >= threshold:
                     w += b
                     y -= 1
@@ -357,12 +416,12 @@ class TestRandomizedWorstCase:
         assert mean_gap == pytest.approx(bench - expected, rel=1e-12)
         assert cr == pytest.approx(bench / expected, rel=1e-12)
 
-    def test_randomized_beats_deterministic_worst_cases(self):
-        cr_rand, _, _ = randomized_worst_case_cr(POW2)
-        for policy in (GreedyPolicy(), ThresholdPolicy()):
-            seq = policy.worst_case(POW2)
-            w, g = play_protocol(POW2, policy, seq)
-            assert cr_rand < competitive_ratio(w + g, w)
+    def test_pow2_exact_ratios(self):
+        # randomizing over four doubling levels does not beat the
+        # deterministic threshold's worst case on this game
+        crs = {name: exact_worst_case(POW2, policy.mixture(POW2))[0]
+               for name, policy in default_policies().items()}
+        assert crs == {"greedy": 8.0, "threshold": 24 / 7, "randomized": 4.0}
 
 
 class TestLearnedPolicy:
@@ -430,8 +489,8 @@ class TestLearnedPolicy:
 
 
 class TestPinnedBaselines:
-    """Worst cases and eval tables pinned when the classical rules still
-    streamed every sequence slot by slot through start/price/observe."""
+    """random-mode tables pinned when the worst cases were still built per
+    rule; worst-mode rows checked against exhaustive search."""
 
     def test_sweep_matches_pinned_fingerprint(self):
         configs = _sweep_configs()
@@ -439,14 +498,19 @@ class TestPinnedBaselines:
         assert any(c.n_resources > c.n_users for c in configs)
         h = hashlib.sha256()
         for seed, cfg in enumerate(configs):
-            h.update(repr(GreedyPolicy().worst_case(cfg)).encode())
-            h.update(repr(ThresholdPolicy().worst_case(cfg)).encode())
-            h.update(repr(randomized_worst_case_cr(cfg)).encode())
-            for mode in EVAL_MODES:
-                h.update(repr(evaluate_policies(cfg, default_policies(), mode=mode,
-                                                n_sequences=20, seed=seed)).encode())
+            h.update(repr(evaluate_policies(cfg, default_policies(), mode="random",
+                                            n_sequences=20, seed=seed)).encode())
         assert h.hexdigest() == \
-            "392b75be71e29c6dfcf151e6a371c3e80d050497f6d6c307cfe575b362933fd6"
+            "82b820058547f4b4444fdceb2d7681fb40b089c7962d2664e17719ef75fd9f88"
+
+    def test_worst_rows_match_exhaustive_search(self):
+        for cfg in _small_sweep_configs():
+            for row in evaluate_policies(cfg, default_policies(), mode="worst"):
+                cr, gap_value, _ = _exhaustive_rule(cfg, row.policy)
+                assert (row.cr, row.mean_gap) == (cr, float(gap_value))
+                if cr != math.inf:
+                    assert row.mean_welfare + row.mean_gap == pytest.approx(
+                        cr * row.mean_welfare, rel=1e-12)
 
 
 class TestEvaluatePolicies:
@@ -454,7 +518,7 @@ class TestEvaluatePolicies:
         with pytest.raises(ValueError):
             evaluate_policies(POW2, default_policies(), mode="typical")
 
-    @pytest.mark.parametrize("n_sequences", [0, -3])
+    @pytest.mark.parametrize("n_sequences", [0, -3, 2.5, True])
     def test_random_mode_rejects_empty_sample(self, n_sequences):
         with pytest.raises(ValueError, match="n_sequences"):
             evaluate_policies(POW2, default_policies(), mode="random",
@@ -554,7 +618,7 @@ PINNED_RESULTS = {
         ["bench", "--mode", "worst"], True,
         [["greedy", "worst", "8", "3", "21"],
          ["threshold", "worst", "3.428571429", "7", "17"],
-         ["randomized", "worst", "2.352941176", "4.25", "5.75"],
+         ["randomized", "worst", "4", "0.75", "2.25"],
          ["learned", "worst", "4.8", "5", "19"]]),
 }
 

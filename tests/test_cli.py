@@ -325,6 +325,18 @@ class TestBench:
         # four users, two units: the drain-then-starve ratio hits U/L
         assert float(by_name["greedy"][2]) == 3.0
 
+    def test_worst_mode_past_the_exact_size_cap_fails_loudly(self, tmp_path, capsys):
+        # seven doubling levels over ten units: 19,448 reachable sold-count states
+        path = tmp_path / "wide.cfg"
+        path.write_text("n_users = 50\nn_resources = 10\nprice_set = {1}\n"
+                        f"budget_set = {{{', '.join(map(str, range(1, 101)))}}}\n")
+        assert run_cli(["bench", "--config", str(path), "--mode", "worst",
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: randomized: ")
+        assert "reachable sold-count states" in err[0]
+
     def test_policy_subset_and_learned_model(self, cfg_path, tmp_path):
         trained = tmp_path / "t"
         assert run_cli(["train", "--config", str(cfg_path),
