@@ -51,6 +51,7 @@ from .game import (
     format_sequence,
     gap,
     parse_sequence,
+    play_out,
     simulate,
     validate_budgets,
     validate_prices,

@@ -6,9 +6,10 @@ plays a 1-D sequence as one row. Each classical rule defines only its
 mixture(cfg): an (L, R + 1) table of price schedules by units sold (floats
 allowed; thresholds are not snapped to the price grid), played with equal
 weight, so one row is drawn per sequence. LearnedPolicy plays blocks of
-rows through training.play_batch. Acceptance is budget >= price while
-resources remain; welfare counts accepted budgets, and competitive ratios
-divide the offline benchmark by welfare.
+rows through training.play_batch. Both score rows with game.play_out,
+the one batched acceptance rule (budget >= price while resources remain);
+welfare counts accepted budgets, and competitive ratios divide the offline
+benchmark by welfare.
 
 Worst cases: exact_worst_case finds the sequence of largest competitive
 ratio over all |B|^N for every schedule rule; a learned policy is attacked
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game import GameConfig, benchmark_rows, checked_int, validate_budgets
+from .game import GameConfig, benchmark_rows, checked_int, play_out, validate_budgets
 from .nets import AdversaryPolicy, AlgorithmPolicy, sample_categorical
 from .rng import derive_rng
 from .training import SnapshotRing, play_batch
@@ -67,18 +68,6 @@ def doubling_levels(params: BaselineParams) -> int:
     return int(math.floor(math.log2(params.upper / params.lower) + 1e-12)) + 1
 
 
-def _play_schedules(rows: np.ndarray, schedules: np.ndarray, n_resources: int) -> np.ndarray:
-    """Welfare of (M, N) budget rows, row j posting schedules[j, k] after k sales."""
-    at = np.arange(len(rows))
-    sold = np.zeros(len(rows), dtype=np.int64)
-    welfare = np.zeros(len(rows), dtype=np.int64)
-    for b in rows.T:
-        take = (sold < n_resources) & (b >= schedules[at, sold])
-        welfare += b * take
-        sold += take
-    return welfare
-
-
 class _ScheduleRule:
     """A rule whose posted price depends only on the number of units sold."""
 
@@ -98,7 +87,8 @@ class _ScheduleRule:
 
     def play_rows(self, cfg: GameConfig, rows: np.ndarray,
                   rng: np.random.Generator | None) -> np.ndarray:
-        return _play_schedules(rows, self.schedules(cfg, rng, len(rows)), cfg.n_resources)
+        table, at, r = self.schedules(cfg, rng, len(rows)), np.arange(len(rows)), cfg.n_resources
+        return play_out(rows, r, lambda i, left: table[at, r - left])[0]
 
 
 class GreedyPolicy(_ScheduleRule):
@@ -270,8 +260,8 @@ def _best_sequence(cfg: GameConfig, table: np.ndarray, moves, p: int, q: int):
         c, left = (c - width, left - 1) if c >= width else (c, left)
         seq.append(int(budget[state, c]))
         state = succ[state, c]
-    rows = np.asarray([seq], dtype=np.int64)
-    total = _play_schedules(np.repeat(rows, n, axis=0), table, cfg.n_resources).sum()
+    rows, at, r = np.asarray([seq], dtype=np.int64), np.arange(n), cfg.n_resources
+    total = play_out(np.repeat(rows, n, axis=0), r, lambda i, left: table[at, r - left])[0].sum()
     return tuple(seq), int(benchmark_rows(rows, cfg.n_resources)[0]), int(total)
 
 

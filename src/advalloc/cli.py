@@ -28,7 +28,7 @@ from .baselines import (
     snapshot_sequence_sampler,
 )
 from .completion import brute_force_completion, optimal_completion
-from .config import ConfigError, load_config, render_config
+from .config import ConfigError, load_config, parse_group, render_config
 from .equilibrium import (
     PayoffTooLargeError,
     build_payoff_matrix,
@@ -36,7 +36,7 @@ from .equilibrium import (
     solve_acceptance_lp,
     solve_zero_sum,
 )
-from .game import GameConfig, format_sequence, parse_sequence
+from .game import GameConfig, format_sequence
 from .nets import AlgorithmPolicy
 from .persist import PersistError, load_model, load_ring, save_model, save_ring
 from .rng import derive_rng
@@ -92,15 +92,10 @@ def _write_manifest(out_dir, subcommand, args, artifacts, ecfg=None) -> None:
 def _read_strategy_file(path) -> list[tuple[int, ...]]:
     groups: list[tuple[int, ...]] = []
     with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for left, right in ("{}", "[]", "()"):
-                if line.startswith(left) and line.endswith(right):
-                    line = line[1:-1]
-                    break
-            groups.append(parse_sequence(line))
+            if line:
+                groups.append(parse_group(line, f"{path} line {lineno}"))
     if not groups:
         raise ValueError(f"no sequences found in {path}")
     return groups

@@ -54,13 +54,14 @@ def _strip_braces(text: str) -> str:
     return text
 
 
-def _parse_group(value: str, key: str, lineno: int) -> tuple[int, ...]:
+def parse_group(value: str, where: str) -> tuple[int, ...]:
+    """A non-empty, optionally braced integer group; errors start with where."""
     try:
         seq = parse_sequence(_strip_braces(value))
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     if not seq:
-        raise ConfigError(f"line {lineno}: {key} must not be empty")
+        raise ConfigError(f"{where} must not be empty")
     return seq
 
 
@@ -89,9 +90,9 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
             elif key in _TRAIN_FLOAT_KEYS:
                 values[key] = float(value)
             elif key in _GAME_SET_KEYS or key in _SEQ_KEYS:
-                values[key] = _parse_group(value, key, lineno)
+                values[key] = parse_group(value, f"line {lineno}: {key}")
             else:
-                values[key] = tuple(_parse_group(part, key, lineno)
+                values[key] = tuple(parse_group(part, f"line {lineno}: {key}")
                                     for part in value.split(";"))
         except ConfigError:
             raise

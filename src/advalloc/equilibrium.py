@@ -22,8 +22,7 @@ from .game import (
     _narrowest_int,
     benchmark_rows,
     checked_int,
-    validate_budgets,
-    validate_prices,
+    strategy_rows,
     welfare_grid,
 )
 from .simplex import solve_lp
@@ -96,16 +95,6 @@ def enumerate_strategies(value_set: Sequence[int], length: int) -> np.ndarray:
     return out.reshape(count, length)
 
 
-def _pad_rows(seqs, n: int) -> np.ndarray:
-    rows = np.zeros((len(seqs), n), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        s = np.asarray(s, dtype=np.int64)
-        if s.shape[0] > n:
-            raise ValueError(f"sequence length {s.shape[0]} exceeds n_users {n}")
-        rows[i, : s.shape[0]] = s
-    return rows
-
-
 def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
                         max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffMatrix:
     """Gap matrix over the given (or fully enumerated) pure-strategy lists.
@@ -123,15 +112,11 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
     if row_strategies is None:
         rows = enumerate_strategies(cfg.budget_set, cfg.n_users)
     else:
-        for s in row_strategies:
-            validate_budgets(cfg, s, allow_partial=True)
-        rows = _pad_rows(row_strategies, cfg.n_users)
+        rows, _ = strategy_rows(cfg, row_strategies, "budgets", allow_partial=True)
     if col_strategies is None:
         cols = enumerate_strategies(cfg.price_set, cfg.n_users)
     else:
-        for s in col_strategies:
-            validate_prices(cfg, s)
-        cols = _pad_rows(col_strategies, cfg.n_users)
+        cols, _ = strategy_rows(cfg, col_strategies, "prices")
     bench = benchmark_rows(rows, cfg.n_resources)
     dtype = _narrowest_int(0, int(bench.max(initial=0)))
     needed = rows.shape[0] * cols.shape[0] * dtype.itemsize

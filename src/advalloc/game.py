@@ -187,6 +187,20 @@ def format_sequence(seq: Sequence[int]) -> str:
 # common length: a zero budget is below every positive price so it is never
 # accepted and never enters the top-R sum, i.e. padding does not change values.
 
+def strategy_rows(cfg: GameConfig, strategies, what: str,
+                  allow_partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Validated "budgets" or "prices" sequences as zero-padded (M, n_users)
+    int64 rows and their (M,) int64 lengths; at least one is required."""
+    value_set = cfg.budget_set if what == "budgets" else cfg.price_set
+    seqs = [validate_sequence(cfg, s, value_set, what, allow_partial) for s in strategies]
+    if not seqs:
+        raise ValueError(f"need at least one pure strategy ({what})")
+    rows = np.zeros((len(seqs), cfg.n_users), dtype=np.int64)
+    for row, seq in zip(rows, seqs):
+        row[:len(seq)] = seq
+    return rows, np.asarray([len(seq) for seq in seqs], dtype=np.int64)
+
+
 def _narrowest_int(lo: int, hi: int) -> np.dtype:
     """Smallest signed integer dtype holding every value in [lo, hi] (int64 at most)."""
     for dtype in (np.int8, np.int16, np.int32):
@@ -235,20 +249,32 @@ def welfare_grid(budget_rows: np.ndarray, price_rows: np.ndarray, n_resources: i
     return welfare.astype(np.int64, copy=False)
 
 
+def play_out(budget_rows: np.ndarray, n_resources: int, price_at):
+    """Row-paired play of (M, N) budget rows: (M,) int64 welfare, (M, N) accepts.
+
+    price_at(i, left) returns slot i's (M,) posted prices given the (M,) int64
+    units left before that slot, so prices may adapt to the play so far. A row
+    accepts iff its budget is positive, at least the price, and a unit is left.
+    """
+    budget_rows = np.asarray(budget_rows, dtype=np.int64)
+    M, N = budget_rows.shape
+    left = np.full(M, n_resources, dtype=np.int64)
+    welfare = np.zeros(M, dtype=np.int64)
+    accepted = np.zeros((M, N), dtype=bool)
+    for i in range(N):
+        b = budget_rows[:, i]
+        take = (b >= price_at(i, left)) & (left > 0) & (b > 0)
+        accepted[:, i] = take
+        welfare += b * take
+        left = left - take   # a fresh array: price_at may keep the old one
+    return welfare, accepted
+
+
 def welfare_paired(budget_rows: np.ndarray, price_rows: np.ndarray,
                    n_resources: int) -> np.ndarray:
     """Row-wise welfare of (M, N) budget rows against matching (M, N) price rows."""
-    budget_rows = np.asarray(budget_rows)
     price_rows = np.asarray(price_rows)
-    M, N = budget_rows.shape
-    y = np.full(M, n_resources, dtype=np.int32)
-    welfare = np.zeros(M, dtype=np.int64)
-    for i in range(N):
-        b = budget_rows[:, i].astype(np.int64)
-        take = (b >= price_rows[:, i]) & (y > 0) & (b > 0)
-        welfare += b * take
-        y -= take
-    return welfare
+    return play_out(budget_rows, n_resources, lambda i, left: price_rows[:, i])[0]
 
 
 def benchmark_rows(budget_rows: np.ndarray, n_resources: int) -> np.ndarray:

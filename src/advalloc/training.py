@@ -24,8 +24,8 @@ from .game import (
     GameConfig,
     benchmark_rows,
     checked_int,
-    validate_budgets,
-    validate_prices,
+    play_out,
+    strategy_rows,
     welfare_grid,
     welfare_paired,
 )
@@ -253,17 +253,15 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
     r = cfg.n_resources
 
     history = policy.encoder.encode(np.zeros((batch, n - 1, N_STEP_FEATURES)))
-    y = np.full(batch, r, dtype=np.int64)
-    welfare = np.zeros(batch, dtype=np.int64)
     price_idx = np.zeros((batch, n), dtype=np.int64)
-    accepted = np.zeros((batch, n), dtype=bool)
-    prev_b = np.zeros(batch)
-    prev_p = np.zeros(batch)
+    prev_b = prev_p = np.zeros(batch)
     grad_total = None
-    for i in range(n):
+
+    def price_at(i, left):
+        nonlocal prev_b, prev_p, grad_total
         current = np.stack([
             np.full(batch, (i + 1) / n),
-            y / r,
+            left / r,
             prev_b / u,
             prev_p / max_price,
         ], axis=1)
@@ -272,21 +270,16 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
             idx = sample_categorical(rng, probs)
         else:
             idx = np.argmax(probs, axis=1)
-        p = price_arr[idx]
-        b = budgets[:, i]
-        take = (b >= p) & (y > 0)
         price_idx[:, i] = idx
-        accepted[:, i] = take
-        welfare += np.where(take, b, 0)
         if want_grads:
-            g = _price_grad_matrix(budgets, lengths, i, y, price_arr)
+            g = _price_grad_matrix(budgets, lengths, i, left, price_arr)
             grad_total = add_grads(grad_total, policy.backprop(tape, g))
-        y = y - take
         if i < n - 1:
             policy.encoder.extend(history, i, current)
-        prev_b = b.astype(np.float64)
-        prev_p = p.astype(np.float64)
+        prev_b, prev_p = budgets[:, i], price_arr[idx]
+        return prev_p
 
+    welfare, accepted = play_out(budgets, r, price_at)
     bench = benchmark_rows(budgets, r)
     result = BatchResult(price_idx=price_idx, prices=price_arr[price_idx],
                          accepted=accepted, welfare=welfare, benchmark=bench,
@@ -323,18 +316,6 @@ class TrainResult:
     episodes: int
     iterations: int
     stopped_early: bool
-
-
-def _pad_expert_budgets(cfg: GameConfig, strategies):
-    if not strategies:
-        raise ValueError("need at least one pure strategy")
-    rows = []
-    lengths = []
-    for seq in strategies:
-        seq = validate_budgets(cfg, seq, allow_partial=True)
-        lengths.append(len(seq))
-        rows.append(list(seq) + [0] * (cfg.n_users - len(seq)))
-    return np.asarray(rows, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
 
 
 def _trailing_average(trailing) -> float:
@@ -454,7 +435,8 @@ def train_alg_vs_mw(cfg: GameConfig, tcfg: TrainConfig, adversary_pure_strategie
     """
     rng = np.random.default_rng(tcfg.seed) if rng is None else rng
     algorithm = algorithm or make_algorithm_policy(cfg, tcfg, rng)
-    experts, expert_lengths = _pad_expert_budgets(cfg, adversary_pure_strategies)
+    experts, expert_lengths = strategy_rows(cfg, adversary_pure_strategies, "budgets",
+                                            allow_partial=True)
     n_experts = experts.shape[0]
     mw = MwState.uniform(n_experts, tcfg.mw_eta)
     ring = SnapshotRing(tcfg.snapshot_window)
@@ -491,10 +473,7 @@ def train_adv_vs_mw(cfg: GameConfig, tcfg: TrainConfig, algorithm_pure_strategie
     """
     rng = np.random.default_rng(tcfg.seed) if rng is None else rng
     adversary = adversary or make_adversary_policy(cfg, tcfg, rng)
-    experts = np.asarray([validate_prices(cfg, seq) for seq in algorithm_pure_strategies],
-                         dtype=np.int64)
-    if experts.size == 0:
-        raise ValueError("need at least one pure strategy")
+    experts, _ = strategy_rows(cfg, algorithm_pure_strategies, "prices")
     mw = MwState.uniform(experts.shape[0], tcfg.mw_eta)
     ring = SnapshotRing(tcfg.snapshot_window)
 

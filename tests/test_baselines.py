@@ -252,8 +252,8 @@ class TestBatchedPlay:
         assert len(set(play_batch(POW2, policy, rows, sample=False).prices.ravel())) > 1
         self.check(LearnedPolicy(policy), rows)
 
-    def test_sampled_learned_policy_in_one_row_blocks_draws_like_streaming(
-            self, monkeypatch):
+    def test_sampled_learned_one_row_blocks_match_per_row(self, monkeypatch):
+        # one-row blocks draw the uniforms in the same order as per-row calls
         monkeypatch.setattr(baselines, "_BLOCK_CELLS", POW2.n_users)
         rows = random_sequences(POW2, np.random.default_rng(6), 12)
         self.check(LearnedPolicy(_varied_policy(POW2), sample=True), rows, seed=10)
@@ -585,9 +585,9 @@ class TestEvaluatePolicies:
         assert rows[0].mean_gap == 0.0
 
 
-# A joint-trained eight-user game. The rows below are results.csv lines
-# computed when eval and bench still streamed every sequence through the
-# learned policy one slot at a time; argmax decoding must reproduce them.
+# A joint-trained eight-user game. The rows below are the results.csv lines
+# that eval and bench write for it with argmax decoding; batched play must
+# reproduce them exactly.
 PIN_CFG = """
 n_users = 8
 n_resources = 3
@@ -623,7 +623,7 @@ PINNED_RESULTS = {
 }
 
 
-class TestPinnedStreamingEval:
+class TestPinnedEvalResults:
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("pinned")
@@ -633,7 +633,7 @@ class TestPinnedStreamingEval:
         return root
 
     @pytest.mark.parametrize("name", list(PINNED_RESULTS))
-    def test_results_match_streaming_play(self, trained, name):
+    def test_results_csv_is_pinned(self, trained, name):
         head, snapshots, expected = PINNED_RESULTS[name]
         argv = [*head, "--config", str(trained / "game.cfg"),
                 "--model", str(trained / "t" / "algorithm.model"),

@@ -313,6 +313,24 @@ class TestNe:
         assert {int(r[1]) for r in rows if r[0] == "price"} <= {0, 1, 2}
 
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ("[]", "line 2 must not be empty"),
+        ("{ }", "line 2 must not be empty"),
+        ("1,x", "line 2: malformed integer sequence '1,x'"),
+    ])
+    def test_bad_strategy_file_line_names_file_and_line(self, cfg_path, tmp_path, capsys,
+                                                        bad_line, message):
+        budgets = tmp_path / "b.txt"
+        budgets.write_text(f"[1,2,2,3]  # fine\n{bad_line}\n[3,3]\n")
+        assert run_cli(["ne", "--config", str(cfg_path), "--mode", "lp",
+                        "--strategy-files", str(budgets),
+                        "--out-dir", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {budgets} {message}\n"
+        assert not (tmp_path / "r" / "strategies.csv").exists()
+
+
 class TestBench:
     def test_worst_mode_table(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -76,6 +76,9 @@ class TestBuildPayoff:
         assert pm.values[0, 0] == 0      # accepted immediately
         assert pm.values[1, 0] == 1      # unit burnt on the 1, benchmark 2
         assert pm.values[2, 0] == 1
+        for side in ("row_strategies", "col_strategies"):
+            with pytest.raises(ValueError, match="need at least one pure strategy"):
+                build_payoff_matrix(c, **{side: []})
 
     def test_full_enumeration_bytes_pinned(self):
         # sha256 of the 729x4096 matrix built by one welfare_grid call over

@@ -14,6 +14,7 @@ from advalloc.game import (
     format_sequence,
     gap,
     parse_sequence,
+    play_out,
     simulate,
     validate_budgets,
     validate_prices,
@@ -194,6 +195,16 @@ class TestProperties:
         assert welfare_grid(rows, cols, c.n_resources)[0, 0] == tr.alg_welfare
         assert welfare_paired(rows, cols, c.n_resources)[0] == tr.alg_welfare
         assert benchmark_rows(rows, c.n_resources)[0] == tr.benchmark_value
+        seen = []
+
+        def price_at(i, left):
+            seen.append(int(left[0]))
+            return cols[:, i]
+
+        welfare, accepted = play_out(rows, c.n_resources, price_at)
+        assert seen == list(tr.resources_before)
+        assert welfare.tolist() == [tr.alg_welfare]
+        assert accepted.tolist() == [list(tr.accepted)]
 
     def test_vector_kernels_zero_padding_is_inert(self):
         c = cfg(4, 2, (1, 2), (1, 2))

@@ -341,9 +341,9 @@ class TestLoops:
             train_adv_vs_mw(SMALL, tiny_tcfg(), [(1, 2)])
 
     def test_empty_strategy_lists_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one pure strategy"):
             train_alg_vs_mw(SMALL, tiny_tcfg(), [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one pure strategy"):
             train_adv_vs_mw(SMALL, tiny_tcfg(), [])
 
     def test_early_stop_on_target(self):
