@@ -44,7 +44,7 @@ print("best completed gap", dict(zip(cfg.budget_set, g.per_action)))
 # Backprop through the shared net matches finite differences to float
 # precision; every learning signal above enters through this path.
 rng = np.random.default_rng(3)
-net = SoftmaxMlp((5, 8, 6), head_sizes=(4, 2), rng=rng)
+net = SoftmaxMlp((5, 8, 6), head_sizes=(3, 3), rng=rng)
 x = rng.normal(size=(3, 5))
 upstream = rng.normal(size=(3, 6))
 

@@ -36,7 +36,7 @@ from .equilibrium import (
     solve_acceptance_lp,
     solve_zero_sum,
 )
-from .game import GameConfig, format_sequence
+from .game import GameConfig, format_sequence, validate_sequence
 from .nets import AlgorithmPolicy
 from .persist import PersistError, load_model, load_ring, save_model, save_ring
 from .rng import derive_rng
@@ -89,13 +89,23 @@ def _write_manifest(out_dir, subcommand, args, artifacts, ecfg=None) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _read_strategy_file(path) -> list[tuple[int, ...]]:
+def _read_strategy_file(path, cfg: GameConfig, what: str) -> list[tuple[int, ...]]:
+    """One strategy per non-blank line, each checked against the game's
+    budget or price set; budget strategies may be shorter than n_users."""
+    budgets = what == "budgets"
+    value_set = cfg.budget_set if budgets else cfg.price_set
     groups: list[tuple[int, ...]] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                groups.append(parse_group(line, f"{path} line {lineno}"))
+                where = f"{path} line {lineno}"
+                group = parse_group(line, where)
+                try:
+                    validate_sequence(cfg, group, value_set, what, allow_partial=budgets)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
+                groups.append(group)
     if not groups:
         raise ValueError(f"no sequences found in {path}")
     return groups
@@ -254,9 +264,9 @@ def cmd_ne(args) -> int:
     if args.strategy_files:
         paths = list(args.strategy_files) + ["-"] * (2 - len(args.strategy_files))
         if paths[0] != "-":
-            row_strategies = _read_strategy_file(paths[0])
+            row_strategies = _read_strategy_file(paths[0], cfg, "budgets")
         if paths[1] != "-":
-            col_strategies = _read_strategy_file(paths[1])
+            col_strategies = _read_strategy_file(paths[1], cfg, "prices")
     payoff = build_payoff_matrix(cfg, row_strategies, col_strategies)
 
     if args.mode == "lp":

@@ -6,13 +6,17 @@ and runs a few dense leaky-rectifier layers into a softmax over prices. Its
 forward takes the raw history or an EncodedHistory; a caller playing slot by
 slot keeps the latter and encodes each new row once with
 HistoryEncoder.extend. The budget generator maps a Gaussian latent through
-dense layers into one softmax head per slot over the budget set; equal-size
-heads are normalized in one reshaped reduction.
+dense layers into one softmax head per slot over the budget set. The heads of
+a net share one size and are normalized in one reshaped reduction.
 
 Backprop starts from externally supplied gradients on the output
 probabilities (the objective is always sum_a g_a * P_a here), so no loss
-classes exist. Parameters and their gradients travel as flat lists of arrays
-in one canonical order per policy; tapes are invalidated by any step().
+classes exist. Each policy is a ParamBlocks over its components (encoder and
+dense layers, or dense layers alone): parameters and gradients travel as flat
+lists of arrays in the components' order, and any parameter change moves every
+component's version counter, which invalidates the tapes built before it. Each
+policy names its constructor keywords in ARCH and keeps them as attributes, so
+persist can record the architecture and rebuild it.
 """
 from __future__ import annotations
 
@@ -55,29 +59,24 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-s, s, size=shape)
 
 
-def _equal_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray | None:
-    """a with its last axis split into (n_heads, size) when all heads share one
-    size, else None; reductions along the new last axis match per-head ones."""
+def _head_size(head_sizes: Sequence[int]) -> int:
+    """The one size all heads share; heads of different sizes are rejected."""
     if len(set(head_sizes)) != 1:
-        return None
-    return a.reshape(*a.shape[:-1], len(head_sizes), head_sizes[0])
+        raise ValueError(f"softmax heads must share one size, got {tuple(head_sizes)}")
+    return head_sizes[0]
+
+
+def _split_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
+    """a with its last axis split into (n_heads, size); reductions along the
+    new last axis are the per-head ones."""
+    return a.reshape(*a.shape[:-1], len(head_sizes), _head_size(head_sizes))
 
 
 def softmax_heads(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
     """Row-wise softmax applied independently per contiguous head block."""
-    blocks = _equal_heads(z, head_sizes)
-    if blocks is not None:
-        e = np.exp(blocks - blocks.max(axis=-1, keepdims=True))
-        return (e / e.sum(axis=-1, keepdims=True)).reshape(z.shape)
-    out = np.empty_like(z)
-    start = 0
-    for size in head_sizes:
-        block = z[..., start:start + size]
-        shifted = block - block.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out[..., start:start + size] = e / e.sum(axis=-1, keepdims=True)
-        start += size
-    return out
+    blocks = _split_heads(z, head_sizes)
+    e = np.exp(blocks - blocks.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)).reshape(z.shape)
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -132,6 +131,7 @@ class SoftmaxMlp:
             raise ValueError("all sizes must be positive")
         if sum(head_sizes) != layer_sizes[-1]:
             raise ValueError(f"heads {head_sizes} do not tile output {layer_sizes[-1]}")
+        _head_size(head_sizes)
         self.layer_sizes = layer_sizes
         self.head_sizes = head_sizes
         self.slope = _checked_slope(slope)
@@ -184,20 +184,10 @@ class SoftmaxMlp:
         grad_probs = np.atleast_2d(np.asarray(grad_probs, dtype=np.float64))
         if grad_probs.shape != tape.probs.shape:
             raise ValueError(f"grad shape {grad_probs.shape} != {tape.probs.shape}")
-        p_heads = _equal_heads(tape.probs, self.head_sizes)
-        if p_heads is not None:
-            g_heads = _equal_heads(grad_probs, self.head_sizes)
-            inner = (g_heads * p_heads).sum(axis=-1, keepdims=True)
-            dz = (p_heads * (g_heads - inner)).reshape(tape.probs.shape)
-        else:
-            dz = np.empty_like(tape.probs)
-            start = 0
-            for size in self.head_sizes:
-                p = tape.probs[:, start:start + size]
-                g = grad_probs[:, start:start + size]
-                inner = (g * p).sum(axis=1, keepdims=True)
-                dz[:, start:start + size] = p * (g - inner)
-                start += size
+        p_heads = _split_heads(tape.probs, self.head_sizes)
+        g_heads = _split_heads(grad_probs, self.head_sizes)
+        inner = (g_heads * p_heads).sum(axis=-1, keepdims=True)
+        dz = (p_heads * (g_heads - inner)).reshape(tape.probs.shape)
         grads: list[np.ndarray] = []
         for k in range(len(self.weights) - 1, -1, -1):
             a_prev = tape.activations[k]
@@ -210,17 +200,6 @@ class SoftmaxMlp:
         if return_input_grad:
             return grads, dz @ self.weights[0].T
         return grads
-
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
-        """Plain gradient ascent; invalidates existing tapes."""
-        params = self.params
-        if len(grads) != len(params):
-            raise ValueError(f"got {len(grads)} grad arrays, expected {len(params)}")
-        for p, g in zip(params, grads):
-            if p.shape != g.shape:
-                raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
-            p += lr * g
-        self.version += 1
 
 
 @dataclasses.dataclass
@@ -335,21 +314,64 @@ class HistoryEncoder:
         d_bias = dz.sum(axis=0)
         return [d_weight, d_bias]
 
+
+class ParamBlocks:
+    """Parameter bookkeeping shared by both policies.
+
+    A policy's parameters are its blocks' params in order. Each block keeps
+    the version counter its tapes record; any change here moves every block's
+    counter, so a tape or EncodedHistory built before it raises StaleTapeError.
+    """
+
+    blocks: tuple  # the policy's components, e.g. (encoder, mlp)
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        return [p for block in self.blocks for p in block.params]
+
+    def get_params(self) -> list[np.ndarray]:
+        return [p.copy() for p in self.params]
+
+    def set_params(self, arrays: Sequence[np.ndarray]) -> None:
+        for p, a in zip(self._matching(arrays), arrays):
+            p[...] = a
+        self._invalidate_tapes()
+
     def step(self, grads: list[np.ndarray], lr: float) -> None:
-        self.weight += lr * grads[0]
-        self.bias += lr * grads[1]
-        self.version += 1
+        """Plain gradient ascent; invalidates existing tapes."""
+        for p, g in zip(self._matching(grads), grads):
+            p += lr * g
+        self._invalidate_tapes()
+
+    def zero_grads(self) -> list[np.ndarray]:
+        return [np.zeros_like(p) for p in self.params]
+
+    def _matching(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The parameters, once arrays is checked to match them in count and shape."""
+        params = self.params
+        if len(arrays) != len(params):
+            raise ValueError(f"got {len(arrays)} arrays, expected {len(params)}")
+        for p, a in zip(params, arrays):
+            if p.shape != a.shape:
+                raise ValueError(f"shape {a.shape} != expected {p.shape}")
+        return params
+
+    def _invalidate_tapes(self) -> None:
+        for block in self.blocks:
+            block.version += 1
 
 
 @dataclasses.dataclass
 class AlgTape:
-    version: int
     enc_tape: EncoderTape
     mlp_tape: MlpTape
 
 
-class AlgorithmPolicy:
+class AlgorithmPolicy(ParamBlocks):
     """Posted-price policy: history encoder feeding dense layers, one price head."""
+
+    kind = "algorithm"
+    ARCH = ("n_users", "n_prices", "hidden", "encoder_width", "slope")
 
     def __init__(self, n_users: int, n_prices: int, *, hidden: Sequence[int] = (64, 64, 64),
                  encoder_width: int = 8, slope: float = DEFAULT_SLOPE,
@@ -358,31 +380,14 @@ class AlgorithmPolicy:
             raise ValueError("need at least one user and one price")
         self.n_users = int(n_users)
         self.n_prices = int(n_prices)
-        self.slope = _checked_slope(slope)
-        self.version = 0
         self.encoder = HistoryEncoder(n_users - 1, encoder_width, slope=slope, rng=rng)
         in_width = self.encoder.out_width + N_STEP_FEATURES
         sizes = (in_width, *hidden, n_prices)
         self.mlp = SoftmaxMlp(sizes, (n_prices,), slope=slope, rng=rng)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.encoder.params + self.mlp.params
-
-    def get_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.params]
-
-    def set_params(self, arrays: Sequence[np.ndarray]) -> None:
-        params = self.params
-        if len(arrays) != len(params):
-            raise ValueError(f"got {len(arrays)} arrays, expected {len(params)}")
-        for p, a in zip(params, arrays):
-            if p.shape != a.shape:
-                raise ValueError(f"shape {a.shape} != expected {p.shape}")
-            p[...] = a
-        self.version += 1
-        self.encoder.version += 1
-        self.mlp.version += 1
+        self.blocks = (self.encoder, self.mlp)
+        self.hidden = self.mlp.layer_sizes[1:-1]
+        self.encoder_width = self.encoder.width
+        self.slope = self.mlp.slope
 
     def forward(self, history, current: np.ndarray) -> tuple[np.ndarray, AlgTape]:
         """Price probabilities for the current slot's features.
@@ -395,33 +400,20 @@ class AlgorithmPolicy:
         flat, enc_tape = self.encoder.forward(history)
         x = np.concatenate([flat, current], axis=1)
         probs, mlp_tape = self.mlp.forward(x)
-        return probs, AlgTape(version=self.version, enc_tape=enc_tape, mlp_tape=mlp_tape)
+        return probs, AlgTape(enc_tape=enc_tape, mlp_tape=mlp_tape)
 
     def backprop(self, tape: AlgTape, grad_probs: np.ndarray) -> list[np.ndarray]:
-        if tape.version != self.version:
-            raise StaleTapeError("parameters changed since this forward pass")
         mlp_grads, dx = self.mlp.backprop(tape.mlp_tape, grad_probs,
                                           return_input_grad=True)
         enc_grads = self.encoder.backprop(tape.enc_tape, dx[:, : self.encoder.out_width])
         return enc_grads + mlp_grads
 
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
-        self.encoder.step(grads[:2], lr)
-        self.mlp.step(grads[2:], lr)
-        self.version += 1
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.params]
-
-
-@dataclasses.dataclass
-class AdvTape:
-    version: int
-    mlp_tape: MlpTape
-
-
-class AdversaryPolicy:
+class AdversaryPolicy(ParamBlocks):
     """Budget-sequence generator: latent vector to one budget head per slot."""
+
+    kind = "adversary"
+    ARCH = ("n_users", "n_budgets", "latent_dim", "hidden", "slope")
 
     def __init__(self, n_users: int, n_budgets: int, *, latent_dim: int = 16,
                  hidden: Sequence[int] = (64, 64, 64, 64), slope: float = DEFAULT_SLOPE,
@@ -431,45 +423,18 @@ class AdversaryPolicy:
         self.n_users = int(n_users)
         self.n_budgets = int(n_budgets)
         self.latent_dim = int(latent_dim)
-        self.slope = _checked_slope(slope)
-        self.version = 0
         sizes = (latent_dim, *hidden, n_users * n_budgets)
         self.mlp = SoftmaxMlp(sizes, (n_budgets,) * n_users, slope=slope, rng=rng)
+        self.blocks = (self.mlp,)
+        self.hidden = self.mlp.layer_sizes[1:-1]
+        self.slope = self.mlp.slope
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.mlp.params
-
-    def get_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.params]
-
-    def set_params(self, arrays: Sequence[np.ndarray]) -> None:
-        params = self.params
-        if len(arrays) != len(params):
-            raise ValueError(f"got {len(arrays)} arrays, expected {len(params)}")
-        for p, a in zip(params, arrays):
-            if p.shape != a.shape:
-                raise ValueError(f"shape {a.shape} != expected {p.shape}")
-            p[...] = a
-        self.version += 1
-        self.mlp.version += 1
-
-    def forward(self, latents: np.ndarray) -> tuple[np.ndarray, AdvTape]:
+    def forward(self, latents: np.ndarray) -> tuple[np.ndarray, MlpTape]:
         latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
         flat, tape = self.mlp.forward(latents)
-        probs = flat.reshape(latents.shape[0], self.n_users, self.n_budgets)
-        return probs, AdvTape(version=self.version, mlp_tape=tape)
+        return flat.reshape(latents.shape[0], self.n_users, self.n_budgets), tape
 
-    def backprop(self, tape: AdvTape, grad_probs: np.ndarray) -> list[np.ndarray]:
-        if tape.version != self.version:
-            raise StaleTapeError("parameters changed since this forward pass")
+    def backprop(self, tape: MlpTape, grad_probs: np.ndarray) -> list[np.ndarray]:
         grad_probs = np.asarray(grad_probs, dtype=np.float64)
         flat = grad_probs.reshape(grad_probs.shape[0], self.n_users * self.n_budgets)
-        return self.mlp.backprop(tape.mlp_tape, flat)
-
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
-        self.mlp.step(grads, lr)
-        self.version += 1
-
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.params]
+        return self.mlp.backprop(tape, flat)

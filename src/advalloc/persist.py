@@ -1,11 +1,12 @@
 """On-disk format for trained networks and snapshot rings.
 
 A file is one JSON header line followed by the raw bytes of every parameter
-array, little-endian float64, in the policy's canonical parameter order. The
-header records the architecture (enough to rebuild the policy from scratch)
-and every array shape, so the payload length is fully determined: any length
-mismatch is reported as corruption rather than silently repaired. Loads are
-bit-exact inverses of saves.
+array, little-endian float64, in the policy's canonical parameter order. A
+model header records the policy's kind, its constructor keywords (the names in
+its ARCH, enough to rebuild it from scratch) and every array shape, so the
+payload length is fully determined: any length mismatch is reported as
+corruption rather than silently repaired. Loads are bit-exact inverses of
+saves.
 """
 from __future__ import annotations
 
@@ -30,30 +31,12 @@ class PersistError(RuntimeError):
     """Unreadable, corrupt, or incompatible artifact file."""
 
 
-def _mlp_hidden(mlp) -> list[int]:
-    # weight matrices sit at even indices; their out-dims are the layer widths
-    weights = mlp.params[0::2]
-    return [int(w.shape[1]) for w in weights[:-1]]
-
-
 def _model_header(policy) -> dict:
     if not isinstance(policy, (AlgorithmPolicy, AdversaryPolicy)):
         raise PersistError(f"cannot save a {type(policy).__name__}")
-    header = {"format": MODEL_FORMAT, "version": FORMAT_VERSION,
-              "slope": policy.slope,
-              "shapes": [list(p.shape) for p in policy.params]}
-    if isinstance(policy, AlgorithmPolicy):
-        encoder_width = int(policy.encoder.params[0].shape[1])
-        header.update(kind="algorithm", n_users=policy.n_users,
-                      n_prices=policy.n_prices,
-                      hidden=_mlp_hidden(policy.mlp),
-                      encoder_width=encoder_width)
-    elif isinstance(policy, AdversaryPolicy):
-        header.update(kind="adversary", n_users=policy.n_users,
-                      n_budgets=policy.n_budgets,
-                      latent_dim=policy.latent_dim,
-                      hidden=_mlp_hidden(policy.mlp))
-    return header
+    return {"format": MODEL_FORMAT, "version": FORMAT_VERSION, "kind": policy.kind,
+            "shapes": [list(p.shape) for p in policy.params],
+            **{key: getattr(policy, key) for key in policy.ARCH}}
 
 
 def _payload(arrays: Sequence[np.ndarray]) -> bytes:
@@ -115,28 +98,17 @@ def save_model(path, policy) -> None:
         f.write(_payload(policy.params))
 
 
-def _rebuild(header: dict):
-    kind = header.get("kind")
-    if kind == "algorithm":
-        return AlgorithmPolicy(header["n_users"], header["n_prices"],
-                               hidden=tuple(header["hidden"]),
-                               encoder_width=header["encoder_width"],
-                               slope=header["slope"])
-    if kind == "adversary":
-        return AdversaryPolicy(header["n_users"], header["n_budgets"],
-                               latent_dim=header["latent_dim"],
-                               hidden=tuple(header["hidden"]),
-                               slope=header["slope"])
-    raise PersistError(f"unknown model kind {kind!r}")
-
-
 def load_model(path):
     """Rebuild the saved policy with bit-identical parameters."""
     with open(path, "rb") as f:
         header = _read_header(f, MODEL_FORMAT)
         blob = f.read()
+    kind = header.get("kind")
+    cls = next((c for c in (AlgorithmPolicy, AdversaryPolicy) if c.kind == kind), None)
+    if cls is None:
+        raise PersistError(f"unknown model kind {kind!r}")
     with _header_errors("model"):
-        policy = _rebuild(header)
+        policy = cls(**{key: header[key] for key in cls.ARCH})
         shapes = [tuple(s) for s in header["shapes"]]
     if shapes != [p.shape for p in policy.params]:
         raise PersistError("header shapes do not match the declared architecture")

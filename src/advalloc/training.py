@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +74,10 @@ class TrainConfig:
             setattr(self, name, checked_int(getattr(self, name), name,
                                             minimum=0 if name == "episodes" else 1))
         self.seed = checked_int(self.seed, "seed", minimum=None)
+        for name in ("lr_alg", "lr_adv", "mw_eta", "clip", "target_gap", "stop_rtol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lr_alg <= 0 or self.lr_adv <= 0 or self.mw_eta <= 0:
             raise ValueError("learning rates must be positive")
         if self.clip is not None and self.clip <= 0:

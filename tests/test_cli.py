@@ -116,6 +116,15 @@ class TestTrain:
         assert len(rows) == 3
         assert (out / "adversary.model").exists()
 
+    def test_nan_learning_rate_fails_before_writing(self, cfg_path, tmp_path, capsys):
+        cfg_path.write_text(SMALL_CFG + "lr_alg = nan\n")
+        out = tmp_path / "nan"
+        assert self.run(cfg_path, out, "--mode", "joint") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lr_alg must be finite, got nan\n"
+        assert not out.exists()
+
     def test_alg_vs_mw_without_experts_fails(self, tmp_path, capsys):
         bare = tmp_path / "bare.cfg"
         bare.write_text("n_users = 3\nn_resources = 1\n"
@@ -317,17 +326,21 @@ class TestNe:
         ("[]", "line 2 must not be empty"),
         ("{ }", "line 2 must not be empty"),
         ("1,x", "line 2: malformed integer sequence '1,x'"),
+        ("[1,9]", "line 2: budgets entry 9 not in (1, 2, 3)"),
+        ("[1,2,3,3,1]", "line 2: prices length 5 != n_users 4"),
     ])
     def test_bad_strategy_file_line_names_file_and_line(self, cfg_path, tmp_path, capsys,
                                                         bad_line, message):
-        budgets = tmp_path / "b.txt"
-        budgets.write_text(f"[1,2,2,3]  # fine\n{bad_line}\n[3,3]\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"[1,2,2,3]  # fine\n{bad_line}\n[3,3]\n")
+        # a prices line is read from the second file, every other from the first
+        files = ["-", str(bad)] if "prices" in message else [str(bad)]
         assert run_cli(["ne", "--config", str(cfg_path), "--mode", "lp",
-                        "--strategy-files", str(budgets),
+                        "--strategy-files", *files,
                         "--out-dir", str(tmp_path / "r")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {budgets} {message}\n"
+        assert captured.err == f"error: {bad} {message}\n"
         assert not (tmp_path / "r" / "strategies.csv").exists()
 
 

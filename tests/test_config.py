@@ -114,6 +114,13 @@ class TestRejections:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "lr_alg = -1.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["lr_alg", "lr_adv", "mw_eta", "clip",
+                                     "target_gap", "stop_rtol"])
+    def test_non_finite_training_float_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            parse_config(MINIMAL + f"{key} = {value}\n")
+
 
 class TestRenderRoundTrip:
     def test_defaults_round_trip(self):

@@ -1,8 +1,9 @@
 """Gradient, sampling, and bookkeeping tests for the numpy policy networks."""
+import re
+
 import numpy as np
 import pytest
 
-from advalloc import nets
 from advalloc.nets import (
     N_STEP_FEATURES,
     AdversaryPolicy,
@@ -52,11 +53,19 @@ def fd_worst_error(params, forward, analytic, grad_on_probs, step=FD_STEP):
 class TestSoftmaxHeads:
     def test_each_head_normalizes(self):
         rng = np.random.default_rng(0)
-        z = rng.normal(size=(5, 7), scale=3.0)
-        p = softmax_heads(z, (3, 4))
-        assert np.allclose(p[:, :3].sum(axis=1), 1.0)
-        assert np.allclose(p[:, 3:].sum(axis=1), 1.0)
+        z = rng.normal(size=(5, 8), scale=3.0)
+        p = softmax_heads(z, (4, 4))
+        assert np.allclose(p[:, :4].sum(axis=1), 1.0)
+        assert np.allclose(p[:, 4:].sum(axis=1), 1.0)
         assert (p > 0).all()
+
+    @pytest.mark.parametrize("heads", [(3, 4), (2, 3, 1)])
+    def test_unequal_heads_rejected(self, heads):
+        message = re.escape(f"softmax heads must share one size, got {heads}")
+        with pytest.raises(ValueError, match=message):
+            SoftmaxMlp((4, sum(heads)), heads)
+        with pytest.raises(ValueError, match="one size"):
+            softmax_heads(np.zeros((2, sum(heads))), heads)
 
     def test_shift_invariance(self):
         z = np.array([[1.0, 2.0, 3.0]])
@@ -112,10 +121,9 @@ class TestInit:
         assert np.abs(w).max() > 0.5 * bound
 
     def test_zero_init_gives_uniform_heads(self):
-        mlp = SoftmaxMlp((4, 5, 6), (2, 4))
+        mlp = SoftmaxMlp((4, 5, 8), (4, 4))
         probs, _ = mlp.forward(np.ones((3, 4)))
-        assert np.allclose(probs[:, :2], 0.5)
-        assert np.allclose(probs[:, 2:], 0.25)
+        assert np.allclose(probs, 0.25)
 
     def test_biases_start_at_zero(self):
         mlp = SoftmaxMlp((4, 5, 3), (3,), rng=np.random.default_rng(2))
@@ -137,13 +145,9 @@ class TestMlpGradients:
         for _ in range(25):
             depth = rng.integers(1, 4)
             sizes = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
-            heads = []
-            remaining = sizes[-1]
-            while remaining > 0:
-                h = int(rng.integers(1, remaining + 1))
-                heads.append(h)
-                remaining -= h
-            mlp = SoftmaxMlp(sizes, heads, rng=rng)
+            n_heads = int(rng.integers(1, 4))
+            sizes[-1] *= n_heads
+            mlp = SoftmaxMlp(sizes, (sizes[-1] // n_heads,) * n_heads, rng=rng)
             batch = int(rng.integers(1, 4))
             x = rng.normal(size=(batch, sizes[0]))
             g = rng.normal(size=(batch, sizes[-1]))
@@ -362,6 +366,26 @@ def loop_softmax_heads(z, head_sizes):
     return out
 
 
+def loop_backprop(mlp, tape, grad_probs):
+    """Reference: SoftmaxMlp.backprop with the softmax Jacobian applied one
+    head block at a time, in a Python loop."""
+    dz = np.empty_like(tape.probs)
+    start = 0
+    for size in mlp.head_sizes:
+        p = tape.probs[:, start:start + size]
+        g = grad_probs[:, start:start + size]
+        inner = (g * p).sum(axis=1, keepdims=True)
+        dz[:, start:start + size] = p * (g - inner)
+        start += size
+    grads = []
+    for k in range(len(mlp.weights) - 1, -1, -1):
+        grads.append(dz.sum(axis=0))
+        grads.append(tape.activations[k].T @ dz)
+        if k > 0:
+            dz = (dz @ mlp.weights[k].T) * np.where(tape.pre_acts[k - 1] > 0, 1.0, mlp.slope)
+    return grads[::-1]
+
+
 def same_bits(a, b):
     # array_equal alone treats -0.0 and 0.0 as equal
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -384,17 +408,16 @@ class TestBitIdentity:
                             rng.normal(size=200, scale=10.0)])
         assert same_bits(leaky(z, slope), np.where(z > 0, z, slope * z))
 
-    def test_equal_head_backprop_matches_per_head_loop(self, monkeypatch):
+    def test_equal_head_backprop_matches_per_head_loop(self):
         rng = np.random.default_rng(8)
         pol = AdversaryPolicy(25, 5, latent_dim=6, hidden=(16, 16), rng=rng)
         latents = rng.normal(size=(32, 6))
         signal = rng.normal(size=(32, 25, 5))
         probs, tape = pol.forward(latents)
         grads = pol.backprop(tape, signal)
-        monkeypatch.setattr(nets, "_equal_heads", lambda a, head_sizes: None)
-        loop_probs, loop_tape = pol.forward(latents)
-        loop_grads = pol.backprop(loop_tape, signal)
-        assert same_bits(probs, loop_probs)
+        loop_grads = loop_backprop(pol.mlp, tape, signal.reshape(32, 125))
+        assert same_bits(probs.reshape(32, 125),
+                         loop_softmax_heads(tape.pre_acts[-1], pol.mlp.head_sizes))
         assert all(same_bits(g, h) for g, h in zip(grads, loop_grads))
 
     @pytest.mark.parametrize("n_users,batch", [(2, 1), (2, 40), (3, 1), (3, 2),

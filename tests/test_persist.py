@@ -69,6 +69,24 @@ class TestModelRoundTrip:
         save_model(tmp_path / "b", load_model(tmp_path / "a"))
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
+    @pytest.mark.parametrize("policy, header", [
+        (AlgorithmPolicy(4, 3, hidden=(6, 5), encoder_width=2,
+                         rng=np.random.default_rng(1)),
+         '{"encoder_width": 2, "format": "advalloc-model", "hidden": [6, 5], '
+         '"kind": "algorithm", "n_prices": 3, "n_users": 4, "shapes": [[4, 2], '
+         '[3, 2], [10, 6], [6], [6, 5], [5], [5, 3], [3]], "slope": 0.01, '
+         '"version": 1}'),
+        (AdversaryPolicy(4, 3, latent_dim=6, hidden=(7, 5),
+                         rng=np.random.default_rng(2)),
+         '{"format": "advalloc-model", "hidden": [7, 5], "kind": "adversary", '
+         '"latent_dim": 6, "n_budgets": 3, "n_users": 4, "shapes": [[6, 7], [7], '
+         '[7, 5], [5], [5, 12], [12]], "slope": 0.01, "version": 1}'),
+    ], ids=["algorithm", "adversary"])
+    def test_header_line_is_pinned(self, tmp_path, policy, header):
+        path = tmp_path / "m"
+        save_model(path, policy)
+        assert path.read_bytes().partition(b"\n")[0] == header.encode("ascii")
+
     def test_rejects_unsupported_object(self, tmp_path):
         with pytest.raises(PersistError, match="cannot save"):
             save_model(tmp_path / "x", object())
