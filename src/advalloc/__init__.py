@@ -29,6 +29,7 @@ from .completion import (
     CompletionResult,
     CompletionTooLargeError,
     brute_force_completion,
+    candidate_gaps,
     optimal_completion,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, render_config

@@ -3,7 +3,10 @@
 Every run writes a run-manifest.txt into --out-dir before any computation
 starts; the manifest records the subcommand, flags, effective config, and
 the artifact files the run will produce, so a finished directory is
-self-describing and reproducible from the manifest alone. All randomness
+self-describing and reproducible from the manifest alone. A command that
+fails after writing its manifest (exit 1, one `error:` line) appends a
+final `failed: <message>` line to it, since some listed artifacts may be
+missing; a manifest left by an earlier run is never touched. All randomness
 descends from --seed through labeled streams, CSV floats are rendered with
 %.10g, and nothing time- or host-dependent is ever written, so same-seed
 runs produce byte-identical outputs.
@@ -11,6 +14,7 @@ runs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -85,8 +89,10 @@ def _write_manifest(out_dir, subcommand, args, artifacts, ecfg=None) -> None:
         lines.append("config:")
         lines += [f"  {line}" for line in render_config(ecfg).splitlines()]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+    args.manifest_path = path   # run_cli marks this manifest if the run then fails
 
 
 def _read_strategy_file(path, cfg: GameConfig, what: str) -> list[tuple[int, ...]]:
@@ -443,6 +449,10 @@ def run_cli(argv) -> int:
     except (ConfigError, PersistError, PayoffTooLargeError, SimplexError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        manifest = getattr(args, "manifest_path", None)
+        if manifest is not None:
+            with contextlib.suppress(OSError), open(manifest, "a", encoding="utf-8") as f:
+                f.write("failed: " + str(exc).replace("\n", " ") + "\n")
         return 1
 
 

@@ -1,7 +1,7 @@
 """Worst-case budget completion: given posted prices and a realized prefix,
 choose budgets for the remaining slots that maximize the gap.
 
-Two routes with equal gap values:
+Three routes with equal gap values:
 
 * optimal_completion -- exact backward DP. The benchmark is a top-R sum, and
   top-R(X) = max over sets T with |T| <= R of sum(T), so "max over
@@ -16,6 +16,12 @@ Two routes with equal gap values:
   queries a training signal makes against one row pay O(N + l log l) each
   for a prefix of length l: play out the prefix, combine its top-t sums
   with G, and walk the stored argmax forward to rebuild the sequence.
+* candidate_gaps -- the adversary's training signal: the gap of every
+  (row, slot, candidate budget) for a batch of sampled rows, i.e. the
+  optimal completion of each sampled prefix followed by each candidate.
+  One numpy pass builds G for all rows, one play-out records each
+  prefix's units left, welfare and top-t sums, and one combine step
+  scores every candidate. Values only, no sequences.
 * brute_force_completion -- exhaustive enumeration, the verification oracle.
 """
 from __future__ import annotations
@@ -26,7 +32,12 @@ import functools
 import itertools
 from typing import Sequence
 
-from .game import GameConfig, gap, validate_budgets, validate_prices
+import numpy as np
+
+from .game import GameConfig, gap, play_out, validate_budgets, validate_prices
+
+# below every reachable value of G; sums with it stay far from int64 overflow
+_NEVER = np.iinfo(np.int64).min // 4
 
 
 class CompletionTooLargeError(ValueError):
@@ -139,6 +150,84 @@ def optimal_completion(cfg: GameConfig, prices: Sequence[int],
         y -= units
         s -= picks
     return CompletionResult(gap=best - welfare, full_sequence=prefix + tuple(tail))
+
+
+def _set_rows(cfg: GameConfig, rows, value_set: tuple[int, ...], what: str) -> np.ndarray:
+    """(M, n_users) integer rows with every entry in value_set, as int64."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != cfg.n_users or rows.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integer rows of shape (M, {cfg.n_users}), "
+                         f"got {rows.dtype} {rows.shape}")
+    outside = ~np.isin(rows, value_set)
+    if outside.any():
+        raise ValueError(f"{what} entry {int(rows[outside][0])} not in {value_set}")
+    return rows.astype(np.int64, copy=False)
+
+
+def _completion_values(budget_set: np.ndarray, prices: np.ndarray, r: int) -> np.ndarray:
+    """_completion_table's values for every price row: (M, N+1, r+1, r+1) int64,
+    G[m, i, y, s] over (slot, units left, picks left)."""
+    m, n = prices.shape
+    k = np.searchsorted(budget_set, prices)   # index of the smallest accepting budget
+    can_reject = (k > 0)[:, :, None, None]
+    can_accept = (k < budget_set.size)[:, :, None, None]
+    below = budget_set[np.maximum(k - 1, 0)][:, :, None, None]
+    at = budget_set[np.minimum(k, budget_set.size - 1)][:, :, None, None]
+    values = np.zeros((m, n + 1, r + 1, r + 1), dtype=np.int64)
+    picked = np.full((m, r + 1, r + 1), _NEVER, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        nxt = values[:, i + 1]
+        picked[:, :, 1:] = nxt[:, :, :-1]   # the value after spending one pick
+        cur = values[:, i]
+        # no stock: every budget rejects, so a pick takes the largest one
+        np.maximum(picked[:, 0] + budget_set[-1], nxt[:, 0], out=cur[:, 0])
+        reject = np.maximum(picked[:, 1:] + below[:, i], nxt[:, 1:])
+        accept = np.maximum(picked[:, :-1], nxt[:, :-1] - at[:, i])
+        np.maximum(np.where(can_reject[:, i], reject, _NEVER),
+                   np.where(can_accept[:, i], accept, _NEVER), out=cur[:, 1:])
+    return values
+
+
+def candidate_gaps(cfg: GameConfig, price_rows, budget_rows) -> np.ndarray:
+    """Best-completion gap of every (row, slot, candidate budget): (M, N, |B|) int64.
+
+    Entry [m, i, k] is optimal_completion(cfg, price_rows[m],
+    budget_rows[m, :i] + (budget_set[k],)).gap, the value
+    gradients.budget_gradient scores, for (M, n_users) rows of the price and
+    budget sets. With y units left and top-t sums T_t before slot i, candidate
+    c leaves y' units and scores max over t of max(T_t, T_{t-1} + c) plus
+    G[i+1][y'][r-t], minus the welfare so far. Picks beyond the prefix length
+    repeat its full sum against fewer picks left, which G, non-decreasing in
+    picks left, never prefers, so t needs no cap.
+    """
+    prices = _set_rows(cfg, price_rows, cfg.price_set, "prices")
+    budgets = _set_rows(cfg, budget_rows, cfg.budget_set, "budgets")
+    if prices.shape != budgets.shape:
+        raise ValueError(f"{prices.shape[0]} price rows vs {budgets.shape[0]} budget rows")
+    m, n = budgets.shape
+    r = min(cfg.n_resources, n)
+    cands = np.asarray(cfg.budget_set, dtype=np.int64)
+    values = _completion_values(cands, prices, r)
+
+    # units left, welfare and top-t sums (t = 0..r) of the prefix before slot i
+    _, accepted = play_out(budgets, r, lambda i, left: prices[:, i])
+    gained = budgets * accepted
+    left = r - (np.cumsum(accepted, axis=1) - accepted)
+    welfare = np.cumsum(gained, axis=1) - gained
+    tops = np.zeros((m, n, r + 1), dtype=np.int64)
+    largest = np.zeros((m, r), dtype=np.int64)   # descending, zero-padded
+    for i in range(n):
+        np.cumsum(largest, axis=1, out=tops[:, i, 1:])
+        largest = np.sort(np.column_stack([largest, budgets[:, i]]), axis=1)[:, :0:-1]
+
+    # candidate c at slot i
+    take = (left[:, :, None] > 0) & (cands >= prices[:, :, None])   # (M, N, |B|)
+    with_c = np.zeros((m, n, cands.size, r + 1), dtype=np.int64)
+    np.maximum(tops[:, :, None, 1:], tops[:, :, None, :-1] + cands[:, None],
+               out=with_c[..., 1:])
+    rest = np.take_along_axis(values[:, 1:, :, ::-1], (left[:, :, None] - take)[..., None],
+                              axis=2)   # rest[..., t] = G[i+1][y'][r-t]
+    return np.add(with_c, rest, out=with_c).max(axis=3) - (welfare[:, :, None] + cands * take)
 
 
 def brute_force_completion(cfg: GameConfig, prices: Sequence[int],

@@ -92,7 +92,9 @@ def budget_gradient(cfg: GameConfig, prices: Sequence[int], budgets: Sequence[in
     """Gap gradient on the budget distribution of one slot.
 
     Entry for candidate budget b substitutes b at the slot, keeps the sampled
-    budgets before it, and scores the optimal completion's gap.
+    budgets before it, and scores the optimal completion's gap. Training
+    takes the same values for whole batches from completion.candidate_gaps;
+    this per-slot form is its reference.
     """
     prices = validate_prices(cfg, prices, allow_partial=True)
     budgets = validate_budgets(cfg, budgets, allow_partial=True)

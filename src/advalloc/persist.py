@@ -80,6 +80,8 @@ def _split_payload(blob: bytes, shapes: list[tuple[int, ...]],
         raise PersistError(
             f"{what} payload is {len(blob)} bytes, header promises {expected}: "
             "truncated or corrupt file")
+    if not np.isfinite(np.frombuffer(blob, dtype=_DTYPE)).all():
+        raise PersistError(f"{what} holds non-finite parameters")
     arrays = []
     offset = 0
     for shape in shapes:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .completion import candidate_gaps
 from .game import (
     GameConfig,
     benchmark_rows,
@@ -30,7 +31,6 @@ from .game import (
     welfare_grid,
     welfare_paired,
 )
-from .gradients import budget_gradient
 from .nets import (
     N_STEP_FEATURES,
     AdversaryPolicy,
@@ -334,19 +334,6 @@ def _should_stop(tcfg: TrainConfig, trailing) -> bool:
     return abs(avg - tcfg.target_gap) <= tcfg.stop_rtol * abs(tcfg.target_gap)
 
 
-def _adversary_grad_probs(cfg: GameConfig, prices: np.ndarray,
-                          budgets: np.ndarray) -> np.ndarray:
-    """Best-completion gap per candidate budget, for every (row, slot)."""
-    batch, n = budgets.shape
-    out = np.zeros((batch, n, cfg.n_budgets))
-    for j in range(batch):
-        pj = tuple(int(v) for v in prices[j])
-        bj = tuple(int(v) for v in budgets[j])
-        for i in range(n):
-            out[j, i] = budget_gradient(cfg, pj, bj, i).per_action
-    return out
-
-
 def _sample_adversary_rows(cfg: GameConfig, adversary: AdversaryPolicy,
                            rng: np.random.Generator, count: int):
     latents = rng.normal(size=(count, adversary.latent_dim))
@@ -366,7 +353,8 @@ def _run_loop(tcfg: TrainConfig, step, snapshots, metrics_hook) -> dict:
     """Call step() until the episode budget is spent or the stop rule fires.
 
     step() runs one iteration's updates on tcfg.batch episodes and returns
-    their (gap, welfare) rows. After each iteration the metrics row goes to
+    their (gap, welfare) rows. After each iteration every net in snapshots
+    must still have finite params (else ValueError), the metrics row goes to
     metrics_hook, then every (ring, net) pair in snapshots records the net's
     params, then the trailing-gap stop rule is checked. Returns the
     TrainResult fields metrics, episodes, iterations and stopped_early.
@@ -379,6 +367,10 @@ def _run_loop(tcfg: TrainConfig, step, snapshots, metrics_hook) -> dict:
     while episodes < tcfg.episodes:
         iteration += 1
         gap, welfare = step()
+        for _, net in snapshots:
+            if not all(np.isfinite(p).all() for p in net.params):
+                raise ValueError(f"{net.kind} net parameters became non-finite at "
+                                 f"iteration {iteration}")
         episodes += tcfg.batch
         trailing.extend(gap.tolist())
         metrics.append((iteration, float(gap.mean()), float(welfare.mean()),
@@ -414,7 +406,7 @@ def train_joint(cfg: GameConfig, tcfg: TrainConfig, *,
     def step():
         latents, budgets, _, _ = _sample_adversary_rows(cfg, adversary, rng, tcfg.batch)
         result, alg_grads = algorithm_gradients(cfg, algorithm, budgets, rng)
-        adv_signal = _adversary_grad_probs(cfg, result.prices, budgets)
+        adv_signal = candidate_gaps(cfg, result.prices, budgets).astype(np.float64)
         for _ in range(tcfg.xi):
             _, tape = adversary.forward(latents)
             grads = adversary.backprop(tape, adv_signal)
@@ -496,7 +488,7 @@ def train_adv_vs_mw(cfg: GameConfig, tcfg: TrainConfig, algorithm_pure_strategie
         prices = experts[pick]
         latents, budgets, probs, tape = _sample_adversary_rows(cfg, adversary, rng,
                                                                tcfg.batch)
-        signal = _adversary_grad_probs(cfg, prices, budgets)
+        signal = candidate_gaps(cfg, prices, budgets).astype(np.float64)
         grads = adversary.backprop(tape, signal)
         scale_grads(grads, 1.0 / tcfg.batch)
         _ascend(adversary, grads, tcfg, tcfg.lr_adv)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from advalloc import training
 from advalloc.cli import FP_ITERATIONS, MW_HEADER, STRATEGIES_HEADER, run_cli
 from advalloc.baselines import RESULTS_HEADER
 from advalloc.config import load_config
@@ -124,6 +125,24 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err == "error: lr_alg must be finite, got nan\n"
         assert not out.exists()
+
+    def test_diverged_training_fails_and_marks_its_manifest(self, cfg_path, tmp_path,
+                                                            capsys, monkeypatch):
+        ascend = training._ascend
+
+        def poisoning_ascend(net, grads, tcfg, lr):
+            ascend(net, grads, tcfg, lr)
+            net.params[0].flat[0] = np.nan
+
+        monkeypatch.setattr(training, "_ascend", poisoning_ascend)
+        out = tmp_path / "diverged"
+        assert self.run(cfg_path, out, "--mode", "alg-vs-mw") == 1
+        message = "algorithm net parameters became non-finite at iteration 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "algorithm.model").exists()
+        lines = (out / "run-manifest.txt").read_text().splitlines()
+        assert [line for line in lines if "failed" in line] == [f"failed: {message}"]
+        assert lines[-1] == f"failed: {message}"
 
     def test_alg_vs_mw_without_experts_fails(self, tmp_path, capsys):
         bare = tmp_path / "bare.cfg"
@@ -367,6 +386,31 @@ class TestBench:
         assert len(err) == 1
         assert err[0].startswith("error: randomized: ")
         assert "reachable sold-count states" in err[0]
+
+    def test_failed_run_marks_its_manifest(self, tmp_path, capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text("n_users = 50\nn_resources = 10\nprice_set = {1}\n"
+                        f"budget_set = {{{', '.join(map(str, range(1, 101)))}}}\n")
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(path), "--mode", "worst",
+                        "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        lines = (out / "run-manifest.txt").read_text().splitlines()
+        assert lines[lines.index("artifacts:") + 1] == "  results.csv"
+        assert not (out / "results.csv").exists()
+        assert lines[-1] == "failed: " + err.removeprefix("error: ").rstrip("\n")
+        assert [line for line in lines if line.startswith("failed:")] == lines[-1:]
+
+    def test_earlier_manifest_is_left_alone(self, cfg_path, tmp_path):
+        out = tmp_path / "bench"
+        assert run_cli(["bench", "--config", str(cfg_path), "--n-sequences", "5",
+                        "--out-dir", str(out)]) == 0
+        manifest = (out / "run-manifest.txt").read_bytes()
+        assert b"failed:" not in manifest
+        # fails reading its config, before it would write a manifest
+        assert run_cli(["bench", "--config", str(tmp_path / "missing.cfg"),
+                        "--out-dir", str(out)]) == 1
+        assert (out / "run-manifest.txt").read_bytes() == manifest
 
     def test_policy_subset_and_learned_model(self, cfg_path, tmp_path):
         trained = tmp_path / "t"

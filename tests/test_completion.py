@@ -11,10 +11,11 @@ from advalloc.completion import (
     CompletionResult,
     CompletionTooLargeError,
     brute_force_completion,
+    candidate_gaps,
     optimal_completion,
 )
 from advalloc.game import GameConfig, gap, simulate
-from advalloc.training import _adversary_grad_probs
+from advalloc.gradients import budget_gradient
 
 
 def cfg(n, r, prices, budgets):
@@ -248,7 +249,64 @@ class TestPinnedWindowScan:
         assert gap(c, res.full_sequence, prices) == res.gap
 
     def test_staircase_signal_row(self):
-        out = _adversary_grad_probs(STAIRCASE_GAME, np.array([SIGNAL_PRICES]),
-                                    np.array([SIGNAL_BUDGETS]))
+        out = candidate_gaps(STAIRCASE_GAME, np.array([SIGNAL_PRICES]),
+                             np.array([SIGNAL_BUDGETS]))
         assert out.shape == (1, 25, 5)
         assert out[0].tolist() == [list(row) for row in SIGNAL_ROW]
+
+
+def scalar_candidate_gaps(c, price_rows, budget_rows):
+    """The per-(row, slot) loop over budget_gradient that candidate_gaps replaces."""
+    return np.array([[budget_gradient(c, tuple(p.tolist()), tuple(b.tolist()), i).per_action
+                      for i in range(c.n_users)]
+                     for p, b in zip(price_rows, budget_rows)])
+
+
+def seeded_rows(c, seed, batch):
+    rng = np.random.default_rng(seed)
+    return (rng.choice(c.price_set, size=(batch, c.n_users)),
+            rng.choice(c.budget_set, size=(batch, c.n_users)))
+
+
+CANDIDATE_GAMES = {
+    "more-units-than-users": cfg(5, 7, (1, 2, 3), (1, 2, 3)),
+    "units-equal-users": cfg(4, 4, (1, 3, 5), (2, 4)),
+    "one-unit-other-sets": cfg(6, 1, (2, 4, 6), (1, 3, 5)),
+    "prices-outside-budgets": cfg(7, 3, (1, 2, 4, 8), (2, 4, 6)),
+    "price-above-every-budget": cfg(8, 2, (7,), (1, 2, 5)),
+    "price-below-every-budget": cfg(8, 2, (1,), (3, 5)),
+    "nine-users": cfg(9, 4, (3, 5, 7, 9, 11), (1, 2, 4, 6, 10)),
+}
+
+
+class TestCandidateGaps:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("game", list(CANDIDATE_GAMES))
+    def test_matches_budget_gradient_bit_for_bit(self, game, seed):
+        c = CANDIDATE_GAMES[game]
+        prices, budgets = seeded_rows(c, seed, batch=12)
+        out = candidate_gaps(c, prices, budgets)
+        assert out.dtype == np.int64
+        assert out.shape == (12, c.n_users, c.n_budgets)
+        ref = scalar_candidate_gaps(c, prices, budgets)
+        assert out.astype(np.float64).tobytes() == ref.tobytes()
+
+    def test_matches_budget_gradient_on_staircase_game(self):
+        prices, budgets = seeded_rows(STAIRCASE_GAME, seed=11, batch=6)
+        out = candidate_gaps(STAIRCASE_GAME, prices, budgets)
+        ref = scalar_candidate_gaps(STAIRCASE_GAME, prices, budgets)
+        assert out.astype(np.float64).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("prices, budgets, message", [
+        ([[1, 2, 3]] * 2, [[1, 2, 3]] * 3, "2 price rows vs 3 budget rows"),
+        ([[1, 2]], [[1, 2, 3]], r"prices must be integer rows of shape \(M, 3\), got int64 \(1, 2\)"),
+        ([1, 2, 3], [[1, 2, 3]], r"prices must be integer rows of shape \(M, 3\), got int64 \(3,\)"),
+        ([[1, 2, 3]], [[1.0, 2.0, 3.0]], "budgets must be integer rows of shape"),
+        ([[1, 2, 3]], [[1, 4, 3]], r"budgets entry 4 not in \(1, 2, 3\)"),
+        ([[1, 0, 3]], [[1, 2, 3]], r"prices entry 0 not in \(1, 2, 3\)"),
+    ], ids=["row-counts", "slot-count", "one-dimensional", "float-budgets",
+            "budget-outside-set", "price-outside-set"])
+    def test_rejects(self, prices, budgets, message):
+        c = cfg(3, 2, (1, 2, 3), (1, 2, 3))
+        with pytest.raises(ValueError, match=message):
+            candidate_gaps(c, np.array(prices), np.array(budgets))

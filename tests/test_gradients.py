@@ -1,9 +1,10 @@
 """Shadow-price and probability-gradient signals."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advalloc.completion import brute_force_completion
+from advalloc.completion import brute_force_completion, candidate_gaps
 from advalloc.game import GameConfig
 from advalloc.gradients import DualInfo, budget_gradient, price_gradient, shadow_price
 
@@ -150,3 +151,11 @@ class TestProperties:
         for idx, b in enumerate(c.budget_set):
             ref = brute_force_completion(c, ps, bs[:slot] + (b,))
             assert g.per_action[idx] == float(ref.gap)
+
+    @given(grad_instance())
+    @settings(max_examples=100, deadline=None)
+    def test_candidate_gaps_row_matches_budget_gradient(self, inst):
+        c, bs, ps, slot, _ = inst
+        out = candidate_gaps(c, np.array([ps]), np.array([bs]))
+        assert tuple(out[0, slot].astype(np.float64)) == \
+            budget_gradient(c, ps, bs, slot).per_action

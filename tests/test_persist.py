@@ -169,6 +169,26 @@ class TestModelCorruption:
             load_model(path)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_model_is_rejected(self, tmp_path, bad):
+        policy = seeded_algorithm()
+        policy.params[2].flat[1] = bad
+        path = tmp_path / "m"
+        save_model(path, policy)
+        with pytest.raises(PersistError, match="^model holds non-finite parameters$"):
+            load_model(path)
+
+    def test_ring_is_rejected(self, tmp_path):
+        ring = SnapshotRing(3)
+        ring.record(1, [np.arange(4.0)])
+        ring.record(2, [np.array([0.0, np.inf, 1.0, 2.0])])
+        path = tmp_path / "ring"
+        save_ring(path, ring)
+        with pytest.raises(PersistError, match="^ring entry holds non-finite parameters$"):
+            load_ring(path)
+
+
 class TestRingRoundTrip:
     def test_entries_survive_in_order(self, tmp_path):
         policy = seeded_adversary()

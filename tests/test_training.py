@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from advalloc import training
 from advalloc.game import GameConfig, simulate
-from advalloc.gradients import price_gradient
+from advalloc.gradients import budget_gradient, price_gradient
 from advalloc.nets import N_STEP_FEATURES, AlgorithmPolicy, add_grads, scale_grads
 from advalloc.training import (
     METRICS_HEADER,
@@ -414,3 +415,64 @@ def test_loops_match_pinned_fingerprints(name):
     res = run(hooked.append)
     assert _fingerprint(res) == expected
     assert hooked == res.metrics
+
+
+def per_row_signal(cfg, price_rows, budget_rows):
+    """The adversary signal as one budget_gradient call per (row, slot)."""
+    return np.array([[budget_gradient(cfg, tuple(p.tolist()), tuple(b.tolist()), i).per_action
+                      for i in range(cfg.n_users)]
+                     for p, b in zip(price_rows, budget_rows)])
+
+
+STAIRCASE = GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
+                       budget_set=(1, 2, 3, 4, 5))
+SEVEN = GameConfig(n_users=7, n_resources=3, price_set=(1, 2, 3), budget_set=(1, 2, 3))
+SIGNAL_RUNS = {
+    "joint-n25": lambda: train_joint(STAIRCASE, tiny_tcfg(episodes=24, batch=8, xi=2)),
+    "adv-vs-mw-n7": lambda: train_adv_vs_mw(
+        SEVEN, tiny_tcfg(episodes=32, batch=8, snapshot_window=2),
+        [(1, 1, 2, 2, 3, 3, 3), (2, 2, 2, 2, 2, 2, 2), (1, 2, 3, 1, 2, 3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(SIGNAL_RUNS))
+def test_batched_signal_trains_like_the_per_row_loop(name, monkeypatch):
+    batched = SIGNAL_RUNS[name]()
+    calls = []
+    monkeypatch.setattr(training, "candidate_gaps",
+                        lambda *rows: calls.append(1) or per_row_signal(*rows))
+    looped = SIGNAL_RUNS[name]()
+    assert len(calls) == looped.iterations > 1
+    assert batched.metrics == looped.metrics
+    assert _fingerprint(batched) == _fingerprint(looped)
+
+
+# (mode, run, the _ascend call that poisons its net, the net it names)
+POISONED_RUNS = [
+    ("joint", lambda hook: train_joint(SMALL, tiny_tcfg(), metrics_hook=hook),
+     3, "adversary"),
+    ("alg-vs-mw", lambda hook: train_alg_vs_mw(SMALL, tiny_tcfg(), [(1, 2, 3, 1)],
+                                               metrics_hook=hook), 2, "algorithm"),
+    ("adv-vs-mw", lambda hook: train_adv_vs_mw(SMALL, tiny_tcfg(), [(1, 1, 2, 2)],
+                                               metrics_hook=hook), 2, "adversary"),
+]
+
+
+@pytest.mark.parametrize("mode, run, poisoned_call, kind", POISONED_RUNS,
+                         ids=[r[0] for r in POISONED_RUNS])
+def test_non_finite_params_stop_training(mode, run, poisoned_call, kind, monkeypatch):
+    calls = []
+    ascend = training._ascend
+
+    def poisoning_ascend(net, grads, tcfg, lr):
+        ascend(net, grads, tcfg, lr)
+        calls.append(net)
+        if len(calls) == poisoned_call:
+            net.params[-1].flat[0] = np.nan
+
+    monkeypatch.setattr(training, "_ascend", poisoning_ascend)
+    hooked = []
+    with pytest.raises(ValueError, match=f"^{kind} net parameters became non-finite "
+                                         "at iteration 2$"):
+        run(hooked.append)
+    assert [row[0] for row in hooked] == [1]
