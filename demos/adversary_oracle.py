@@ -11,8 +11,8 @@ benchmark is the best set of at most R budgets, so the adversary chooses
 budgets and benchmark picks together, and each open slot only ever needs
 four moves (reject at the largest budget below its price or accept at the
 smallest one at or above it, each with or without a pick). The table costs
-O(N * R^2) once per price schedule and is cached; each prefix is then
-answered in O(N + l log l).
+O(N * R^2) per price schedule, and one walk forward through it rebuilds
+the worst completion.
 """
 import itertools
 import time

@@ -7,12 +7,13 @@ Instead, closed-form signals score each action of one slot: a shadow
 price tells the seller what a unit is worth right now, and the
 completion oracle tells the generator how bad each budget substitution
 could get; training scores a whole batch of those substitutions with one
-batched DP, checked here against the per-slot oracle. The network side
-is plain backprop, checked here against central finite differences.
+batched DP, checked here against one optimal_completion call per
+substitution. The network side is plain backprop, checked here against
+central finite differences.
 """
 import numpy as np
 
-from advalloc import (GameConfig, SoftmaxMlp, budget_gradient, candidate_gaps,
+from advalloc import (GameConfig, SoftmaxMlp, candidate_gaps, optimal_completion,
                       price_gradient, shadow_price)
 
 cfg = GameConfig(n_users=4, n_resources=2, price_set=(1, 2, 4, 8),
@@ -38,26 +39,27 @@ print("poor-user signal", dict(zip(cfg.price_set, g.per_action)))
 # The generator's signal substitutes each candidate budget into a slot
 # and lets the completion oracle finish the attack optimally.
 prices = (4, 4, 2, 2)
-g = budget_gradient(cfg, prices, (8, 4, 2, 1), slot=1)
+signal = [optimal_completion(cfg, prices, (8, b)).gap for b in cfg.budget_set]
 print("\nprices", prices, "slot 1 budget swapped for each candidate:")
-print("best completed gap", dict(zip(cfg.budget_set, g.per_action)))
+print("best completed gap", dict(zip(cfg.budget_set, signal)))
 
 # Training needs that signal for every (row, slot, candidate) of a sampled
 # batch; candidate_gaps computes them all in one batched completion DP and
-# must agree with budget_gradient entry for entry.
+# must agree with the optimal_completion calls entry for entry.
 rows_rng = np.random.default_rng(3)
 price_rows = rows_rng.choice(cfg.price_set, size=(4, cfg.n_users))
 budget_rows = rows_rng.choice(cfg.budget_set, size=(4, cfg.n_users))
 batched = candidate_gaps(cfg, price_rows, budget_rows)
-scalar = [[list(budget_gradient(cfg, p, b, slot).per_action) for slot in range(cfg.n_users)]
+scalar = [[[optimal_completion(cfg, p, b[:slot] + [c]).gap for c in cfg.budget_set]
+           for slot in range(cfg.n_users)]
           for p, b in zip(price_rows.tolist(), budget_rows.tolist())]
-assert batched.astype(float).tolist() == scalar
-print(f"\nbatch of {len(batched)} rows, every slot equal to budget_gradient; "
+assert batched.tolist() == scalar
+print(f"\nbatch of {len(batched)} rows, every slot equal to optimal_completion; "
       f"row 0 (prices {tuple(price_rows[0].tolist())}, "
       f"budgets {tuple(budget_rows[0].tolist())}):")
 for slot in range(cfg.n_users):
     print(f"  slot {slot}: candidate_gaps {batched[0, slot].tolist()}  "
-          f"budget_gradient {scalar[0][slot]}")
+          f"optimal_completion {scalar[0][slot]}")
 
 # Backprop through the shared net matches finite differences to float
 # precision; every learning signal above enters through this path.

@@ -1,34 +1,34 @@
 """Worst-case budget completion: given posted prices and a realized prefix,
 choose budgets for the remaining slots that maximize the gap.
 
-Three routes with equal gap values:
+One exact DP, _completion_values. The benchmark is a top-R sum, and top-R(X)
+= max over sets T with |T| <= R of sum(T), so "max over completions of
+benchmark - welfare" is a joint choice of the budgets and of the benchmark
+set. G[i][y][s] is the best (benchmark picks - welfare) over slots i..N-1
+with y units left and s picks left. Per open slot with y > 0 only four moves
+can be optimal: reject at the largest budget below the price (picked or
+not), or accept at the smallest accepting budget (picked or not); with
+y = 0 every slot rejects and a pick is worth the largest budget. One numpy
+pass builds G for a batch of price rows in O(N * min(R, N)^2) per row.
 
-* optimal_completion -- exact backward DP. The benchmark is a top-R sum, and
-  top-R(X) = max over sets T with |T| <= R of sum(T), so "max over
-  completions of benchmark - welfare" is a joint choice of the budgets and
-  of the benchmark set. G[i][y][s] is the best (benchmark picks - welfare)
-  over slots i..N-1 with y units left and s picks left. Per open slot with
-  y > 0 only four moves can be optimal: reject at the largest budget below
-  the price (picked or not), or accept at the smallest accepting budget
-  (picked or not); with y = 0 every slot rejects and a pick is worth the
-  largest budget. The table depends only on (cfg, prices), costs
-  O(N * min(R, N)^2) to build and is cached per price row, so the many
-  queries a training signal makes against one row pay O(N + l log l) each
-  for a prefix of length l: play out the prefix, combine its top-t sums
-  with G, and walk the stored argmax forward to rebuild the sequence.
+Two readers of that table, with equal gap values:
+
+* optimal_completion -- one prefix of one price row: play out the prefix,
+  combine its top-t sums with G, and walk G forward to rebuild the
+  gap-maximizing sequence.
 * candidate_gaps -- the adversary's training signal: the gap of every
   (row, slot, candidate budget) for a batch of sampled rows, i.e. the
   optimal completion of each sampled prefix followed by each candidate.
-  One numpy pass builds G for all rows, one play-out records each
-  prefix's units left, welfare and top-t sums, and one combine step
-  scores every candidate. Values only, no sequences.
-* brute_force_completion -- exhaustive enumeration, the verification oracle.
+  One play-out records each prefix's units left, welfare and top-t sums,
+  and one combine step scores every candidate. Values only, no sequences.
+
+brute_force_completion enumerates every completion and shares no code with
+the table: it is the verification oracle for both readers.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import itertools
 from typing import Sequence
 
@@ -40,6 +40,21 @@ from .game import GameConfig, gap, play_out, validate_budgets, validate_prices
 _NEVER = np.iinfo(np.int64).min // 4
 
 
+def _checked_picks(cfg: GameConfig, n: int) -> int:
+    """min(R, n), the units and picks the table tracks for n slots (more are
+    idle); raises ValueError for a game the int64 table cannot hold exactly.
+    Every table value lies within +-min(R, n) x max budget, and a
+    pick taken from the _NEVER of "no pick left" adds one more budget, so
+    (min(R, n) + 1) x max budget, and every price, must stay within
+    -_NEVER = 2**61 for _NEVER to lose every comparison."""
+    r = min(cfg.n_resources, n)
+    span = (r + 1) * cfg.budget_set[-1]
+    if max(span, cfg.price_set[-1]) > -_NEVER:
+        raise ValueError(f"completion values must stay within 2**61: (min(R, N) + 1) x max "
+                         f"budget = {span}, max price = {cfg.price_set[-1]}")
+    return r
+
+
 class CompletionTooLargeError(ValueError):
     """Enumeration would exceed the configured completion-count cap."""
 
@@ -48,53 +63,6 @@ class CompletionTooLargeError(ValueError):
 class CompletionResult:
     gap: int
     full_sequence: tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=8)
-def _completion_table(cfg: GameConfig, prices: tuple[int, ...]):
-    """Backward DP over (slot, units left, picks left) for one price row.
-
-    Returns (values, steps): values[i][y][s] is G (values[N] is all zero)
-    and steps[i][y][s] = (posted budget, units used, picks used) is the
-    first optimal move in tie-break order: reject and pick, reject, accept
-    and pick, accept. A move gains budget * (picks used - units used). With
-    no stock left every budget rejects, so the largest one is posted. The
-    cache hands the same lists to every caller: read only.
-    """
-    budgets = cfg.budget_set
-    r = min(cfg.n_resources, len(prices))  # more units or picks than slots are idle
-    no_stock = ((budgets[-1], 0, 1), (budgets[-1], 0, 0))
-    nxt = [[0] * (r + 1) for _ in range(r + 1)]
-    values = [nxt]
-    steps = []
-    for price in reversed(prices):
-        k = bisect.bisect_left(budgets, price)
-        rejects = ((budgets[k - 1], 0, 1), (budgets[k - 1], 0, 0)) if k else ()
-        accepts = ((budgets[k], 1, 1), (budgets[k], 1, 0)) if k < len(budgets) else ()
-        cur = []
-        how = []
-        for y in range(r + 1):
-            moves = rejects + accepts if y else no_stock
-            row = []
-            row_how = []
-            for s in range(r + 1):
-                best = step = None
-                for move in moves:
-                    b, units, picks = move
-                    if picks <= s:
-                        value = b * (picks - units) + nxt[y - units][s - picks]
-                        if best is None or value > best:
-                            best, step = value, move
-                row.append(best)
-                row_how.append(step)
-            cur.append(row)
-            how.append(row_how)
-        values.append(cur)
-        steps.append(how)
-        nxt = cur
-    values.reverse()
-    steps.reverse()
-    return values, steps
 
 
 def optimal_completion(cfg: GameConfig, prices: Sequence[int],
@@ -121,9 +89,11 @@ def optimal_completion(cfg: GameConfig, prices: Sequence[int],
     ell = len(prefix)
     if ell > n:
         raise ValueError(f"prefix length {ell} exceeds sequence length {n}")
-    values, steps = _completion_table(cfg, prices)
+    r = _checked_picks(cfg, n)
+    budgets = cfg.budget_set
+    values = _completion_values(np.asarray(budgets, dtype=np.int64),
+                                np.asarray([prices], dtype=np.int64), r)[0].tolist()
 
-    r = min(cfg.n_resources, n)
     y = r
     welfare = 0
     for b, p in zip(prefix, prices):
@@ -143,9 +113,21 @@ def optimal_completion(cfg: GameConfig, prices: Sequence[int],
             best = head + row[r - t]
             s = r - t
 
+    # each open slot takes the first move (posted budget, units used, picks
+    # used) that keeps G's value; a move gains budget * (picks - units)
+    no_stock = ((budgets[-1], 0, 1), (budgets[-1], 0, 0))
     tail = []
     for i in range(ell, n):
-        b, units, picks = steps[i][y][s]
+        moves = no_stock
+        if y:
+            k = bisect.bisect_left(budgets, prices[i])
+            rejects = ((budgets[k - 1], 0, 1), (budgets[k - 1], 0, 0)) if k else ()
+            accepts = ((budgets[k], 1, 1), (budgets[k], 1, 0)) if k < len(budgets) else ()
+            moves = rejects + accepts
+        nxt = values[i + 1]
+        for b, units, picks in moves:
+            if picks <= s and b * (picks - units) + nxt[y - units][s - picks] == values[i][y][s]:
+                break
         tail.append(b)
         y -= units
         s -= picks
@@ -165,8 +147,8 @@ def _set_rows(cfg: GameConfig, rows, value_set: tuple[int, ...], what: str) -> n
 
 
 def _completion_values(budget_set: np.ndarray, prices: np.ndarray, r: int) -> np.ndarray:
-    """_completion_table's values for every price row: (M, N+1, r+1, r+1) int64,
-    G[m, i, y, s] over (slot, units left, picks left)."""
+    """G for every price row: (M, N+1, r+1, r+1) int64, G[m, i, y, s] over
+    (slot, units left, picks left), with G[m, N] all zero."""
     m, n = prices.shape
     k = np.searchsorted(budget_set, prices)   # index of the smallest accepting budget
     can_reject = (k > 0)[:, :, None, None]
@@ -192,20 +174,20 @@ def candidate_gaps(cfg: GameConfig, price_rows, budget_rows) -> np.ndarray:
     """Best-completion gap of every (row, slot, candidate budget): (M, N, |B|) int64.
 
     Entry [m, i, k] is optimal_completion(cfg, price_rows[m],
-    budget_rows[m, :i] + (budget_set[k],)).gap, the value
-    gradients.budget_gradient scores, for (M, n_users) rows of the price and
-    budget sets. With y units left and top-t sums T_t before slot i, candidate
-    c leaves y' units and scores max over t of max(T_t, T_{t-1} + c) plus
-    G[i+1][y'][r-t], minus the welfare so far. Picks beyond the prefix length
-    repeat its full sum against fewer picks left, which G, non-decreasing in
-    picks left, never prefers, so t needs no cap.
+    budget_rows[m, :i] + (budget_set[k],)).gap, for (M, n_users) rows of the
+    price and budget sets. With y units left and top-t sums T_t before slot
+    i, candidate c leaves y' units and scores max over t of
+    max(T_t, T_{t-1} + c) plus G[i+1][y'][r-t], minus the welfare so far.
+    Picks beyond the prefix length repeat its full sum against fewer picks
+    left, which G, non-decreasing in picks left, never prefers, so t needs
+    no cap.
     """
+    r = _checked_picks(cfg, cfg.n_users)
     prices = _set_rows(cfg, price_rows, cfg.price_set, "prices")
     budgets = _set_rows(cfg, budget_rows, cfg.budget_set, "budgets")
     if prices.shape != budgets.shape:
         raise ValueError(f"{prices.shape[0]} price rows vs {budgets.shape[0]} budget rows")
     m, n = budgets.shape
-    r = min(cfg.n_resources, n)
     cands = np.asarray(cfg.budget_set, dtype=np.int64)
     values = _completion_values(cands, prices, r)
 

@@ -201,7 +201,9 @@ class BatchResult:
 
 
 def _prepare_budget_rows(cfg: GameConfig, budgets, lengths):
-    budgets = np.asarray(budgets, dtype=np.int64)
+    """(batch, n_users) int64 rows zeroed past each row's length, and the
+    lengths. Live entries must lie in the budget set; padding is free."""
+    budgets = np.asarray(budgets)
     if budgets.ndim == 1:
         budgets = budgets[None, :]
     batch, n = budgets.shape
@@ -210,14 +212,24 @@ def _prepare_budget_rows(cfg: GameConfig, budgets, lengths):
     if lengths is None:
         lengths = np.full(batch, n, dtype=np.int64)
     else:
-        lengths = np.asarray(lengths, dtype=np.int64)
+        lengths = np.asarray(lengths)
         if lengths.shape != (batch,):
             raise ValueError("one length per budget row required")
+        if lengths.dtype.kind not in "iu":
+            fractional = lengths[lengths != np.floor(lengths)]   # NaN included
+            if fractional.size:
+                raise ValueError(f"lengths entry {fractional[0].item()} is not an integer")
         if (lengths < 1).any() or (lengths > n).any():
             raise ValueError("lengths must lie in [1, n_users]")
-    # zero out slots past each row's end; zeros are inert everywhere downstream
     live = np.arange(n)[None, :] < lengths[:, None]
-    return np.where(live, budgets, 0), lengths
+    budget_arr = np.asarray(cfg.budget_set)   # sorted: the nearest entry at or above
+    outside = live & (budget_arr.take(np.searchsorted(budget_arr, budgets), mode="clip")
+                      != budgets)
+    if outside.any():
+        raise ValueError(f"budgets entry {budgets[outside][0].item()} not in {cfg.budget_set}")
+    # zero out slots past each row's end; zeros are inert everywhere downstream
+    return (np.where(live, budgets, 0).astype(np.int64, copy=False),
+            lengths.astype(np.int64, copy=False))
 
 
 def _price_grad_matrix(budgets: np.ndarray, lengths: np.ndarray, step: int,
@@ -353,7 +365,8 @@ def _run_loop(tcfg: TrainConfig, step, snapshots, metrics_hook) -> dict:
     """Call step() until the episode budget is spent or the stop rule fires.
 
     step() runs one iteration's updates on tcfg.batch episodes and returns
-    their (gap, welfare) rows. After each iteration every net in snapshots
+    their (gap, welfare) rows; a floating-point overflow or invalid result
+    inside it is a ValueError. After each iteration every net in snapshots
     must still have finite params (else ValueError), the metrics row goes to
     metrics_hook, then every (ring, net) pair in snapshots records the net's
     params, then the trailing-gap stop rule is checked. Returns the
@@ -366,7 +379,11 @@ def _run_loop(tcfg: TrainConfig, step, snapshots, metrics_hook) -> dict:
     stopped = False
     while episodes < tcfg.episodes:
         iteration += 1
-        gap, welfare = step()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                gap, welfare = step()
+        except FloatingPointError as exc:
+            raise ValueError(f"training diverged at iteration {iteration}: {exc}") from None
         for _, net in snapshots:
             if not all(np.isfinite(p).all() for p in net.params):
                 raise ValueError(f"{net.kind} net parameters became non-finite at "

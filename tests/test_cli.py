@@ -2,6 +2,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,23 @@ class TestTrain:
         lines = (out / "run-manifest.txt").read_text().splitlines()
         assert [line for line in lines if "failed" in line] == [f"failed: {message}"]
         assert lines[-1] == f"failed: {message}"
+
+    def test_overflowing_training_fails_without_warnings(self, tmp_path):
+        # a plain interpreter, outside the suite's warnings-as-errors setting,
+        # shows whatever numpy would print on stderr
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(SMALL_CFG + "lr_alg = 1e300\nlr_adv = 1e300\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "advalloc.cli", "train", "--config", str(diverging),
+             "--mode", "joint", "--out-dir", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: training diverged at iteration 2: overflow ")
 
     def test_alg_vs_mw_without_experts_fails(self, tmp_path, capsys):
         bare = tmp_path / "bare.cfg"

@@ -15,7 +15,6 @@ from advalloc.completion import (
     optimal_completion,
 )
 from advalloc.game import GameConfig, gap, simulate
-from advalloc.gradients import budget_gradient
 
 
 def cfg(n, r, prices, budgets):
@@ -255,11 +254,12 @@ class TestPinnedWindowScan:
         assert out[0].tolist() == [list(row) for row in SIGNAL_ROW]
 
 
-def scalar_candidate_gaps(c, price_rows, budget_rows):
-    """The per-(row, slot) loop over budget_gradient that candidate_gaps replaces."""
-    return np.array([[budget_gradient(c, tuple(p.tolist()), tuple(b.tolist()), i).per_action
+def scalar_candidate_gaps(c, price_rows, budget_rows, completion=optimal_completion):
+    """candidate_gaps by its definition: one completion per (row, slot, candidate)."""
+    return np.array([[[completion(c, tuple(p.tolist()), tuple(b[:i].tolist()) + (k,)).gap
+                       for k in c.budget_set]
                       for i in range(c.n_users)]
-                     for p, b in zip(price_rows, budget_rows)])
+                     for p, b in zip(price_rows, budget_rows)], dtype=np.int64)
 
 
 def seeded_rows(c, seed, batch):
@@ -279,23 +279,39 @@ CANDIDATE_GAMES = {
 }
 
 
+BRUTE_FORCE_GAMES = {
+    "more-units-than-users": cfg(4, 6, (1, 2, 3), (1, 2, 3)),
+    "units-equal-users": cfg(5, 5, (1, 3, 5), (2, 4)),
+    "one-unit-other-sets": cfg(6, 1, (2, 4, 6), (1, 3, 5)),
+    "prices-outside-budgets": cfg(6, 2, (1, 2, 4, 8), (2, 4, 6)),
+}
+
+
 class TestCandidateGaps:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("game", list(CANDIDATE_GAMES))
-    def test_matches_budget_gradient_bit_for_bit(self, game, seed):
+    def test_matches_optimal_completion_bit_for_bit(self, game, seed):
         c = CANDIDATE_GAMES[game]
         prices, budgets = seeded_rows(c, seed, batch=12)
         out = candidate_gaps(c, prices, budgets)
         assert out.dtype == np.int64
         assert out.shape == (12, c.n_users, c.n_budgets)
-        ref = scalar_candidate_gaps(c, prices, budgets)
-        assert out.astype(np.float64).tobytes() == ref.tobytes()
+        assert out.tobytes() == scalar_candidate_gaps(c, prices, budgets).tobytes()
 
-    def test_matches_budget_gradient_on_staircase_game(self):
+    def test_matches_optimal_completion_on_staircase_game(self):
         prices, budgets = seeded_rows(STAIRCASE_GAME, seed=11, batch=6)
         out = candidate_gaps(STAIRCASE_GAME, prices, budgets)
         ref = scalar_candidate_gaps(STAIRCASE_GAME, prices, budgets)
-        assert out.astype(np.float64).tobytes() == ref.tobytes()
+        assert out.tobytes() == ref.tobytes()
+
+    # the enumeration oracle shares no code with the table both fast routes read
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("game", list(BRUTE_FORCE_GAMES))
+    def test_matches_brute_force_everywhere(self, game, seed):
+        c = BRUTE_FORCE_GAMES[game]
+        prices, budgets = seeded_rows(c, seed, batch=4)
+        ref = scalar_candidate_gaps(c, prices, budgets, completion=brute_force_completion)
+        assert candidate_gaps(c, prices, budgets).tolist() == ref.tolist()
 
     @pytest.mark.parametrize("prices, budgets, message", [
         ([[1, 2, 3]] * 2, [[1, 2, 3]] * 3, "2 price rows vs 3 budget rows"),
@@ -310,3 +326,36 @@ class TestCandidateGaps:
         c = cfg(3, 2, (1, 2, 3), (1, 2, 3))
         with pytest.raises(ValueError, match=message):
             candidate_gaps(c, np.array(prices), np.array(budgets))
+
+
+class TestTableHeadroom:
+    """(min(R, N) + 1) x max budget must stay within 2**61, the headroom
+    below the table's "no pick left" sentinel."""
+
+    OVER = cfg(4, 4, (2**62,), (1, 2**61, 2**62))   # exact gap 2**63 would wrap
+    # R x max budget fits, but a pick from the sentinel would beat a real value
+    SENTINEL = cfg(3, 1, (5, 2**61), (5, 2**61 - 1))
+    EDGE = cfg(6, 3, (1, 2**59), (1, 2**59))        # 4 x 2**59 = 2**61 exactly
+
+    @pytest.mark.parametrize("game, prices", [(OVER, (2**62,) * 4),
+                                              (SENTINEL, (2**61, 2**61, 5))],
+                             ids=["wraps", "sentinel"])
+    def test_both_routes_refuse_a_game_past_the_limit(self, game, prices):
+        message = r"completion values must stay within 2\*\*61: \(min\(R, N\) \+ 1\) x max budget"
+        budgets = (game.budget_set[-1],) * game.n_users
+        with pytest.raises(ValueError, match=message):
+            candidate_gaps(game, np.array([prices]), np.array([budgets]))
+        with pytest.raises(ValueError, match=message):
+            optimal_completion(game, prices, budgets[:1])
+
+    def test_both_routes_are_exact_at_the_limit(self):
+        prices, budgets = (1, 1, 1, 2**59, 2**59, 2**59), (1, 1, 2**59, 1, 1, 1)
+        ref = scalar_candidate_gaps(self.EDGE, [np.array(prices)], [np.array(budgets)],
+                                    completion=brute_force_completion)
+        assert ref.max() == 3 * 2**59 - 3   # the last three budgets are rejected and picked
+        assert candidate_gaps(self.EDGE, np.array([prices]), np.array([budgets])).tolist() \
+            == ref.tolist()
+        for i in range(7):
+            res = optimal_completion(self.EDGE, prices, budgets[:i])
+            assert res.gap == brute_force_completion(self.EDGE, prices, budgets[:i]).gap
+            assert gap(self.EDGE, res.full_sequence, prices) == res.gap

@@ -7,7 +7,8 @@ import pytest
 
 from advalloc import training
 from advalloc.game import GameConfig, simulate
-from advalloc.gradients import budget_gradient, price_gradient
+from advalloc.completion import optimal_completion
+from advalloc.gradients import price_gradient
 from advalloc.nets import N_STEP_FEATURES, AlgorithmPolicy, add_grads, scale_grads
 from advalloc.training import (
     METRICS_HEADER,
@@ -197,6 +198,29 @@ class TestPlayBatch:
             play_batch(SMALL, policy, [[1, 2, 3, 1]], lengths=[0], sample=False)
         with pytest.raises(ValueError):
             play_batch(SMALL, policy, [[1, 2, 3, 1]], lengths=[5], sample=False)
+
+    @pytest.mark.parametrize("play", [play_batch, algorithm_gradients])
+    def test_rejects_live_budget_outside_the_set(self, play):
+        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        with pytest.raises(ValueError, match=r"^budgets entry 99 not in \(1, 2, 3\)$"):
+            play(SMALL, policy, [[1, 2, 3, 1], [2, 99, 0, 99]], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("lengths, bad", [([2.7], "2.7"), ([3, 2.7], "2.7"),
+                                              ([4, float("nan")], "nan")])
+    @pytest.mark.parametrize("play", [play_batch, algorithm_gradients])
+    def test_rejects_non_integer_lengths(self, play, lengths, bad):
+        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        rows = [[1, 2, 3, 1]] * len(lengths)
+        with pytest.raises(ValueError, match=rf"^lengths entry {bad} is not an integer$"):
+            play(SMALL, policy, rows, np.random.default_rng(0), lengths=lengths)
+
+    @pytest.mark.parametrize("lengths", [[2], [2.0]])
+    def test_padding_past_lengths_is_free(self, lengths):
+        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        padded = play_batch(SMALL, policy, [[2, 3, 0, 99]], lengths=lengths, sample=False)
+        clean = play_batch(SMALL, policy, [[2, 3, 1, 1]], lengths=[2], sample=False)
+        assert padded.welfare.tolist() == clean.welfare.tolist()
+        assert padded.benchmark.tolist() == clean.benchmark.tolist() == [5]
 
     @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 1), (4, 6), (9, 40)])
     @pytest.mark.parametrize("grads", [False, True])
@@ -418,10 +442,11 @@ def test_loops_match_pinned_fingerprints(name):
 
 
 def per_row_signal(cfg, price_rows, budget_rows):
-    """The adversary signal as one budget_gradient call per (row, slot)."""
-    return np.array([[budget_gradient(cfg, tuple(p.tolist()), tuple(b.tolist()), i).per_action
+    """The adversary signal as one optimal_completion call per (row, slot, candidate)."""
+    return np.array([[[optimal_completion(cfg, tuple(p.tolist()), tuple(b[:i].tolist()) + (k,)).gap
+                       for k in cfg.budget_set]
                       for i in range(cfg.n_users)]
-                     for p, b in zip(price_rows, budget_rows)])
+                     for p, b in zip(price_rows, budget_rows)], dtype=np.int64)
 
 
 STAIRCASE = GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
@@ -445,6 +470,15 @@ def test_batched_signal_trains_like_the_per_row_loop(name, monkeypatch):
     assert len(calls) == looped.iterations > 1
     assert batched.metrics == looped.metrics
     assert _fingerprint(batched) == _fingerprint(looped)
+
+
+def test_overflow_inside_an_iteration_stops_training():
+    # the first step leaves finite but huge params; the second forward overflows
+    tcfg = tiny_tcfg(lr_alg=1e300, lr_adv=1e300)
+    hooked = []
+    with pytest.raises(ValueError, match=r"^training diverged at iteration 2: overflow "):
+        train_joint(SMALL, tcfg, metrics_hook=hooked.append)
+    assert [row[0] for row in hooked] == [1]
 
 
 # (mode, run, the _ascend call that poisons its net, the net it names)
