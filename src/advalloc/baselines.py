@@ -25,14 +25,15 @@ from typing import Callable
 import numpy as np
 
 from .game import GameConfig, benchmark_rows, checked_int, play_out, validate_budgets
-from .nets import AdversaryPolicy, AlgorithmPolicy, sample_categorical
+from .nets import AdversaryPolicy, AlgorithmPolicy, categorical_from_uniform
 from .rng import derive_rng
-from .training import SnapshotRing, play_batch
+from .training import SnapshotRing, TrainSnapshot, play_batch
 
 RESULTS_HEADER = ("policy", "mode", "cr", "mean_welfare", "mean_gap")
 EVAL_MODES = ("worst", "random")
-# LearnedPolicy.play_rows plays at most this many budget cells (rows x
-# n_users) per batch, so scoring many rows keeps a flat memory peak
+# LearnedPolicy.play_rows plays, and snapshot_sequence_sampler draws, at most
+# this many budget cells (rows x n_users) per batch, so scoring many rows
+# keeps a flat memory peak
 _BLOCK_CELLS = 1 << 11
 # exact_worst_case refuses a schedule table whose DP tracks more (reachable
 # sold-count state, benchmark picks left) cells than this per slot
@@ -148,7 +149,15 @@ class LearnedPolicy:
 
 def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
                               ring: SnapshotRing):
-    """Budget-row sampler that loads a uniformly drawn snapshot per sequence."""
+    """Budget-row sampler that loads a uniformly drawn snapshot per sequence.
+
+    Each sequence draws its snapshot, its latent and its uniforms in that
+    order, as drawing one sequence at a time does. The rows are then made by
+    one stacked forward per snapshot and block of at most _BLOCK_CELLS
+    budget cells: its (m, 1, latent) product runs the 1-row kernel on every
+    row, so they match 1-row draws byte for byte. The adversary is left
+    holding the last sequence's snapshot.
+    """
     built = (adversary.n_users, adversary.n_budgets)
     if built != (cfg.n_users, cfg.n_budgets):
         raise ValueError(f"adversary was built for (n_users, n_budgets) = {built}, "
@@ -156,11 +165,24 @@ def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
     budget_arr = np.asarray(cfg.budget_set, dtype=np.int64)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        rows = np.empty((count, cfg.n_users), dtype=np.int64)
+        latents = np.empty((count, 1, adversary.latent_dim))
+        uniforms = np.empty((count, cfg.n_users, 1))
+        groups: dict[int, tuple[TrainSnapshot, list[int]]] = {}
         for j in range(count):
-            adversary.set_params(ring.sample(rng).params)
-            probs, _ = adversary.forward(rng.normal(size=(1, adversary.latent_dim)))
-            rows[j] = budget_arr[sample_categorical(rng, probs)[0]]
+            snapshot = ring.sample(rng)
+            latents[j] = rng.normal(size=(1, adversary.latent_dim))
+            uniforms[j] = rng.random(size=(cfg.n_users, 1))
+            groups.setdefault(id(snapshot), (snapshot, []))[1].append(j)
+        if count:   # the last sequence's snapshot is loaded last
+            groups[id(snapshot)] = groups.pop(id(snapshot))
+        rows = np.empty((count, cfg.n_users), dtype=np.int64)
+        step = max(1, _BLOCK_CELLS // cfg.n_users)
+        for snapshot, picks in groups.values():
+            adversary.set_params(snapshot.params)
+            for lo in range(0, len(picks), step):
+                block = picks[lo:lo + step]
+                probs, _ = adversary.forward(latents[block])
+                rows[block] = budget_arr[categorical_from_uniform(probs, uniforms[block])]
         return rows
 
     return draw

@@ -259,15 +259,12 @@ def play_out(budget_rows: np.ndarray, n_resources: int, price_at):
     budget_rows = np.asarray(budget_rows, dtype=np.int64)
     M, N = budget_rows.shape
     left = np.full(M, n_resources, dtype=np.int64)
-    welfare = np.zeros(M, dtype=np.int64)
-    accepted = np.zeros((M, N), dtype=bool)
+    accepted = budget_rows > 0   # narrowed slot by slot to the realized accepts
     for i in range(N):
-        b = budget_rows[:, i]
-        take = (b >= price_at(i, left)) & (left > 0) & (b > 0)
-        accepted[:, i] = take
-        welfare += b * take
+        take = accepted[:, i]
+        take &= (budget_rows[:, i] >= price_at(i, left)) & (left > 0)
         left = left - take   # a fresh array: price_at may keep the old one
-    return welfare, accepted
+    return (budget_rows * accepted).sum(axis=1), accepted
 
 
 def welfare_paired(budget_rows: np.ndarray, price_rows: np.ndarray,

@@ -4,14 +4,20 @@ The pricing policy encodes the padded feature history with one shared affine
 layer plus a per-slot bias matrix, concatenates the current slot's features,
 and runs a few dense leaky-rectifier layers into a softmax over prices. Its
 forward takes the raw history or an EncodedHistory; a caller playing slot by
-slot keeps the latter and encodes each new row once with
+slot starts from HistoryEncoder.empty and encodes each new row once with
 HistoryEncoder.extend. The budget generator maps a Gaussian latent through
 dense layers into one softmax head per slot over the budget set. The heads of
 a net share one size and are normalized in one reshaped reduction.
 
 Backprop starts from externally supplied gradients on the output
 probabilities (the objective is always sum_a g_a * P_a here), so no loss
-classes exist. Each policy is a ParamBlocks over its components (encoder and
+classes exist. A tape holds references to arrays the forward pass computed
+anyway, never copies: each layer's input and the probabilities, and for the
+pricer the play's EncodedHistory with the number of rows the pass saw, since
+later rows are only ever appended. Per-slot tapes of one play stack into one
+tape with a leading slot axis (stack_tapes), and one backprop over it adds
+each slot's gradient in slot order, so it gives the same bits as a backprop
+per slot. Each policy is a ParamBlocks over its components (encoder and
 dense layers, or dense layers alone): parameters and gradients travel as flat
 lists of arrays in the components' order, and any parameter change moves every
 component's version counter, which invalidates the tapes built before it. Each
@@ -50,7 +56,9 @@ def leaky(z: np.ndarray, slope: float) -> np.ndarray:
 
 
 def leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0, 1.0, slope)
+    # equals np.where(z > 0, 1.0, slope) for slope in [0, 1], without where's
+    # branchy loop over a mixed mask
+    return np.maximum(z > 0, slope)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -75,16 +83,22 @@ def _split_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
 def softmax_heads(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
     """Row-wise softmax applied independently per contiguous head block."""
     blocks = _split_heads(z, head_sizes)
-    e = np.exp(blocks - blocks.max(axis=-1, keepdims=True))
-    return (e / e.sum(axis=-1, keepdims=True)).reshape(z.shape)
+    e = np.exp(blocks - np.maximum.reduce(blocks, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e.reshape(z.shape)
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling along the last axis; zero-probability actions
     are never drawn (their CDF interval is empty)."""
+    return categorical_from_uniform(probs, rng.random(size=probs.shape[:-1] + (1,)))
+
+
+def categorical_from_uniform(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_categorical with its uniforms u (shape probs.shape[:-1] + (1,))
+    drawn beforehand, so a caller can draw them in its own order."""
     cdf = np.cumsum(probs, axis=-1)
     cdf = cdf / cdf[..., -1:]
-    u = rng.random(size=probs.shape[:-1] + (1,))
     return (cdf <= u).sum(axis=-1)
 
 
@@ -94,6 +108,20 @@ def add_grads(acc: list[np.ndarray] | None, grads: list[np.ndarray]) -> list[np.
     for a, g in zip(acc, grads):
         a += g
     return acc
+
+
+def _add_slots(acc: np.ndarray | None, grads: np.ndarray) -> np.ndarray:
+    """acc plus the per-slot gradients grads[0], grads[1], ... added one slot
+    at a time in slot order, as add_grads over per-slot gradients does; a None
+    acc starts from grads[0]. grads is scratch and gets overwritten."""
+    if acc is not None:
+        grads[0] += acc   # acc + g0: float addition commutes exactly
+    if grads[0].size == 1:
+        # numpy would sum one-element rows pairwise, as along a fast axis;
+        # accumulate is a running sum, so it adds them in order
+        grads = np.add.accumulate(grads, axis=0)[-1:]
+    # along a slow axis numpy adds one row at a time, in order
+    return np.add.reduce(grads, axis=0, out=acc)
 
 
 def scale_grads(grads: list[np.ndarray], factor: float) -> list[np.ndarray]:
@@ -112,14 +140,16 @@ def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
 @dataclasses.dataclass
 class MlpTape:
     version: int
-    x: np.ndarray
-    pre_acts: list[np.ndarray]    # z per layer
-    activations: list[np.ndarray]  # input plus post-activation per hidden layer
+    activations: list[np.ndarray]  # each layer's input: x, then each hidden output
     probs: np.ndarray
 
 
 class SoftmaxMlp:
-    """Dense layers with leaky-rectifier hidden activations and softmax heads."""
+    """Dense layers with leaky-rectifier hidden activations and softmax heads.
+
+    Inputs are (batch, in) or, for a stacked tape, (slot, batch, in): numpy's
+    stacked product runs one gemm per slot, the same kernel as a 2-D call.
+    """
 
     def __init__(self, layer_sizes: Sequence[int], head_sizes: Sequence[int], *,
                  slope: float = DEFAULT_SLOPE, rng: np.random.Generator | None = None):
@@ -156,72 +186,68 @@ class SoftmaxMlp:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"input width {x.shape[1]} != {self.layer_sizes[0]}")
+        if x.shape[-1] != self.layer_sizes[0]:
+            raise ValueError(f"input width {x.shape[-1]} != {self.layer_sizes[0]}")
         activations = [x]
-        pre_acts = []
-        h = x
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pre_acts.append(z)
-            if k < last:
-                h = leaky(z, self.slope)
-                activations.append(h)
-        probs = softmax_heads(pre_acts[-1], self.head_sizes)
-        return probs, MlpTape(version=self.version, x=x, pre_acts=pre_acts,
-                              activations=activations, probs=probs)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            activations.append(leaky(activations[-1] @ w + b, self.slope))
+        probs = softmax_heads(activations[-1] @ self.weights[-1] + self.biases[-1],
+                              self.head_sizes)
+        return probs, MlpTape(version=self.version, activations=activations, probs=probs)
 
     def backprop(self, tape: MlpTape, grad_probs: np.ndarray, *,
-                 return_input_grad: bool = False):
+                 into: list[np.ndarray] | None = None, return_input_grad: bool = False):
         """Gradient of sum_{batch, action} grad_probs * P w.r.t. parameters.
 
-        With return_input_grad the gradient on the input batch comes back too,
-        so wrappers can keep propagating into an upstream encoder.
+        A stacked tape's slots are summed one at a time in slot order, onto
+        `into` when given, so blocks of one play added in turn give the same
+        bits as add_grads over per-slot backprops. With return_input_grad the
+        gradient on the input batch comes back too, so wrappers can keep
+        propagating into an upstream encoder. A hidden layer's slope is read
+        off its output: leaky(z) > 0 exactly when z > 0.
         """
         if tape.version != self.version:
             raise StaleTapeError("parameters changed since this forward pass")
         grad_probs = np.atleast_2d(np.asarray(grad_probs, dtype=np.float64))
         if grad_probs.shape != tape.probs.shape:
             raise ValueError(f"grad shape {grad_probs.shape} != {tape.probs.shape}")
-        p_heads = _split_heads(tape.probs, self.head_sizes)
+        stacked = tape.probs.ndim == 3
+        probs, activations = tape.probs, tape.activations
+        if not stacked:   # one slot
+            probs, grad_probs = probs[None], grad_probs[None]
+            activations = [a[None] for a in activations]
+        grads = list(into) if into is not None else [None] * (2 * len(self.weights))
+        p_heads = _split_heads(probs, self.head_sizes)
         g_heads = _split_heads(grad_probs, self.head_sizes)
         inner = (g_heads * p_heads).sum(axis=-1, keepdims=True)
-        dz = (p_heads * (g_heads - inner)).reshape(tape.probs.shape)
-        grads: list[np.ndarray] = []
+        dz = (p_heads * (g_heads - inner)).reshape(probs.shape)
         for k in range(len(self.weights) - 1, -1, -1):
-            a_prev = tape.activations[k]
-            grads.append(dz.sum(axis=0))        # bias
-            grads.append(a_prev.T @ dz)          # weight
+            a_prev = activations[k]
+            grads[2 * k + 1] = _add_slots(grads[2 * k + 1], dz.sum(axis=1))
+            grads[2 * k] = _add_slots(grads[2 * k], a_prev.swapaxes(1, 2) @ dz)
             if k > 0:
-                da = dz @ self.weights[k].T
-                dz = da * leaky_grad(tape.pre_acts[k - 1], self.slope)
-        grads.reverse()
+                dz = (dz @ self.weights[k].T) * leaky_grad(a_prev, self.slope)
         if return_input_grad:
-            return grads, dz @ self.weights[0].T
+            dx = dz @ self.weights[0].T
+            return grads, dx if stacked else dx[0]
         return grads
 
 
 @dataclasses.dataclass
-class EncoderTape:
-    version: int
-    history: np.ndarray
-    pre_act: np.ndarray
-
-
-@dataclasses.dataclass
 class EncodedHistory:
-    """Raw history rows with their encoder pre-activations and flat output.
+    """Raw history rows with their flat encoding.
 
-    HistoryEncoder.encode builds one and HistoryEncoder.extend fills one more
-    row in place, so a slot-by-slot caller encodes each row once. It is valid
-    only for the encoder parameters it was built with.
+    Rows from `filled` on are unfilled zero rows, encoded like any other.
+    HistoryEncoder.encode builds one from a raw history (every row filled),
+    HistoryEncoder.empty builds an unfilled one and HistoryEncoder.extend
+    fills its next row in place, so a slot-by-slot caller encodes each row
+    once. It is valid only for the encoder parameters it was built with.
     """
 
     version: int
     history: np.ndarray   # (batch, n_slots, n_features)
-    pre_act: np.ndarray   # (batch, n_slots, width)
-    flat: np.ndarray      # (batch, n_slots * width): flattened leaky(pre_act)
+    flat: np.ndarray      # (batch, n_slots * width): flattened leaky(history @ W + B)
+    filled: int
 
 
 class HistoryEncoder:
@@ -265,10 +291,17 @@ class HistoryEncoder:
                 f"history shape {history.shape[1:]} != {(self.n_slots, self.n_features)}")
         z = history @ self.weight + self.bias
         flat = leaky(z, self.slope).reshape(history.shape[0], self.out_width)
-        return EncodedHistory(version=self.version, history=history, pre_act=z, flat=flat)
+        return EncodedHistory(version=self.version, history=history, flat=flat,
+                              filled=self.n_slots)
 
-    def extend(self, encoded: EncodedHistory, slot: int, row: np.ndarray) -> None:
-        """Write one raw row at slot and encode it, bit-identical to encode().
+    def empty(self, batch: int) -> EncodedHistory:
+        """The encoding of batch all-zero histories, with no row filled yet."""
+        encoded = self.encode(np.zeros((batch, self.n_slots, self.n_features)))
+        encoded.filled = 0
+        return encoded
+
+    def extend(self, encoded: EncodedHistory, row: np.ndarray) -> None:
+        """Fill the next unfilled row and encode it, bit-identical to encode().
 
         numpy's stacked product runs one BLAS gemm per batch entry (a gemv
         when n_slots == 1), and a gemm row does not depend on the rows beside
@@ -277,6 +310,7 @@ class HistoryEncoder:
         takes the same kernel as encode().
         """
         self._check_current(encoded)
+        slot = encoded.filled
         history = encoded.history
         history[:, slot] = row
         if history.shape[0] > 1 and self.n_slots > 1:
@@ -285,34 +319,38 @@ class HistoryEncoder:
             lo = max(0, min(slot, self.n_slots - 2))
             z = (history[:, lo:lo + 2] @ self.weight)[:, slot - lo]
         z += self.bias[slot]
-        encoded.pre_act[:, slot] = z
         encoded.flat[:, slot * self.width:(slot + 1) * self.width] = leaky(z, self.slope)
+        encoded.filled = slot + 1
 
     def _check_current(self, encoded: EncodedHistory) -> None:
         if encoded.version != self.version:
             raise StaleTapeError("history was encoded before a parameter update")
 
-    def forward(self, history) -> tuple[np.ndarray, EncoderTape]:
-        """Flat encoding of a raw history array or of an EncodedHistory."""
-        if isinstance(history, EncodedHistory):
-            self._check_current(history)
-            encoded = history
-        else:
-            encoded = self.encode(history)
-        # copy: the caller goes on extending its encoded history
-        return encoded.flat, EncoderTape(version=self.version,
-                                         history=encoded.history.copy(),
-                                         pre_act=encoded.pre_act.copy())
+    def backprop(self, encoded: EncodedHistory, filled, flat: np.ndarray,
+                 grad_flat: np.ndarray, *, into: list[np.ndarray] | None = None):
+        """Parameter gradients given grad_flat, the gradient on flat, which
+        encodes encoded's first `filled` rows followed by zero rows.
 
-    def backprop(self, tape: EncoderTape, grad_flat: np.ndarray) -> list[np.ndarray]:
-        if tape.version != self.version:
-            raise StaleTapeError("parameters changed since this forward pass")
-        batch = tape.history.shape[0]
-        dz = grad_flat.reshape(batch, self.n_slots, self.width)
-        dz = dz * leaky_grad(tape.pre_act, self.slope)
-        d_weight = np.einsum("brf,brw->fw", tape.history, dz)
-        d_bias = dz.sum(axis=0)
-        return [d_weight, d_bias]
+        flat and grad_flat are (batch, out_width), or (slot, batch, out_width)
+        with one filled count per slot; slots are summed in order, onto
+        `into` when given, as in SoftmaxMlp.backprop. The rows a pass saw are
+        read back from encoded, which may have been extended since: filled
+        rows never change. A row's slope is read off flat, like the MLP's.
+        """
+        self._check_current(encoded)
+        if flat.ndim == 2:   # one slot
+            flat, grad_flat, filled = flat[None], grad_flat[None], [filled]
+        dz = leaky_grad(flat, self.slope)
+        dz *= grad_flat
+        dz = dz.reshape(*flat.shape[:-1], self.n_slots, self.width)
+        # One einsum per slot (a stacked one picks a slower loop order), over
+        # the rows the pass saw: einsum adds each (row, slot) term to running
+        # sums that start at +0, and a zero row's terms are +-0, which leave
+        # such a sum unchanged, so skipping them keeps every bit.
+        d_weight = np.stack([np.einsum("brf,brw->fw", encoded.history[:, :k], d[:, :k])
+                             for k, d in zip(filled, dz)])
+        acc_weight, acc_bias = (None, None) if into is None else into
+        return [_add_slots(acc_weight, d_weight), _add_slots(acc_bias, dz.sum(axis=1))]
 
 
 class ParamBlocks:
@@ -363,8 +401,26 @@ class ParamBlocks:
 
 @dataclasses.dataclass
 class AlgTape:
-    enc_tape: EncoderTape
+    """An AlgorithmPolicy pass: the encoded history it read, of which it saw
+    the first `filled` rows (one count per slot when stacked), and its MLP tape."""
+
+    encoded: EncodedHistory
+    filled: int | np.ndarray
     mlp_tape: MlpTape
+
+
+def stack_tapes(tapes: Sequence[AlgTape]) -> AlgTape:
+    """One tape with a leading slot axis over per-slot tapes of one play."""
+    first = tapes[0]
+    if any(t.encoded is not first.encoded or t.mlp_tape.version != first.mlp_tape.version
+           for t in tapes):
+        raise StaleTapeError("tapes come from different plays or parameters")
+    layers = zip(*(t.mlp_tape.activations for t in tapes))
+    mlp_tape = MlpTape(version=first.mlp_tape.version,
+                       activations=[np.stack(a) for a in layers],
+                       probs=np.stack([t.mlp_tape.probs for t in tapes]))
+    return AlgTape(encoded=first.encoded, filled=np.array([t.filled for t in tapes]),
+                   mlp_tape=mlp_tape)
 
 
 class AlgorithmPolicy(ParamBlocks):
@@ -394,18 +450,29 @@ class AlgorithmPolicy(ParamBlocks):
 
         history is the raw (batch, n_users - 1, N_STEP_FEATURES) array, future
         rows zero, or an EncodedHistory from self.encoder holding the same rows;
-        both give bit-identical probabilities and tapes.
+        both give bit-identical probabilities and gradients.
         """
         current = np.atleast_2d(np.asarray(current, dtype=np.float64))
-        flat, enc_tape = self.encoder.forward(history)
-        x = np.concatenate([flat, current], axis=1)
+        if isinstance(history, EncodedHistory):
+            self.encoder._check_current(history)
+            encoded = history
+        else:
+            encoded = self.encoder.encode(history)
+        x = np.concatenate([encoded.flat, current], axis=1)
         probs, mlp_tape = self.mlp.forward(x)
-        return probs, AlgTape(enc_tape=enc_tape, mlp_tape=mlp_tape)
+        return probs, AlgTape(encoded=encoded, filled=encoded.filled, mlp_tape=mlp_tape)
 
-    def backprop(self, tape: AlgTape, grad_probs: np.ndarray) -> list[np.ndarray]:
-        mlp_grads, dx = self.mlp.backprop(tape.mlp_tape, grad_probs,
-                                          return_input_grad=True)
-        enc_grads = self.encoder.backprop(tape.enc_tape, dx[:, : self.encoder.out_width])
+    def backprop(self, tape: AlgTape, grad_probs: np.ndarray, *,
+                 into: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """Parameter gradients, summed over a stacked tape's slots in slot order
+        and added into `into` when given."""
+        width = self.encoder.out_width
+        mlp_grads, dx = self.mlp.backprop(tape.mlp_tape, grad_probs, return_input_grad=True,
+                                          into=None if into is None else into[2:])
+        enc_grads = self.encoder.backprop(tape.encoded, tape.filled,
+                                          tape.mlp_tape.activations[0][..., :width],
+                                          dx[..., :width],
+                                          into=None if into is None else into[:2])
         return enc_grads + mlp_grads
 
 

@@ -8,9 +8,13 @@ single-network variants replace the other side with a multiplicative-weights
 
 Welfare counts accepted users' budgets, so the pricing gradient is the
 shadow-price signal on each slot's price distribution and the generator
-gradient is the best-completion gap per candidate budget. Episode = one
-played sequence; the convergence statistic is the gap averaged over the
-trailing 500 episodes.
+gradient is the best-completion gap per candidate budget. A play makes one
+pricing-policy forward per slot. A gradient play keeps each slot's tape and,
+as soon as a block of slots is played, scores the block's signal with one
+sort and back-propagates it in one stacked pass, adding the slots in order:
+the gradient has the same bits as one backprop per slot, and memory stays
+flat in the number of slots. Episode = one played sequence; the convergence
+statistic is the gap averaged over the trailing 500 episodes.
 """
 from __future__ import annotations
 
@@ -35,10 +39,10 @@ from .nets import (
     N_STEP_FEATURES,
     AdversaryPolicy,
     AlgorithmPolicy,
-    add_grads,
     clip_grads,
     sample_categorical,
     scale_grads,
+    stack_tapes,
 )
 
 METRICS_HEADER = ("iteration", "mean_gap", "mean_welfare", "trailing_avg_gap")
@@ -46,6 +50,10 @@ TRAILING_EPISODES = 500
 # raw MW weights only ever shrink relative to each other by (1+eta); rescale
 # all of them together long before float64 overflow can bite
 WEIGHT_RESCALE_LIMIT = 1e100
+# a gradient play back-propagates its slots in blocks of at most this many
+# (row, slot) cells, as soon as each block is played, so its memory peak
+# stays flat in the number of slots
+_BACKPROP_CELLS = 64
 
 
 @dataclasses.dataclass
@@ -232,26 +240,29 @@ def _prepare_budget_rows(cfg: GameConfig, budgets, lengths):
             lengths.astype(np.int64, copy=False))
 
 
-def _price_grad_matrix(budgets: np.ndarray, lengths: np.ndarray, step: int,
-                       y: np.ndarray, price_arr: np.ndarray) -> np.ndarray:
-    """Per-row shadow-price signal on the slot's price distribution.
+def _price_signal(budgets: np.ndarray, lengths: np.ndarray, slots: np.ndarray,
+                  left: np.ndarray, price_arr: np.ndarray) -> np.ndarray:
+    """Shadow-price signal on the price distributions of a block of slots.
 
-    Zero rows where the slot is past the sequence end or no resource remains.
-    Trailing zero padding doubles as the missing-order-statistic convention.
+    slots (S,) and left (S, batch), the units left before each slot, give
+    (S, batch, n_prices). Zero where the slot is past the row's end or no
+    resource remains. One sort ranks every slot's remaining budgets: the
+    budgets before a slot are masked to zero and sort last, where they
+    double, like trailing padding, as the missing-order-statistic convention.
     """
-    batch = budgets.shape[0]
-    rem = np.sort(budgets[:, step:], axis=1)[:, ::-1]
-    width = rem.shape[1]
-    rows = np.arange(batch)
-    d_y = np.where((y >= 1) & (y <= width),
-                   rem[rows, np.clip(y - 1, 0, width - 1)], 0)
-    d_next = np.where(y + 1 <= width,
-                      rem[rows, np.clip(y, 0, width - 1)], 0)
-    lam = (d_y + d_next) / 2.0
-    b = budgets[:, step]
-    active = (y > 0) & (step < lengths)
+    n_slots, batch = left.shape
+    n = budgets.shape[1]
+    # ranked[..., k] is the k-th largest remaining budget; 0 at k = 0 and k > n
+    ranked = np.zeros((n_slots, batch, n + 2), dtype=np.int64)
+    ranked[..., n:0:-1] = np.sort(budgets * (np.arange(n) >= slots[:, None, None]), axis=-1)
+    rows = np.arange(n_slots * batch).reshape(n_slots, batch) * (n + 2)
+    ranked = ranked.ravel()
+    lam = (ranked[rows + np.minimum(left, n + 1)]
+           + ranked[rows + np.minimum(left + 1, n + 1)]) / 2.0
+    b = budgets[:, slots].T
+    active = (left > 0) & (slots[:, None] < lengths)
     signal = np.where(active, b - lam, 0.0)
-    return signal[:, None] * (price_arr[None, :] <= b[:, None])
+    return signal[..., None] * (price_arr <= b[..., None])
 
 
 def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
@@ -265,36 +276,45 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
         raise ValueError("sampling prices requires an rng")
     batch, n = budgets.shape
     price_arr = np.asarray(cfg.price_set, dtype=np.int64)
-    u = float(cfg.upper_bound)
     max_price = float(price_arr[-1])
     r = cfg.n_resources
 
-    history = policy.encoder.encode(np.zeros((batch, n - 1, N_STEP_FEATURES)))
+    history = policy.encoder.empty(batch)
+    # slot i's features: scaled index, scaled units left, last budget, last price
+    features = np.zeros((n, batch, N_STEP_FEATURES))
+    features[:, :, 0] = (np.arange(n) + 1)[:, None] / n
+    features[1:, :, 2] = budgets[:, :-1].T / float(cfg.upper_bound)
     price_idx = np.zeros((batch, n), dtype=np.int64)
-    prev_b = prev_p = np.zeros(batch)
+    lefts = np.zeros((n, batch), dtype=np.int64)
+    block = max(1, _BACKPROP_CELLS // batch)
+    tapes = []
     grad_total = None
 
     def price_at(i, left):
-        nonlocal prev_b, prev_p, grad_total
-        current = np.stack([
-            np.full(batch, (i + 1) / n),
-            left / r,
-            prev_b / u,
-            prev_p / max_price,
-        ], axis=1)
+        nonlocal grad_total
+        current = features[i]
+        current[:, 1] = left / r
         probs, tape = policy.forward(history, current)
         if sample:
             idx = sample_categorical(rng, probs)
         else:
             idx = np.argmax(probs, axis=1)
         price_idx[:, i] = idx
+        prices = price_arr[idx]
         if want_grads:
-            g = _price_grad_matrix(budgets, lengths, i, left, price_arr)
-            grad_total = add_grads(grad_total, policy.backprop(tape, g))
+            lefts[i] = left
+            tapes.append(tape)
+            if len(tapes) == block or i == n - 1:
+                slots = np.arange(i + 1 - len(tapes), i + 1)
+                stacked = stack_tapes(tapes)
+                tapes.clear()   # the per-slot copies go before the backward runs
+                grad_total = policy.backprop(
+                    stacked, _price_signal(budgets, lengths, slots, lefts[slots], price_arr),
+                    into=grad_total)
         if i < n - 1:
-            policy.encoder.extend(history, i, current)
-        prev_b, prev_p = budgets[:, i], price_arr[idx]
-        return prev_p
+            policy.encoder.extend(history, current)
+            features[i + 1, :, 3] = prices / max_price
+        return prices
 
     welfare, accepted = play_out(budgets, r, price_at)
     bench = benchmark_rows(budgets, r)
@@ -303,10 +323,7 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
                          gap=bench - welfare)
     if not want_grads:
         return result, None
-    if grad_total is None:
-        grad_total = policy.zero_grads()
-    scale_grads(grad_total, 1.0 / batch)
-    return result, grad_total
+    return result, scale_grads(grad_total, 1.0 / batch)
 
 
 def play_batch(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng=None, *,

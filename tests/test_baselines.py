@@ -31,7 +31,7 @@ from advalloc.baselines import (
 )
 from advalloc.cli import run_cli
 from advalloc.game import GameConfig, benchmark_rows
-from advalloc.nets import AdversaryPolicy, AlgorithmPolicy
+from advalloc.nets import AdversaryPolicy, AlgorithmPolicy, sample_categorical
 from advalloc.rng import derive_rng
 from advalloc.training import (
     SnapshotRing,
@@ -462,6 +462,40 @@ class TestLearnedPolicy:
         np.testing.assert_array_equal(rows_a, rows_b)
         assert rows_a.shape == (6, 4)
         assert set(rows_a.ravel()) <= {2, 4, 6}
+
+    @pytest.mark.parametrize("cfg", [
+        GameConfig(n_users=4, n_resources=2, price_set=(1, 2), budget_set=(2, 4, 6)),
+        GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
+                   budget_set=(1, 2, 3, 4, 5)),
+        GameConfig(n_users=1, n_resources=1, price_set=(1,), budget_set=(1, 9)),
+    ])
+    def test_snapshot_draws_match_one_row_draws(self, cfg):
+        # grouping the rows by snapshot (in blocks of rows) keeps each
+        # sequence's rng order (snapshot, latent, uniforms) and the 1-row
+        # forward's bytes
+        adversary = make_adversary_policy(cfg, TrainConfig(latent_dim=5, hidden=12),
+                                          derive_rng(2, "adv"))
+        ring = SnapshotRing(3)
+        rng = np.random.default_rng(8)
+        for episode in range(3):
+            adversary.step([rng.normal(size=p.shape) for p in adversary.params], 0.5)
+            ring.record(episode, adversary.get_params())
+        budget_arr = np.asarray(cfg.budget_set)
+        ref_rng = np.random.default_rng(9)
+        ref = []
+        for _ in range(300):
+            adversary.set_params(ring.sample(ref_rng).params)
+            probs, _ = adversary.forward(ref_rng.normal(size=(1, adversary.latent_dim)))
+            ref.append(budget_arr[sample_categorical(ref_rng, probs)[0]])
+        ref_params = adversary.get_params()
+        adversary.set_params(ring.entries[0].params)
+        draw_rng = np.random.default_rng(9)
+        rows = snapshot_sequence_sampler(cfg, adversary, ring)(draw_rng, 300)
+        assert rows.tobytes() == np.array(ref).tobytes()
+        assert draw_rng.random() == ref_rng.random()
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(adversary.params, ref_params))
+        assert snapshot_sequence_sampler(cfg, adversary, ring)(draw_rng, 0).shape == \
+            (0, cfg.n_users)
 
     @pytest.mark.parametrize("built", [(4, 2), (4, 5), (3, 3)])
     def test_snapshot_sampler_rejects_adversary_of_another_game(self, built):

@@ -18,6 +18,7 @@ from advalloc.nets import (
     sample_categorical,
     scale_grads,
     softmax_heads,
+    stack_tapes,
 )
 
 FD_STEP = 1e-5
@@ -328,7 +329,7 @@ class TestPolicies:
     def test_encoder_rejects_wrong_history_shape(self):
         enc = HistoryEncoder(3, 2)
         with pytest.raises(ValueError):
-            enc.forward(np.zeros((1, 2, 4)))
+            enc.encode(np.zeros((1, 2, 4)))
 
 
 class TestGradHelpers:
@@ -382,7 +383,8 @@ def loop_backprop(mlp, tape, grad_probs):
         grads.append(dz.sum(axis=0))
         grads.append(tape.activations[k].T @ dz)
         if k > 0:
-            dz = (dz @ mlp.weights[k].T) * np.where(tape.pre_acts[k - 1] > 0, 1.0, mlp.slope)
+            z = tape.activations[k - 1] @ mlp.weights[k - 1] + mlp.biases[k - 1]
+            dz = (dz @ mlp.weights[k].T) * np.where(z > 0, 1.0, mlp.slope)
     return grads[::-1]
 
 
@@ -416,8 +418,8 @@ class TestBitIdentity:
         probs, tape = pol.forward(latents)
         grads = pol.backprop(tape, signal)
         loop_grads = loop_backprop(pol.mlp, tape, signal.reshape(32, 125))
-        assert same_bits(probs.reshape(32, 125),
-                         loop_softmax_heads(tape.pre_acts[-1], pol.mlp.head_sizes))
+        logits = tape.activations[-1] @ pol.mlp.weights[-1] + pol.mlp.biases[-1]
+        assert same_bits(probs.reshape(32, 125), loop_softmax_heads(logits, pol.mlp.head_sizes))
         assert all(same_bits(g, h) for g, h in zip(grads, loop_grads))
 
     @pytest.mark.parametrize("n_users,batch", [(2, 1), (2, 40), (3, 1), (3, 2),
@@ -428,30 +430,75 @@ class TestBitIdentity:
         # bias is zero at init; make it matter
         pol.encoder.bias[...] = rng.normal(size=pol.encoder.bias.shape)
         raw = np.zeros((batch, n_users - 1, N_STEP_FEATURES))
-        encoded = pol.encoder.encode(raw)
+        encoded = pol.encoder.empty(batch)
         for i in range(n_users):
             current = rng.normal(size=(batch, N_STEP_FEATURES))
             signal = rng.normal(size=(batch, 4))
             p_raw, t_raw = pol.forward(raw, current)
             p_enc, t_enc = pol.forward(encoded, current)
             assert same_bits(p_raw, p_enc), i
-            assert same_bits(t_raw.enc_tape.pre_act, t_enc.enc_tape.pre_act), i
+            assert same_bits(t_raw.encoded.flat, encoded.flat), i
             g_raw = pol.backprop(t_raw, signal)
             g_enc = pol.backprop(t_enc, signal)
             assert all(same_bits(g, h) for g, h in zip(g_raw, g_enc)), i
             if i < n_users - 1:
                 raw[:, i] = current
-                pol.encoder.extend(encoded, i, current)
+                pol.encoder.extend(encoded, current)
+        with pytest.raises(IndexError):   # every row is filled
+            pol.encoder.extend(encoded, current)
+
+    @pytest.mark.parametrize("n_users,batch,n_prices", [(1, 3, 2), (2, 1, 1), (4, 5, 3),
+                                                        (7, 32, 1), (25, 10, 5)])
+    def test_stacked_tape_matches_per_slot_backprop(self, n_users, batch, n_prices):
+        # one backprop over a stacked play adds each slot's gradient in slot
+        # order, bit for bit as add_grads over per-slot backprops on raw
+        # histories; later slots' rows filled into the history stay unseen
+        rng = np.random.default_rng(n_users * 100 + batch)
+        pol = AlgorithmPolicy(n_users, n_prices, hidden=(6, 1, 5), encoder_width=3,
+                              rng=rng)
+        for p in pol.params:
+            p += rng.normal(size=p.shape)
+        pol.set_params(pol.get_params())
+        raw = np.zeros((batch, n_users - 1, N_STEP_FEATURES))
+        encoded = pol.encoder.empty(batch)
+        signals = rng.normal(size=(n_users, batch, n_prices))
+        signals[:, 0] = 0.0   # a row without signal, like a played-out one
+        tapes, ref = [], None
+        for i in range(n_users):
+            current = rng.normal(size=(batch, N_STEP_FEATURES))
+            _, t_raw = pol.forward(raw, current)
+            ref = add_grads(ref, pol.backprop(t_raw, signals[i]))
+            tapes.append(pol.forward(encoded, current)[1])
+            if i < n_users - 1:
+                raw[:, i] = current
+                pol.encoder.extend(encoded, current)
+        whole = pol.backprop(stack_tapes(tapes), signals)
+        assert all(same_bits(g, h) for g, h in zip(whole, ref))
+        # two blocks added into one running total give the same bits again
+        cut = n_users // 2
+        into = pol.backprop(stack_tapes(tapes[:cut]), signals[:cut]) if cut else None
+        blocks = pol.backprop(stack_tapes(tapes[cut:]), signals[cut:], into=into)
+        assert all(same_bits(g, h) for g, h in zip(blocks, ref))
+
+    def test_stack_tapes_rejects_mixed_plays(self):
+        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2)
+        a = pol.forward(pol.encoder.empty(2), np.zeros((2, N_STEP_FEATURES)))[1]
+        b = pol.forward(pol.encoder.empty(2), np.zeros((2, N_STEP_FEATURES)))[1]
+        with pytest.raises(StaleTapeError):
+            stack_tapes([a, b])
 
     def test_encoded_history_goes_stale_on_step(self):
         rng = np.random.default_rng(9)
         pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
-        encoded = pol.encoder.encode(np.zeros((2, 2, N_STEP_FEATURES)))
+        encoded = pol.encoder.empty(2)
+        _, tape = pol.forward(encoded, np.zeros((2, N_STEP_FEATURES)))
         pol.step(pol.zero_grads(), lr=0.1)
         with pytest.raises(StaleTapeError):
             pol.forward(encoded, np.zeros((2, N_STEP_FEATURES)))
         with pytest.raises(StaleTapeError):
-            pol.encoder.extend(encoded, 0, np.zeros((2, N_STEP_FEATURES)))
+            pol.encoder.extend(encoded, np.zeros((2, N_STEP_FEATURES)))
+        with pytest.raises(StaleTapeError):
+            pol.backprop(stack_tapes([tape]), np.zeros((1, 2, 2)))
 
 
 class TestSlope:

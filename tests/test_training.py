@@ -1,6 +1,7 @@
 """Tests for the training loops: MW updates, batched play, gradients, loops."""
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from advalloc import training
 from advalloc.game import GameConfig, simulate
 from advalloc.completion import optimal_completion
 from advalloc.gradients import price_gradient
-from advalloc.nets import N_STEP_FEATURES, AlgorithmPolicy, add_grads, scale_grads
+from advalloc.nets import (
+    N_STEP_FEATURES,
+    AlgorithmPolicy,
+    add_grads,
+    sample_categorical,
+    scale_grads,
+)
 from advalloc.training import (
     METRICS_HEADER,
     TRAILING_EPISODES,
@@ -245,6 +252,29 @@ class TestPlayBatch:
             play_batch(cfg, policy, budgets, rng)
         assert calls == [batch] * n_users
 
+    @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 6), (9, 10), (25, 32)])
+    def test_backprop_runs_per_block_of_slots(self, monkeypatch, n_users, batch):
+        # the perf harness times the backward pass by wrapping AlgorithmPolicy.backprop:
+        # plays never call it, gradient plays call it once per block of slots
+        cfg = GameConfig(n_users=n_users, n_resources=2, price_set=(1, 2, 3),
+                         budget_set=(1, 2, 3))
+        rng = np.random.default_rng(n_users + batch)
+        policy = AlgorithmPolicy(n_users, 3, hidden=(4,), encoder_width=2, rng=rng)
+        calls = []
+        backprop = AlgorithmPolicy.backprop
+
+        def counted(self, tape, grad_probs, **kw):
+            calls.append(len(grad_probs))
+            return backprop(self, tape, grad_probs, **kw)
+
+        monkeypatch.setattr(AlgorithmPolicy, "backprop", counted)
+        budgets = rng.integers(1, 4, size=(batch, n_users))
+        play_batch(cfg, policy, budgets, rng)
+        assert calls == []
+        algorithm_gradients(cfg, policy, budgets, rng)
+        assert sum(calls) == n_users >= len(calls) >= 1
+        assert len(calls) < n_users or n_users == 1
+
     @pytest.mark.parametrize("built", [(4, 5), (4, 2), (5, 3)])
     def test_rejects_policy_built_for_another_game(self, built):
         policy = AlgorithmPolicy(*built, hidden=(4,), encoder_width=2)
@@ -257,41 +287,41 @@ class TestPlayBatch:
 
 class TestAlgorithmGradients:
     def test_matches_per_slot_oracle(self):
-        # vectorized shadow-price signal == scalar per-slot gradient oracle,
-        # accumulated through backprop on the same deterministic trajectory;
-        # each slot's features and history are rebuilt by hand from the
-        # posted prices, and argmax over them must post the same price
+        # block-backpropagated shadow-price signal == the scalar per-slot
+        # gradient oracle, back-propagated one slot at a time on the same
+        # deterministic trajectory; each slot's features and history are
+        # rebuilt by hand from the posted prices, and argmax over them must
+        # post the same price
         rng = np.random.default_rng(12)
         policy = AlgorithmPolicy(4, 3, hidden=(6,), encoder_width=2, rng=rng)
         budgets = rng.integers(1, 4, size=(5, 4))
         res, grads = algorithm_gradients(SMALL, policy, budgets, None, sample=False)
 
         ref = None
-        for j in range(5):
-            bj = tuple(int(v) for v in budgets[j])
-            history = np.zeros((1, 3, N_STEP_FEATURES))
-            accepts = []
-            y = SMALL.n_resources
-            for i in range(4):
-                current = np.array([[
-                    (i + 1) / 4, y / SMALL.n_resources,
-                    (bj[i - 1] / SMALL.upper_bound) if i else 0.0,
-                    (res.prices[j, i - 1] / SMALL.price_set[-1]) if i else 0.0,
-                ]])
-                probs, tape = policy.forward(history, current)
-                price = SMALL.price_set[int(np.argmax(probs[0]))]
-                assert price == res.prices[j, i]
-                signal = price_gradient(SMALL, bj, i, accepts)
-                ref = add_grads(ref, policy.backprop(tape, np.array([signal.per_action])))
-                took = bool(bj[i] >= price and y > 0)
+        history = np.zeros((5, 3, N_STEP_FEATURES))
+        accepts = [[] for _ in range(5)]
+        for i in range(4):
+            y = [SMALL.n_resources - sum(a) for a in accepts]
+            current = np.array([[
+                (i + 1) / 4, y[j] / SMALL.n_resources,
+                (budgets[j, i - 1] / SMALL.upper_bound) if i else 0.0,
+                (res.prices[j, i - 1] / SMALL.price_set[-1]) if i else 0.0,
+            ] for j in range(5)])
+            probs, tape = policy.forward(history, current)
+            prices = np.asarray(SMALL.price_set)[np.argmax(probs, axis=1)]
+            assert prices.tolist() == res.prices[:, i].tolist()
+            signal = [price_gradient(SMALL, tuple(budgets[j].tolist()), i, accepts[j]).per_action
+                      for j in range(5)]
+            ref = add_grads(ref, policy.backprop(tape, np.array(signal)))
+            for j in range(5):
+                took = bool(budgets[j, i] >= prices[j] and y[j] > 0)
                 assert took == res.accepted[j, i]
-                accepts.append(took)
-                y -= took
-                if i < 3:
-                    history[0, i] = current[0]
+                accepts[j].append(took)
+            if i < 3:
+                history[:, i] = current
         scale_grads(ref, 1.0 / 5)
         for a, b in zip(grads, ref):
-            assert np.allclose(a, b, atol=1e-12)
+            assert np.array_equal(a, b)
 
     def test_zero_resources_left_gives_zero_signal(self):
         cfg = GameConfig(n_users=3, n_resources=1, price_set=(1,), budget_set=(1, 2))
@@ -301,6 +331,96 @@ class TestAlgorithmGradients:
         # slot's signal is b - (2+2)/2 = 0, so every gradient vanishes
         assert res.accepted[0, 0]
         assert all(np.allclose(g, 0) for g in grads)
+
+
+def test_gradient_play_memory_stays_flat():
+    # one N=25, batch-32 gradient play with 64-wide layers back-propagates
+    # its slots in blocks, so its traced peak stays near a per-slot play's
+    cfg = GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
+                     budget_set=(1, 2, 3, 4, 5))
+    rng = np.random.default_rng(25)
+    policy = AlgorithmPolicy(25, 5, hidden=(64, 64, 64), rng=rng)
+    budgets = rng.integers(1, 6, size=(32, 25))
+    tracemalloc.start()
+    try:
+        algorithm_gradients(cfg, policy, budgets, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def same_bits(a, b):
+    # array_equal alone treats -0.0 and 0.0 as equal
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def per_slot_gradients(cfg, policy, budgets, lengths, rng, sample):
+    """Reference play: per slot, one forward on the raw history, the shadow-price
+    signal from that slot's own sort, one backprop and one add_grads."""
+    batch, n = budgets.shape
+    price_arr = np.asarray(cfg.price_set)
+    history = np.zeros((batch, n - 1, N_STEP_FEATURES))
+    left = np.full(batch, cfg.n_resources)
+    prev_b = prev_p = np.zeros(batch)
+    price_idx, grads = [], None
+    for i in range(n):
+        current = np.stack([np.full(batch, (i + 1) / n), left / cfg.n_resources,
+                            prev_b / float(cfg.upper_bound), prev_p / float(price_arr[-1])],
+                           axis=1)
+        probs, tape = policy.forward(history, current)
+        idx = sample_categorical(rng, probs) if sample else np.argmax(probs, axis=1)
+        rem = -np.sort(-budgets[:, i:], axis=1)
+        width = n - i
+
+        def stat(k):   # k-th largest remaining budget, 0 past the end
+            return np.where((k >= 1) & (k <= width),
+                            rem[np.arange(batch), np.clip(k - 1, 0, width - 1)], 0)
+
+        b = budgets[:, i]
+        signal = np.where((left > 0) & (i < lengths), b - (stat(left) + stat(left + 1)) / 2.0,
+                          0.0)
+        grads = add_grads(grads, policy.backprop(
+            tape, signal[:, None] * (price_arr[None, :] <= b[:, None])))
+        price = price_arr[idx]
+        left = left - ((b >= price) & (left > 0) & (b > 0))
+        if i < n - 1:
+            history[:, i] = current
+        prev_b, prev_p = b, price
+        price_idx.append(idx)
+    return np.stack(price_idx, axis=1), scale_grads(grads, 1.0 / batch)
+
+
+# (n_users, n_resources, batch, padded, sample, encoder width): R >= N,
+# padded rows, slots played with no unit left, sampled and argmax play,
+# blocks of one slot (batch 64) up to the whole play in one block (batch 1)
+BIT_CASES = [
+    (1, 1, 1, False, False, 3), (1, 3, 10, False, True, 8), (2, 1, 10, True, False, 1),
+    (2, 4, 32, False, True, 3), (7, 3, 1, False, True, 16), (7, 9, 10, True, False, 8),
+    (7, 1, 32, True, True, 3), (25, 5, 1, True, False, 1), (25, 5, 10, False, True, 8),
+    (25, 30, 32, True, True, 3), (25, 2, 64, False, False, 16), (25, 5, 32, False, False, 8),
+]
+
+
+@pytest.mark.parametrize("n_users, n_resources, batch, padded, sample, width", BIT_CASES)
+def test_gradients_match_per_slot_backprop_bit_for_bit(n_users, n_resources, batch, padded,
+                                                       sample, width):
+    cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=(1, 2, 4, 5),
+                     budget_set=(1, 2, 3, 4, 5))
+    rng = np.random.default_rng(n_users * 1000 + n_resources * 100 + batch)
+    policy = AlgorithmPolicy(n_users, 4, hidden=(9, 7), encoder_width=width, rng=rng)
+    if n_users % 2:   # the zero biases of a fresh net, or perturbed ones
+        policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
+    budgets = rng.integers(1, 6, size=(batch, n_users))
+    lengths = rng.integers(1, n_users + 1, size=batch) if padded else np.full(batch, n_users)
+    budgets = np.where(np.arange(n_users) < lengths[:, None], budgets, 0)
+    seed = int(rng.integers(1 << 30))
+    res, grads = algorithm_gradients(cfg, policy, budgets, np.random.default_rng(seed),
+                                     lengths=lengths if padded else None, sample=sample)
+    price_idx, ref = per_slot_gradients(cfg, policy, budgets, lengths,
+                                        np.random.default_rng(seed), sample)
+    assert np.array_equal(res.price_idx, price_idx)
+    assert all(same_bits(g, h) for g, h in zip(grads, ref))
 
 
 class TestLoops:
