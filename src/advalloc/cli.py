@@ -234,11 +234,8 @@ def cmd_eval(args) -> int:
 
 
 def _mix_rows(side, mix, sequences):
-    rows = []
-    for i, prob in enumerate(mix):
-        if prob > MIX_EPS:
-            rows.append((side, i, float(prob), format_sequence(sequences[i])))
-    return rows
+    return [(side, int(i), float(mix[i]), format_sequence(sequences[i]))
+            for i in np.flatnonzero(mix > MIX_EPS)]
 
 
 def cmd_ne(args) -> int:

@@ -23,21 +23,26 @@ Two readers of that table, with equal gap values:
   and one combine step scores every candidate. Values only, no sequences.
 
 brute_force_completion enumerates every completion and shares no code with
-the table: it is the verification oracle for both readers.
+the table: it is the verification oracle for both readers. It scores the
+completions in fixed-size blocks of rows with the game's own kernels
+(benchmark_rows minus welfare_grid), so its memory stays flat however many
+completions it enumerates.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
 from typing import Sequence
 
 import numpy as np
 
-from .game import GameConfig, gap, play_out, validate_budgets, validate_prices
+from .game import (GameConfig, benchmark_rows, play_out, validate_budgets, validate_prices,
+                   welfare_grid)
 
 # below every reachable value of G; sums with it stay far from int64 overflow
 _NEVER = np.iinfo(np.int64).min // 4
+_INT64_MAX = np.iinfo(np.int64).max
+_BRUTE_BLOCK = 1 << 12   # completions brute_force_completion scores per block
 
 
 def _checked_picks(cfg: GameConfig, n: int) -> int:
@@ -217,8 +222,12 @@ def brute_force_completion(cfg: GameConfig, prices: Sequence[int],
                            cap: int = 10_000_000) -> CompletionResult:
     """Exact maximizer by enumerating every completion.
 
-    Ties go to the lexicographically smallest completion (enumeration order
-    over the ascending budget set guarantees it).
+    Completions are scored in blocks of _BRUTE_BLOCK rows, each the prefix
+    followed by the next tails in lexicographic order, as benchmark_rows minus
+    welfare_grid against the one price row, so memory stays flat up to cap.
+    Ties go to the lexicographically smallest completion: enumeration runs
+    over the ascending budget set, and the first maximum wins within a block
+    and across blocks.
     """
     prices = validate_prices(cfg, prices, allow_partial=True)
     prefix = validate_budgets(cfg, realized_prefix, allow_partial=True)
@@ -231,13 +240,24 @@ def brute_force_completion(cfg: GameConfig, prices: Sequence[int],
     if count > cap:
         raise CompletionTooLargeError(
             f"{count} completions exceed cap {cap}; shrink the instance or raise cap")
+    span = min(cfg.n_resources, n) * cfg.budget_set[-1]
+    if max(span, cfg.budget_set[-1], cfg.price_set[-1]) > _INT64_MAX:
+        raise ValueError(f"brute force scores in int64: min(R, N) x max budget = {span}, "
+                         f"max price = {cfg.price_set[-1]}")
 
+    budgets = np.asarray(cfg.budget_set, dtype=np.int64)
+    price_row = np.asarray([prices], dtype=np.int64)
+    place = budgets.size ** np.arange(open_slots - 1, -1, -1)   # first open slot leads
     best = None
-    best_seq = None
-    for tail in itertools.product(cfg.budget_set, repeat=open_slots):
-        seq = prefix + tail
-        g = gap(cfg, seq, prices)
-        if best is None or g > best:
-            best = g
-            best_seq = seq
-    return CompletionResult(gap=best, full_sequence=best_seq)
+    for start in range(0, count, _BRUTE_BLOCK):
+        index = np.arange(start, min(count, start + _BRUTE_BLOCK))
+        rows = np.empty((index.size, n), dtype=np.int64)
+        rows[:, :ell] = prefix
+        rows[:, ell:] = budgets[index[:, None] // place % budgets.size]
+        gaps = benchmark_rows(rows, cfg.n_resources) - \
+            welfare_grid(rows, price_row, cfg.n_resources)[:, 0]
+        k = int(gaps.argmax())   # the first maximum, and a later block must beat it
+        if best is None or gaps[k] > best:
+            best = int(gaps[k])
+            best_tail = tuple(rows[k, ell:].tolist())
+    return CompletionResult(gap=best, full_sequence=prefix + best_tail)

@@ -1,11 +1,13 @@
 """Nash-equilibrium machinery for the sequence game.
 
 The zero-sum game has budget sequences as row (maximizer) strategies and
-price sequences as column (minimizer) strategies; entries are gaps. Games
-of every size are solved exactly by strategy generation (double oracle):
-each subgame is one simplex LP whose duals give the row player's mix, best
-responses are exact payoff scans, and the loop ends only when the upper and
-lower certificates meet. Fictitious play provides an any-size approximate
+price sequences as column (minimizer) strategies; entries are gaps. The
+payoff matrix over all |A|^N price sequences is filled by a suffix DP that
+plays each price suffix once for every sequence ending in it; explicit
+column lists go through welfare_grid. Games of every size are solved
+exactly by strategy generation (double oracle): each subgame is one simplex
+LP whose duals give the row player's mix, best responses are exact payoff
+scans, and the loop ends only when the upper and lower certificates meet. Fictitious play provides an any-size approximate
 value bracket. A separate prefix-family LP computes the optimal per-user
 acceptance probabilities against a fixed budget sequence.
 """
@@ -29,7 +31,7 @@ from .simplex import solve_lp
 
 VALUE_TOL = 1e-6
 DEFAULT_MATRIX_CAP = 2 * 1024**3
-_BLOCK_CELLS = 1 << 18   # payoff cells built per welfare_grid call
+_BLOCK_CELLS = 1 << 18   # payoff cells built per row block
 
 
 class PayoffTooLargeError(ValueError):
@@ -95,6 +97,47 @@ def enumerate_strategies(value_set: Sequence[int], length: int) -> np.ndarray:
     return out.reshape(count, length)
 
 
+def _suffix_gaps(rows: np.ndarray, bench: np.ndarray, price_set: Sequence[int], units: int,
+                 out: np.ndarray) -> None:
+    """Fill out (M, |A|^N) with the gap of every row against every price
+    sequence, columns in enumerate_strategies order, by a suffix DP.
+
+    V_i[l, m, s] is the gap still to come from slot i on with l units left,
+    for row m and the s-th price suffix (slots i..N-1, lexicographic); V_N is
+    the row's benchmark. Slot i multiplies the suffix axis by |A|, the price
+    index being the most significant digit: a price the budget meets takes a
+    unit and its budget (V_{i+1}[l-1] - b), any other keeps V_{i+1}[l]. Only
+    l in [max(0, units - i), units] occurs before slot i. Every V lies in
+    [0, benchmark] and every take - keep in [-benchmark, benchmark], so the
+    DP runs in out's dtype, and slot 0 writes straight into out.
+    """
+    m, n = rows.shape
+    dtype = out.dtype
+    gains = rows.astype(dtype)
+    # 0/1 per (row, slot, price): zero padding never accepts, as prices are positive
+    accepts = (rows[:, :, None] >= np.asarray(price_set)).astype(dtype)
+    level = np.broadcast_to(bench.astype(dtype)[None, :, None], (units + 1, m, 1))
+    lo_next = 0   # level[j] holds l = lo_next + j
+    for i in range(n - 1, -1, -1):
+        lo = max(0, units - i)
+        first = max(1, lo)   # the smallest l that can take a unit
+        suffixes = level.shape[2]
+        if i:
+            grown = np.empty((units - lo + 1, m, len(price_set), suffixes), dtype=dtype)
+        else:   # lo == units: the one level is the output block
+            grown = out.reshape(1, m, len(price_set), suffixes)
+        if lo == 0:   # no unit left: nothing more is taken
+            grown[0] = level[0, :, None, :]
+        keep = level[first - lo_next:]
+        diff = level[first - 1 - lo_next:units - lo_next] - gains[None, :, i, None]
+        diff -= keep
+        taking = grown[first - lo:]
+        np.multiply(diff[:, :, None, :], accepts[None, :, i, :, None], out=taking)
+        taking += keep[:, :, None, :]
+        level = grown.reshape(grown.shape[0], m, -1)
+        lo_next = lo
+
+
 def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
                         max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffMatrix:
     """Gap matrix over the given (or fully enumerated) pure-strategy lists.
@@ -105,8 +148,11 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
 
     Gaps lie in [0, max benchmark], so values are stored in the narrowest
     signed integer dtype holding that range (int8 on the 7-user games) and
-    filled one block of rows at a time: peak memory is the integer output
-    plus one block of about 256K cells, and ``max_bytes``, which caps the
+    filled one block of rows at a time. Enumerated columns share their
+    suffixes, so each block is filled by a suffix DP over the price set
+    (_suffix_gaps) in that dtype; explicit column lists go through
+    welfare_grid. Peak memory is the integer output plus the working set of
+    one block of about 256K cells, and ``max_bytes``, which caps the
     output's real size, bounds the footprint.
     """
     if row_strategies is None:
@@ -127,10 +173,14 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
             "`ne --mode acceptance-lp` for long sequences")
     values = np.empty((rows.shape[0], cols.shape[0]), dtype=dtype)
     step = max(1, _BLOCK_CELLS // max(1, cols.shape[0]))
+    units = min(cfg.n_resources, cfg.n_users)
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
-        np.subtract(bench[block, None], welfare_grid(rows[block], cols, cfg.n_resources),
-                    out=values[block])
+        if col_strategies is None:
+            _suffix_gaps(rows[block], bench[block], cfg.price_set, units, values[block])
+        else:
+            np.subtract(bench[block, None], welfare_grid(rows[block], cols, cfg.n_resources),
+                        out=values[block])
     return PayoffMatrix(rows=rows, cols=cols, values=values)
 
 

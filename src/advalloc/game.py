@@ -123,8 +123,12 @@ def benchmark(cfg: GameConfig, budgets: Sequence[int]) -> tuple[int, tuple[bool,
     Ties at the cutoff go to the earliest arrival, which fixes the flags
     canonically; the value is unaffected.
     """
-    budgets = validate_budgets(cfg, budgets, allow_partial=True)
-    k = min(cfg.n_resources, len(budgets))
+    return _top_picks(validate_budgets(cfg, budgets, allow_partial=True), cfg.n_resources)
+
+
+def _top_picks(budgets: tuple[int, ...], n_resources: int) -> tuple[int, tuple[bool, ...]]:
+    """benchmark() of an already validated budget tuple."""
+    k = min(n_resources, len(budgets))
     order = sorted(range(len(budgets)), key=lambda i: (-budgets[i], i))
     chosen = set(order[:k])
     flags = tuple(i in chosen for i in range(len(budgets)))
@@ -152,7 +156,7 @@ def simulate(cfg: GameConfig, budgets: Sequence[int], prices: Sequence[int]) -> 
         if take:
             welfare += b
             y -= 1
-    bench_value, flags = benchmark(cfg, budgets)
+    bench_value, flags = _top_picks(budgets, cfg.n_resources)
     return AllocationTrace(
         accepted=tuple(accepted),
         resources_before=tuple(before),
@@ -201,12 +205,15 @@ def strategy_rows(cfg: GameConfig, strategies, what: str,
     return rows, np.asarray([len(seq) for seq in seqs], dtype=np.int64)
 
 
+_INT_RANGES = tuple((np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+                    for t in (np.int8, np.int16, np.int32))
+
+
 def _narrowest_int(lo: int, hi: int) -> np.dtype:
     """Smallest signed integer dtype holding every value in [lo, hi] (int64 at most)."""
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return np.dtype(dtype)
+    for dtype, low, high in _INT_RANGES:
+        if low <= lo and hi <= high:
+            return dtype
     return np.dtype(np.int64)
 
 

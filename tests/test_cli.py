@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from advalloc import training
-from advalloc.cli import FP_ITERATIONS, MW_HEADER, STRATEGIES_HEADER, run_cli
+from advalloc.cli import FP_ITERATIONS, MIX_EPS, MW_HEADER, STRATEGIES_HEADER, run_cli
 from advalloc.baselines import RESULTS_HEADER
 from advalloc.config import load_config
 from advalloc.equilibrium import build_payoff_matrix, solve_acceptance_lp, solve_zero_sum
@@ -346,6 +346,19 @@ class TestNe:
         for side in ("budget", "price"):
             total = sum(float(r[2]) for r in rows if r[0] == side)
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_strategy_rows_are_the_support_in_index_order(self, cfg_path, tmp_path):
+        payoff = build_payoff_matrix(load_config(cfg_path).game)
+        mixed = solve_zero_sum(payoff)
+        assert run_cli(["ne", "--config", str(cfg_path), "--mode", "lp",
+                        "--out-dir", str(tmp_path / "lp")]) == 0
+        _, rows = read_csv(tmp_path / "lp" / "strategies.csv")
+        expected = [[side, str(i), format(float(p), ".10g"), ",".join(map(str, seqs[i]))]
+                    for side, mix, seqs in (("budget", mixed.row_mix, payoff.rows),
+                                            ("price", mixed.col_mix, payoff.cols))
+                    for i, p in enumerate(mix) if p > MIX_EPS]
+        assert rows == expected
+        assert len(rows) < payoff.shape[0] + payoff.shape[1]
 
     def test_strategy_files_restrict_one_side(self, cfg_path, tmp_path, capsys):
         prices = tmp_path / "prices.txt"

@@ -1,12 +1,15 @@
 """Worst-case completion: construction vs exhaustive enumeration."""
 import bisect
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advalloc import completion
 from advalloc.completion import (
     CompletionResult,
     CompletionTooLargeError,
@@ -36,8 +39,16 @@ class TestBruteForce:
 
     def test_cap(self):
         c = cfg(8, 1, (1,), (1, 2, 3))
-        with pytest.raises(CompletionTooLargeError):
+        with pytest.raises(CompletionTooLargeError,
+                           match=r"^6561 completions exceed cap 100; shrink the instance "
+                                 r"or raise cap$"):
             brute_force_completion(c, (1,) * 8, (), cap=100)
+        assert brute_force_completion(c, (1,) * 8, (1, 2), cap=729).gap == 2
+
+    def test_refuses_sums_past_int64(self):
+        c = cfg(3, 2, (1,), (1, 2**62))
+        with pytest.raises(ValueError, match=r"brute force scores in int64: min\(R, N\)"):
+            brute_force_completion(c, (1, 1, 1), ())
 
     def test_tie_break_lexicographic(self):
         # all-rejecting prices: every completion has the same welfare (prefix
@@ -48,6 +59,81 @@ class TestBruteForce:
         # every completion is fully accepted: gap 0 everywhere -> lex smallest
         assert res.gap == 0
         assert res.full_sequence == (1, 1)
+
+
+def enumerated_completion(c, prices, prefix):
+    """The first gap-maximizing completion in itertools.product order, by gap()."""
+    best = None
+    for tail in itertools.product(c.budget_set, repeat=len(prices) - len(prefix)):
+        g = gap(c, prefix + tail, prices)
+        if best is None or g > best.gap:
+            best = CompletionResult(gap=g, full_sequence=prefix + tail)
+    return best
+
+
+def brute_instance(rng, ties):
+    """A seeded game, price row and prefix; ties draws games where many
+    completions share the maximum gap."""
+    n = int(rng.integers(1, 7))
+    if ties:   # few distinct budgets, cheap prices, enough units for most
+        budgets = tuple(range(1, int(rng.integers(1, 3)) + 1))
+        prices = (1,) if rng.random() < 0.5 else (1, 2)
+        r = int(rng.integers(max(1, n - 1), n + 2))
+    else:
+        budgets = tuple(sorted(rng.choice(np.arange(1, 13), int(rng.integers(1, 4)),
+                                          replace=False).tolist()))
+        prices = tuple(sorted(rng.choice(np.arange(1, 13), int(rng.integers(1, 4)),
+                                         replace=False).tolist()))
+        r = int(rng.integers(1, 4))
+    c = cfg(n, r, prices, budgets)
+    row = tuple(rng.choice(prices, int(rng.integers(0, n + 1))).tolist())
+    prefix = tuple(rng.choice(budgets, int(rng.integers(0, len(row) + 1))).tolist())
+    return c, row, prefix
+
+
+class TestBlockedBruteForce:
+    """brute_force_completion scores blocks of completions with the game's
+    batch kernels; the per-completion gap() loop is its reference."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "tie-heavy"])
+    def test_matches_the_gap_loop(self, ties):
+        rng = np.random.default_rng(11 + ties)
+        for _ in range(300):
+            c, prices, prefix = brute_instance(rng, ties)
+            got = brute_force_completion(c, prices, prefix)
+            assert got == enumerated_completion(c, prices, prefix)
+            assert all(type(v) is int for v in got.full_sequence + (got.gap,))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 7])
+    def test_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(completion, "_BRUTE_BLOCK", block)
+        rng = np.random.default_rng(20 + block)
+        for i in range(80):
+            c, prices, prefix = brute_instance(rng, ties=i % 2 == 1)
+            assert brute_force_completion(c, prices, prefix) == \
+                enumerated_completion(c, prices, prefix)
+        # every completion ties at gap 0: the first one wins across blocks
+        c = cfg(3, 3, (1,), (1, 2))
+        assert brute_force_completion(c, (1, 1, 1), ()).full_sequence == (1, 1, 1)
+
+    def test_memory_stays_flat(self):
+        prices = (2, 4, 4, 2, 2, 4, 2, 4, 4, 2, 4, 2)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for budgets in ((1, 3), (1, 3, 5)):   # 2**12 (one block) and 3**12 completions
+                c = cfg(12, 3, (2, 4), budgets)
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                res = brute_force_completion(c, prices, ())
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - base)
+        finally:
+            tracemalloc.stop()
+        assert res.gap == optimal_completion(c, prices, ()).gap
+        # a block of 4096 rows is about 0.4 MB; all 3**12 rows would be 51 MB
+        assert peaks[1] <= peaks[0] + 64 * 1024
+        assert peaks[1] <= 2_000_000
 
 
 class TestOptimalCompletion:

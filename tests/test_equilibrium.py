@@ -19,7 +19,7 @@ from advalloc.equilibrium import (
     solve_acceptance_lp,
     solve_zero_sum,
 )
-from advalloc.game import GameConfig, gap
+from advalloc.game import GameConfig, benchmark_rows, gap, welfare_grid
 from advalloc.simplex import solve_lp
 
 
@@ -102,6 +102,47 @@ class TestBuildPayoff:
             for j, p in enumerate(cols):
                 assert pm.values[i, j] == gap(c, r, p[: len(r)])
 
+    def test_partial_last_block_with_enumerated_columns(self, monkeypatch):
+        c = cfg(4, 2, (1, 2, 3), (1, 2, 3))
+        # 3 rows per block: 11 rows leave a partial last block of 2
+        monkeypatch.setattr(equilibrium, "_BLOCK_CELLS", 3 * 3**4 + 1)
+        rows = [r.tolist() for r in enumerate_strategies(c.budget_set, 4)[::8]]
+        pm = build_payoff_matrix(c, row_strategies=rows)
+        assert pm.shape == (11, 81)
+        for i, r in enumerate(rows):
+            for j, p in enumerate(pm.cols.tolist()):
+                assert pm.values[i, j] == gap(c, r, p)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_suffix_dp_matches_welfare_grid(self, seed):
+        # enumerated columns go through the suffix DP; welfare_grid over the
+        # same columns is its oracle
+        rng = np.random.default_rng(seed)
+        dtypes = set()
+        for n in range(1, 7):
+            for scale in (12, 400, 40_000):   # int8, int16 and int32 gaps
+                n_prices = int(rng.integers(1, 5))
+                prices = np.sort(rng.choice(np.arange(1, scale + 1), n_prices, replace=False))
+                budgets = np.sort(rng.choice(np.arange(1, scale + 1), int(rng.integers(1, 4)),
+                                             replace=False))
+                c = cfg(n, int(rng.integers(1, n + 3)), tuple(prices.tolist()),
+                        tuple(budgets.tolist()))
+                # full-length and zero-padded prefix rows
+                rows = [tuple(rng.choice(budgets, int(rng.integers(0, n + 1))).tolist())
+                        for _ in range(int(rng.integers(1, 40)))]
+                for pm in (build_payoff_matrix(c, row_strategies=rows),
+                           build_payoff_matrix(c) if len(budgets) ** n <= 729 else None):
+                    if pm is None:
+                        continue
+                    cols = enumerate_strategies(c.price_set, n)
+                    bench = benchmark_rows(pm.rows, c.n_resources)
+                    assert np.array_equal(pm.cols, cols)
+                    assert pm.values.dtype == equilibrium._narrowest_int(0, int(bench.max()))
+                    assert np.array_equal(
+                        pm.values, bench[:, None] - welfare_grid(pm.rows, cols, c.n_resources))
+                    dtypes.add(pm.values.dtype)
+        assert dtypes == {np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32)}
+
     def test_memory_cap(self):
         c = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))
         with pytest.raises(PayoffTooLargeError):
@@ -181,7 +222,7 @@ class TestNarrowValues:
         try:
             pm = build_payoff_matrix(FULL_GAME)
             _, peak = tracemalloc.get_traced_memory()
-            assert peak <= pm.values.nbytes + 8 * MB
+            assert peak <= pm.values.nbytes + 3 * MB
             for solve in (solve_zero_sum, lambda p: fictitious_play(p, 100_000)):
                 tracemalloc.reset_peak()
                 base, _ = tracemalloc.get_traced_memory()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advalloc import game
 from advalloc.game import (
     AllocationTrace,
     GameConfig,
@@ -120,6 +121,20 @@ class TestBenchmark:
         value, flags = benchmark(c, [5, 5])
         assert value == 10
         assert flags == (True, True)
+
+    def test_validates_outside_input(self):
+        with pytest.raises(ValueError, match=re.escape("budgets entry 3 not in (2, 4)")):
+            benchmark(cfg(2, 1, (1,), (2, 4)), [3, 2])
+
+    def test_simulate_validates_each_sequence_once(self, monkeypatch):
+        seen = []
+        validate = game.validate_sequence
+        monkeypatch.setattr(game, "validate_sequence",
+                            lambda c, seq, values, what, *rest: seen.append(what)
+                            or validate(c, seq, values, what, *rest))
+        trace = simulate(cfg(3, 2, (1, 3), (2, 4)), [4, 2, 4], [3, 3, 1])
+        assert seen == ["budgets", "prices"]
+        assert (trace.benchmark_value, trace.benchmark_flags) == (8, (True, False, True))
 
 
 class TestGap:
