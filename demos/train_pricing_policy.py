@@ -52,10 +52,12 @@ pad = np.zeros((3, cfg.n_users), dtype=np.int64)
 lengths = (5, 15, 25)
 for k, ell in enumerate(lengths):
     pad[k, :ell] = experts[ell - 1]
+# A settled cell (sold out or past the row's end) posts no price.
 decoded = play_batch(cfg, result.algorithm, pad, lengths=lengths, sample=False)
 for k, ell in enumerate(lengths):
+    posted = decoded.prices[k][decoded.price_idx[k] >= 0]
     print(f"prefix length {ell:2d}: "
-          f"prices {tuple(int(p) for p in decoded.prices[k][:ell])}"
+          f"prices {tuple(int(p) for p in posted)}"
           f"  welfare {int(decoded.welfare[k])}  gap {int(decoded.gap[k])}")
 
 # Uniform random truncations score kinder than the trailing statistic

@@ -61,6 +61,13 @@ def leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(z > 0, slope)
 
 
+def _float_rows(x) -> np.ndarray:
+    """x as an at least 2-D float64 array; a 2-D float64 array passes as is."""
+    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    shape: tuple[int, ...]) -> np.ndarray:
     s = np.sqrt(6.0 / (fan_in + fan_out))
@@ -82,10 +89,17 @@ def _split_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
 
 def softmax_heads(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
     """Row-wise softmax applied independently per contiguous head block."""
+    return _softmax_heads_inplace(np.array(z, dtype=np.float64), head_sizes)
+
+
+def _softmax_heads_inplace(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
+    """softmax_heads computed in z's own (contiguous float64) memory, with the
+    same ufuncs in the same order, so with the same bits."""
     blocks = _split_heads(z, head_sizes)
-    e = np.exp(blocks - np.maximum.reduce(blocks, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e.reshape(z.shape)
+    blocks -= np.maximum.reduce(blocks, axis=-1, keepdims=True)
+    np.exp(blocks, out=blocks)
+    blocks /= np.add.reduce(blocks, axis=-1, keepdims=True)
+    return z
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -97,9 +111,9 @@ def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarra
 def categorical_from_uniform(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sample_categorical with its uniforms u (shape probs.shape[:-1] + (1,))
     drawn beforehand, so a caller can draw them in its own order."""
-    cdf = np.cumsum(probs, axis=-1)
-    cdf = cdf / cdf[..., -1:]
-    return (cdf <= u).sum(axis=-1)
+    cdf = np.add.accumulate(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.add.reduce(cdf <= u, axis=-1)
 
 
 def add_grads(acc: list[np.ndarray] | None, grads: list[np.ndarray]) -> list[np.ndarray]:
@@ -185,14 +199,18 @@ class SoftmaxMlp:
         return out
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _float_rows(x)
         if x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input width {x.shape[-1]} != {self.layer_sizes[0]}")
+        # each layer's bias, rectifier or softmax goes into its product's array
         activations = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            activations.append(leaky(activations[-1] @ w + b, self.slope))
-        probs = softmax_heads(activations[-1] @ self.weights[-1] + self.biases[-1],
-                              self.head_sizes)
+            z = activations[-1] @ w
+            z += b
+            activations.append(np.maximum(z, self.slope * z, out=z))   # leaky(z)
+        z = activations[-1] @ self.weights[-1]
+        z += self.biases[-1]
+        probs = _softmax_heads_inplace(z, self.head_sizes)
         return probs, MlpTape(version=self.version, activations=activations, probs=probs)
 
     def backprop(self, tape: MlpTape, grad_probs: np.ndarray, *,
@@ -452,7 +470,7 @@ class AlgorithmPolicy(ParamBlocks):
         rows zero, or an EncodedHistory from self.encoder holding the same rows;
         both give bit-identical probabilities and gradients.
         """
-        current = np.atleast_2d(np.asarray(current, dtype=np.float64))
+        current = _float_rows(current)
         if isinstance(history, EncodedHistory):
             self.encoder._check_current(history)
             encoded = history

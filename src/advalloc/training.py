@@ -8,13 +8,25 @@ single-network variants replace the other side with a multiplicative-weights
 
 Welfare counts accepted users' budgets, so the pricing gradient is the
 shadow-price signal on each slot's price distribution and the generator
-gradient is the best-completion gap per candidate budget. A play makes one
-pricing-policy forward per slot. A gradient play keeps each slot's tape and,
-as soon as a block of slots is played, scores the block's signal with one
-sort and back-propagates it in one stacked pass, adding the slots in order:
-the gradient has the same bits as one backprop per slot, and memory stays
-flat in the number of slots. Episode = one played sequence; the convergence
-statistic is the gap averaged over the trailing 500 episodes.
+gradient is the best-completion gap per candidate budget.
+
+A row is settled at a slot once it has no unit left or the slot is past its
+length; no later price can change its welfare or its signal. A play makes
+at most one pricing-policy forward per slot. A play without gradients
+forwards only a set of rows holding every unsettled one: the set shrinks
+once a quarter of it has settled, never below 2 rows (numpy sends a 1-row
+product to gemv, whose bits differ from the gemm row), and the play stops
+forwarding once every row has settled. Rows are independent in every
+product, so each unsettled row gets the bits of a full-batch play; sampling
+still draws one uniform per row and slot, settled rows included. A gradient
+play forwards every row at every slot, since the generator's signal reads
+every posted price; it keeps the tape of each slot with a live row and, as
+soon as a block of slots is played, scores the block's signal with one sort
+and back-propagates it in one stacked pass, adding the slots in order: the
+gradient has the same bits as one backprop per slot, and memory stays flat
+in the number of slots. The slots after the last live one have an all-zero
+signal and are never back-propagated. Episode = one played sequence; the
+convergence statistic is the gap averaged over the trailing 500 episodes.
 """
 from __future__ import annotations
 
@@ -39,6 +51,7 @@ from .nets import (
     N_STEP_FEATURES,
     AdversaryPolicy,
     AlgorithmPolicy,
+    categorical_from_uniform,
     clip_grads,
     sample_categorical,
     scale_grads,
@@ -198,10 +211,16 @@ class SnapshotRing:
 
 @dataclasses.dataclass
 class BatchResult:
-    """Outcome of playing a pricing policy against a batch of budget rows."""
+    """Outcome of playing a pricing policy against a batch of budget rows.
 
-    price_idx: np.ndarray   # (batch, n_users) indices into the price set
-    prices: np.ndarray      # posted prices
+    A play without gradients posts no price in a settled cell (no unit left
+    before the slot, or the slot past the row's end): its price_idx is -1
+    and its price 0, which lies outside every price set, so feeding it on
+    as a price fails validation. A gradient play posts a price in every cell.
+    """
+
+    price_idx: np.ndarray   # (batch, n_users) indices into the price set; -1 if settled
+    prices: np.ndarray      # posted prices; 0 if settled
     accepted: np.ndarray    # realized accepts
     welfare: np.ndarray     # (batch,) accepted-budget totals
     benchmark: np.ndarray   # (batch,) offline benchmark per row
@@ -286,26 +305,55 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
     features[1:, :, 2] = budgets[:, :-1].T / float(cfg.upper_bound)
     price_idx = np.zeros((batch, n), dtype=np.int64)
     lefts = np.zeros((n, batch), dtype=np.int64)
+    # the rows a play forwards, and history holds, with their lengths: all of
+    # them in a gradient play, a shrinking set holding every unsettled row in
+    # a play without
+    rows, row_lengths = slice(None), lengths
+    posted = np.zeros(batch, dtype=np.int64)   # a row the play drops takes price 0
     block = max(1, _BACKPROP_CELLS // batch)
     tapes = []
     grad_total = None
 
     def price_at(i, left):
-        nonlocal grad_total
-        current = features[i]
-        current[:, 1] = left / r
+        nonlocal grad_total, history, rows, row_lengths
+        lefts[i] = left
+        u = rng.random((batch, 1)) if sample else None   # every slot draws for every row
+        row_left = left[rows]
+        live = (row_left > 0) & (i < row_lengths)
+        if not want_grads:
+            kept, n_live = live.size, np.count_nonzero(live)
+            if n_live == 0:   # every row has settled: no price can matter any more
+                return posted
+            # Shrink geometrically, once a quarter of the kept rows have settled,
+            # and to no fewer than 2 rows: numpy sends a 1-row product to gemv,
+            # whose bits differ from the gemm row the full batch gets.
+            if 4 * (kept - n_live) >= kept and max(n_live, 2) < kept:
+                keep = live
+                if n_live == 1:   # pad with a settled row
+                    keep[np.argmin(keep)] = True
+                rows = np.arange(batch)[rows][keep]
+                row_left, row_lengths = row_left[keep], row_lengths[keep]
+                history = dataclasses.replace(history, history=history.history[keep],
+                                              flat=history.flat[keep])
+                posted[:] = 0
+        current = features[i, rows]
+        current[:, 1] = row_left / r
         probs, tape = policy.forward(history, current)
         if sample:
-            idx = sample_categorical(rng, probs)
+            idx = categorical_from_uniform(probs, u[rows])
         else:
             idx = np.argmax(probs, axis=1)
-        price_idx[:, i] = idx
-        prices = price_arr[idx]
+        price_idx[rows, i] = idx
+        posted[rows] = price_arr[idx]
         if want_grads:
-            lefts[i] = left
-            tapes.append(tape)
-            if len(tapes) == block or i == n - 1:
-                slots = np.arange(i + 1 - len(tapes), i + 1)
+            # A slot where no row is live has an all-zero signal. Settling is
+            # permanent, so such slots form a suffix that is never back-propagated.
+            end = i   # the pending tapes are of the slots end - len(tapes) .. end - 1
+            if live.any():
+                tapes.append(tape)
+                end = i + 1
+            if tapes and (len(tapes) == block or end in (i, n)):
+                slots = np.arange(end - len(tapes), end)
                 stacked = stack_tapes(tapes)
                 tapes.clear()   # the per-slot copies go before the backward runs
                 grad_total = policy.backprop(
@@ -313,14 +361,18 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
                     into=grad_total)
         if i < n - 1:
             policy.encoder.extend(history, current)
-            features[i + 1, :, 3] = prices / max_price
-        return prices
+            features[i + 1, rows, 3] = posted[rows] / max_price
+        return posted
 
     welfare, accepted = play_out(budgets, r, price_at)
     bench = benchmark_rows(budgets, r)
-    result = BatchResult(price_idx=price_idx, prices=price_arr[price_idx],
-                         accepted=accepted, welfare=welfare, benchmark=bench,
-                         gap=bench - welfare)
+    prices = price_arr[price_idx]
+    if not want_grads:
+        settled = (lefts.T == 0) | (np.arange(n) >= lengths[:, None])
+        price_idx[settled] = -1
+        prices[settled] = 0
+    result = BatchResult(price_idx=price_idx, prices=prices, accepted=accepted,
+                         welfare=welfare, benchmark=bench, gap=bench - welfare)
     if not want_grads:
         return result, None
     return result, scale_grads(grad_total, 1.0 / batch)

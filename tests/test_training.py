@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from advalloc import training
-from advalloc.game import GameConfig, simulate
-from advalloc.completion import optimal_completion
+from advalloc.game import GameConfig, benchmark_rows, play_out, simulate
+from advalloc.completion import candidate_gaps, optimal_completion
 from advalloc.gradients import price_gradient
 from advalloc.nets import (
     N_STEP_FEATURES,
@@ -154,15 +154,31 @@ class TestSnapshotRing:
             SnapshotRing(0)
 
 
+def live_rows(cfg, res, lengths=None):
+    """(batch, n_users) mask of the cells whose row can still sell: a unit is
+    left before the slot and the slot lies within the row's length."""
+    batch, n = res.accepted.shape
+    left = cfg.n_resources - (np.cumsum(res.accepted, axis=1) - res.accepted)
+    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
+    return (left > 0) & (np.arange(n) < lengths[:, None])
+
+
+def any_price_when_settled(cfg, res):
+    """The play's prices with the lowest price in every settled cell, which
+    cannot sell at any price."""
+    return np.where(res.price_idx >= 0, res.prices, cfg.price_set[0])
+
+
 class TestPlayBatch:
     def test_matches_scalar_simulate(self):
         rng = np.random.default_rng(5)
         policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2, rng=rng)
         budgets = rng.integers(1, 4, size=(6, 4))
         res = play_batch(SMALL, policy, budgets, sample=False)
+        posted = any_price_when_settled(SMALL, res)
         for j in range(6):
             trace = simulate(SMALL, tuple(int(v) for v in budgets[j]),
-                             tuple(int(v) for v in res.prices[j]))
+                             tuple(int(v) for v in posted[j]))
             assert res.welfare[j] == trace.alg_welfare
             assert res.gap[j] == trace.gap
             assert tuple(res.accepted[j]) == trace.accepted
@@ -174,10 +190,11 @@ class TestPlayBatch:
         budgets = rng.integers(1, 4, size=(5, 4))
         lengths = np.array([1, 2, 3, 4, 2])
         res = play_batch(SMALL, policy, budgets, lengths=lengths, sample=False)
+        posted = any_price_when_settled(SMALL, res)
         for j in range(5):
             k = lengths[j]
             trace = simulate(SMALL, tuple(int(v) for v in budgets[j, :k]),
-                             tuple(int(v) for v in res.prices[j, :k]))
+                             tuple(int(v) for v in posted[j, :k]))
             assert res.gap[j] == trace.gap
             assert not res.accepted[j, k:].any()
 
@@ -247,10 +264,18 @@ class TestPlayBatch:
         monkeypatch.setattr(AlgorithmPolicy, "forward", counted)
         budgets = rng.integers(1, 4, size=(batch, n_users))
         if grads:
+            # the posted prices of every slot feed the generator's signal
             algorithm_gradients(cfg, policy, budgets, rng)
-        else:
-            play_batch(cfg, policy, budgets, rng)
-        assert calls == [batch] * n_users
+            assert calls == [batch] * n_users
+            return
+        # a play without gradients forwards a shrinking set of rows that holds
+        # every live row, never fewer than 2 of a batch of 2 or more, and stops
+        # once no row is live
+        live = live_rows(cfg, play_batch(cfg, policy, budgets, rng)).sum(axis=0)
+        assert len(calls) == np.count_nonzero(live) >= 1
+        assert calls[0] == batch
+        for i in range(1, len(calls)):
+            assert max(live[i], min(batch, 2)) <= calls[i] <= calls[i - 1]
 
     @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 6), (9, 10), (25, 32)])
     def test_backprop_runs_per_block_of_slots(self, monkeypatch, n_users, batch):
@@ -271,9 +296,12 @@ class TestPlayBatch:
         budgets = rng.integers(1, 4, size=(batch, n_users))
         play_batch(cfg, policy, budgets, rng)
         assert calls == []
-        algorithm_gradients(cfg, policy, budgets, rng)
-        assert sum(calls) == n_users >= len(calls) >= 1
-        assert len(calls) < n_users or n_users == 1
+        res, _ = algorithm_gradients(cfg, policy, budgets, rng)
+        # slots with a live row form a prefix; the rest have no signal
+        played = int(np.count_nonzero(live_rows(cfg, res).any(axis=0)))
+        block = max(1, training._BACKPROP_CELLS // batch)
+        full, rest = divmod(played, block)
+        assert calls == [block] * full + [rest] * (rest > 0)
 
     @pytest.mark.parametrize("built", [(4, 5), (4, 2), (5, 3)])
     def test_rejects_policy_built_for_another_game(self, built):
@@ -421,6 +449,126 @@ def test_gradients_match_per_slot_backprop_bit_for_bit(n_users, n_resources, bat
                                         np.random.default_rng(seed), sample)
     assert np.array_equal(res.price_idx, price_idx)
     assert all(same_bits(g, h) for g, h in zip(grads, ref))
+
+
+# (n_users, n_resources, batch, kind of lengths, sample): batches of 1, 2, 3 and 40,
+# full rows or random lengths, sampled and argmax play, R >= N so that no row
+# sells out, and rows of length 1 beside one full-length row, which leave one
+# live row for a play without gradients to forward beside a settled one
+PLAY_CASES = [
+    (7, 3, 1, "full", True), (7, 2, 1, "random", False), (7, 3, 2, "full", False),
+    (7, 2, 2, "random", True), (9, 3, 3, "random", True), (9, 2, 3, "full", False),
+    (25, 5, 40, "full", True), (25, 4, 40, "random", False), (25, 5, 40, "random", True),
+    (7, 7, 40, "full", True), (25, 30, 3, "random", False),
+    (9, 9, 5, "one long", False), (25, 25, 40, "one long", True),
+]
+
+
+@pytest.mark.parametrize("n_users, n_resources, batch, kind, sample", PLAY_CASES)
+def test_plays_match_a_full_batch_play_bit_for_bit(monkeypatch, n_users, n_resources, batch,
+                                                   kind, sample):
+    # per_slot_gradients forwards every row at every slot; both plays must give
+    # its outcomes, its probabilities and prices wherever a row can still sell,
+    # its gradients and its rng state, although neither forwards settled rows
+    # or back-propagates their slots
+    cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=(1, 2, 4, 5),
+                     budget_set=(1, 2, 3, 4, 5))
+    rng = np.random.default_rng(n_users * 1000 + n_resources * 100 + batch)
+    policy = AlgorithmPolicy(n_users, 4, hidden=(16, 16), encoder_width=3, rng=rng)
+    policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
+    budgets = rng.integers(1, 6, size=(batch, n_users))
+    if kind == "random":
+        full = rng.integers(1, n_users + 1, size=batch)
+    else:
+        full = np.full(batch, n_users) if kind == "full" else np.ones(batch, dtype=np.int64)
+        full[batch // 2] = n_users
+    lengths = None if kind == "full" else full
+    budgets = np.where(np.arange(n_users) < full[:, None], budgets, 0)
+    seed = int(rng.integers(1 << 30))
+
+    seen = []   # the probabilities of each pricer forward
+    forward = AlgorithmPolicy.forward
+
+    def recorded(self, history, current):
+        probs, tape = forward(self, history, current)
+        seen.append(probs.copy())
+        return probs, tape
+
+    monkeypatch.setattr(AlgorithmPolicy, "forward", recorded)
+    ref_rng = np.random.default_rng(seed)
+    price_idx, ref_grads = per_slot_gradients(cfg, policy, budgets, full, ref_rng, sample)
+    ref_probs = seen[:]
+    prices = np.asarray(cfg.price_set)[price_idx]
+    welfare, accepted = play_out(budgets, n_resources, lambda i, left: prices[:, i])
+    gap = benchmark_rows(budgets, n_resources) - welfare
+
+    for want_grads in (False, True):
+        seen.clear()
+        play_rng = np.random.default_rng(seed)
+        if want_grads:
+            res, grads = algorithm_gradients(cfg, policy, budgets, play_rng, lengths=lengths,
+                                             sample=sample)
+            assert np.array_equal(res.price_idx, price_idx)
+            assert all(same_bits(g, h) for g, h in zip(grads, ref_grads))
+            assert all(same_bits(p, q) for p, q in zip(seen, ref_probs))
+        else:
+            res = play_batch(cfg, policy, budgets, play_rng, lengths=lengths, sample=sample)
+        live = live_rows(cfg, res, full)
+        assert len(seen) == (n_users if want_grads else np.count_nonzero(live.any(axis=0)))
+        for i, probs in enumerate(seen):   # each live row's probabilities, bit for bit
+            rows = {row.tobytes() for row in probs}
+            assert all(ref_probs[i][j].tobytes() in rows for j in np.flatnonzero(live[:, i]))
+        assert np.array_equal(res.price_idx[live], price_idx[live])
+        assert np.array_equal(res.prices[live], prices[live])
+        assert np.array_equal(res.accepted, accepted)
+        assert np.array_equal(res.welfare, welfare)
+        assert np.array_equal(res.gap, gap)
+        assert play_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sample", [False, True])
+def test_settled_cells_carry_no_price(sample):
+    # a settled cell (no unit left, or past the row's end) is marked, and only
+    # in a play without gradients; its price 0 is outside every price set
+    cfg = GameConfig(n_users=9, n_resources=2, price_set=(1, 2, 4, 5), budget_set=(1, 2, 3, 4, 5))
+    rng = np.random.default_rng(31)
+    policy = AlgorithmPolicy(9, 4, hidden=(8,), encoder_width=2, rng=rng)
+    policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
+    budgets = rng.integers(1, 6, size=(30, 9))
+    for lengths in (None, rng.integers(1, 10, size=30)):
+        res = play_batch(cfg, policy, budgets, np.random.default_rng(1), lengths=lengths,
+                         sample=sample)
+        settled = ~live_rows(cfg, res, lengths)
+        assert settled.any() and not settled.all()
+        assert np.array_equal(res.price_idx == -1, settled)
+        assert np.array_equal(res.prices == 0, settled)
+        assert np.isin(res.price_idx[~settled], range(cfg.n_prices)).all()
+        assert np.array_equal(res.prices[~settled],
+                              np.asarray(cfg.price_set)[res.price_idx[~settled]])
+        res, _ = algorithm_gradients(cfg, policy, budgets, np.random.default_rng(1),
+                                     lengths=lengths, sample=sample)
+        assert np.isin(res.price_idx, range(cfg.n_prices)).all()
+        assert np.array_equal(res.prices, np.asarray(cfg.price_set)[res.price_idx])
+    res = play_batch(cfg, policy, budgets, np.random.default_rng(1), sample=sample)
+    with pytest.raises(ValueError, match="^prices entry 0 not in"):
+        candidate_gaps(cfg, res.prices, budgets)
+
+
+def test_play_without_gradients_memory_stays_small():
+    # an 81-row, N=25 argmax play with 64-wide layers keeps no tapes and only
+    # ever copies the history of the rows it still forwards
+    cfg = GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
+                     budget_set=(1, 2, 3, 4, 5))
+    rng = np.random.default_rng(25)
+    policy = AlgorithmPolicy(25, 5, hidden=(64, 64, 64), rng=rng)
+    budgets = rng.integers(1, 6, size=(81, 25))
+    tracemalloc.start()
+    try:
+        play_batch(cfg, policy, budgets, sample=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7e6
 
 
 class TestLoops:
