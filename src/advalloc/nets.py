@@ -50,22 +50,15 @@ def _checked_slope(slope) -> float:
     return value
 
 
-def leaky(z: np.ndarray, slope: float) -> np.ndarray:
+def leaky(z: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     # equals np.where(z > 0, z, slope * z), signed zeros included, for slope in [0, 1]
-    return np.maximum(z, slope * z)
+    return np.maximum(z, slope * z, out=out)
 
 
 def leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
     # equals np.where(z > 0, 1.0, slope) for slope in [0, 1], without where's
     # branchy loop over a mixed mask
     return np.maximum(z > 0, slope)
-
-
-def _float_rows(x) -> np.ndarray:
-    """x as an at least 2-D float64 array; a 2-D float64 array passes as is."""
-    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -89,17 +82,10 @@ def _split_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
 
 def softmax_heads(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
     """Row-wise softmax applied independently per contiguous head block."""
-    return _softmax_heads_inplace(np.array(z, dtype=np.float64), head_sizes)
-
-
-def _softmax_heads_inplace(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
-    """softmax_heads computed in z's own (contiguous float64) memory, with the
-    same ufuncs in the same order, so with the same bits."""
     blocks = _split_heads(z, head_sizes)
-    blocks -= np.maximum.reduce(blocks, axis=-1, keepdims=True)
-    np.exp(blocks, out=blocks)
-    blocks /= np.add.reduce(blocks, axis=-1, keepdims=True)
-    return z
+    e = np.exp(blocks - np.maximum.reduce(blocks, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e.reshape(z.shape)
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -199,18 +185,18 @@ class SoftmaxMlp:
         return out
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-        x = _float_rows(x)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input width {x.shape[-1]} != {self.layer_sizes[0]}")
-        # each layer's bias, rectifier or softmax goes into its product's array
+        # each hidden layer's bias and rectifier go into its product's array
         activations = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = activations[-1] @ w
             z += b
-            activations.append(np.maximum(z, self.slope * z, out=z))   # leaky(z)
+            activations.append(leaky(z, self.slope, out=z))
         z = activations[-1] @ self.weights[-1]
         z += self.biases[-1]
-        probs = _softmax_heads_inplace(z, self.head_sizes)
+        probs = softmax_heads(z, self.head_sizes)
         return probs, MlpTape(version=self.version, activations=activations, probs=probs)
 
     def backprop(self, tape: MlpTape, grad_probs: np.ndarray, *,
@@ -470,7 +456,7 @@ class AlgorithmPolicy(ParamBlocks):
         rows zero, or an EncodedHistory from self.encoder holding the same rows;
         both give bit-identical probabilities and gradients.
         """
-        current = _float_rows(current)
+        current = np.atleast_2d(np.asarray(current, dtype=np.float64))
         if isinstance(history, EncodedHistory):
             self.encoder._check_current(history)
             encoded = history

@@ -309,7 +309,7 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
     # them in a gradient play, a shrinking set holding every unsettled row in
     # a play without
     rows, row_lengths = slice(None), lengths
-    posted = np.zeros(batch, dtype=np.int64)   # a row the play drops takes price 0
+    posted = np.zeros(batch, dtype=np.int64)   # a settled row may keep any price
     block = max(1, _BACKPROP_CELLS // batch)
     tapes = []
     grad_total = None
@@ -335,7 +335,6 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
                 row_left, row_lengths = row_left[keep], row_lengths[keep]
                 history = dataclasses.replace(history, history=history.history[keep],
                                               flat=history.flat[keep])
-                posted[:] = 0
         current = features[i, rows]
         current[:, 1] = row_left / r
         probs, tape = policy.forward(history, current)
