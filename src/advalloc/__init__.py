@@ -36,11 +36,13 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config, re
 from .equilibrium import (
     FictitiousPlayResult,
     MixedStrategy,
+    PayoffGame,
     PayoffMatrix,
     PayoffTooLargeError,
     build_payoff_matrix,
     enumerate_strategies,
     fictitious_play,
+    payoff_game,
     solve_acceptance_lp,
     solve_zero_sum,
 )

@@ -35,8 +35,8 @@ from .completion import brute_force_completion, optimal_completion
 from .config import ConfigError, load_config, parse_group, render_config
 from .equilibrium import (
     PayoffTooLargeError,
-    build_payoff_matrix,
     fictitious_play,
+    payoff_game,
     solve_acceptance_lp,
     solve_zero_sum,
 )
@@ -270,7 +270,7 @@ def cmd_ne(args) -> int:
             row_strategies = _read_strategy_file(paths[0], cfg, "budgets")
         if paths[1] != "-":
             col_strategies = _read_strategy_file(paths[1], cfg, "prices")
-    payoff = build_payoff_matrix(cfg, row_strategies, col_strategies)
+    payoff = payoff_game(cfg, row_strategies, col_strategies)
 
     if args.mode == "lp":
         mixed = solve_zero_sum(payoff)

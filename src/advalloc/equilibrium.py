@@ -1,15 +1,19 @@
 """Nash-equilibrium machinery for the sequence game.
 
 The zero-sum game has budget sequences as row (maximizer) strategies and
-price sequences as column (minimizer) strategies; entries are gaps. The
-payoff matrix over all |A|^N price sequences is filled by a suffix DP that
-plays each price suffix once for every sequence ending in it; explicit
-column lists go through welfare_grid. Games of every size are solved
-exactly by strategy generation (double oracle): each subgame is one simplex
-LP whose duals give the row player's mix, best responses are exact payoff
-scans, and the loop ends only when the upper and lower certificates meet. Fictitious play provides an any-size approximate
-value bracket. A separate prefix-family LP computes the optimal per-user
-acceptance probabilities against a fixed budget sequence.
+price sequences as column (minimizer) strategies; entries are gaps. A
+PayoffGame computes a row or a column only when a solver reads it: a row
+against all |A|^N price sequences by a suffix DP that plays each price
+suffix once, a row against an explicit column list or any column through
+welfare_grid. Games of every size are solved exactly by strategy generation
+(double oracle): each subgame is one simplex LP whose duals give the row
+player's mix, best responses are exact scans of the payoff vectors built
+from the support rows and columns read so far, and the loop ends only when
+the upper and lower certificates meet. Fictitious play provides an
+any-size approximate value bracket from the rows and columns it picks.
+build_payoff_matrix still fills the whole table, with the same row kernel,
+for callers that want it. A separate prefix-family LP computes the optimal
+per-user acceptance probabilities against a fixed budget sequence.
 """
 from __future__ import annotations
 
@@ -32,16 +36,23 @@ from .simplex import solve_lp
 VALUE_TOL = 1e-6
 DEFAULT_MATRIX_CAP = 2 * 1024**3
 _BLOCK_CELLS = 1 << 18   # payoff cells built per row block
+_CACHE_CHUNK = 8         # rows or columns a solver's cache grows by at a time
+_ROUTES_OUT = ("shrink the instance or raise max_bytes, or use "
+               "`ne --mode acceptance-lp` for long sequences")
 
 
 class PayoffTooLargeError(ValueError):
-    """Matrix would exceed the memory cap.
+    """A payoff table or a solver's row and column caches would exceed the
+    memory cap.
 
-    The cap counts the integer output's real bytes, which with one row block
-    is the build's peak. Every solver here (LP, strategy generation,
-    fictitious play) reads the full matrix, so the routes out are a smaller
-    instance, a larger ``max_bytes``, or ``ne --mode acceptance-lp`` for long
-    sequences.
+    build_payoff_matrix counts the integer output's real bytes, which with
+    one row block is the build's peak. The solvers never hold the table:
+    they read a PayoffGame one row and one column at a time and keep float64
+    copies of what they read, whose bytes count against the game's cap. On
+    the full 7-user game those copies reach 7.5 MB (about 13 MB while a
+    cache grows), against 36 MB for the int8 table. The routes out are a
+    smaller instance, a larger ``max_bytes``, or ``ne --mode acceptance-lp``
+    for long sequences.
     """
 
 
@@ -138,22 +149,55 @@ def _suffix_gaps(rows: np.ndarray, bench: np.ndarray, price_set: Sequence[int], 
         lo_next = lo
 
 
-def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
-                        max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffMatrix:
-    """Gap matrix over the given (or fully enumerated) pure-strategy lists.
+@dataclasses.dataclass(frozen=True)
+class PayoffGame:
+    """The gap game over explicit strategy lists, each entry computed only
+    when a solver reads its row or column; the M x K table is never built.
+
+    Row i is the row kernel (fill) run on that one budget row: the suffix
+    DP over enumerated price columns, else welfare_grid over the listed
+    ones. Column j is the benchmark minus welfare_grid against that one
+    price row. ``max_bytes`` caps the float64 rows and columns a solver
+    keeps while reading the game.
+    """
+
+    cfg: GameConfig
+    rows: np.ndarray      # (M, N) budget sequences, zero-padded to length N
+    cols: np.ndarray      # (K, N) price sequences
+    bench: np.ndarray     # (M,) benchmark of each row
+    dtype: np.dtype       # narrowest signed integer dtype holding every gap
+    enumerated: bool      # cols are every price sequence, in enumerate_strategies order
+    max_bytes: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape[0], self.cols.shape[0]
+
+    def fill(self, block: slice, out: np.ndarray) -> None:
+        """Write the gaps of rows[block] against every column into out."""
+        if self.enumerated:
+            _suffix_gaps(self.rows[block], self.bench[block], self.cfg.price_set,
+                         min(self.cfg.n_resources, self.cfg.n_users), out)
+        else:
+            np.subtract(self.bench[block, None],
+                        welfare_grid(self.rows[block], self.cols, self.cfg.n_resources), out=out)
+
+    def row(self, i: int) -> np.ndarray:
+        out = np.empty((1, self.cols.shape[0]), dtype=self.dtype)
+        self.fill(slice(i, i + 1), out)
+        return out[0]
+
+    def col(self, j: int) -> np.ndarray:
+        return self.bench - welfare_grid(self.rows, self.cols[j:j + 1], self.cfg.n_resources)[:, 0]
+
+
+def payoff_game(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
+                max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffGame:
+    """The gap game over the given (or fully enumerated) pure-strategy lists.
 
     Variable-length row strategies (prefix-style) are zero-padded; a padded
     column is replayed only along the row's real length because zero budgets
     never accept. Column strategies must be full length.
-
-    Gaps lie in [0, max benchmark], so values are stored in the narrowest
-    signed integer dtype holding that range (int8 on the 7-user games) and
-    filled one block of rows at a time. Enumerated columns share their
-    suffixes, so each block is filled by a suffix DP over the price set
-    (_suffix_gaps) in that dtype; explicit column lists go through
-    welfare_grid. Peak memory is the integer output plus the working set of
-    one block of about 256K cells, and ``max_bytes``, which caps the
-    output's real size, bounds the footprint.
     """
     if row_strategies is None:
         rows = enumerate_strategies(cfg.budget_set, cfg.n_users)
@@ -164,41 +208,101 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
     else:
         cols, _ = strategy_rows(cfg, col_strategies, "prices")
     bench = benchmark_rows(rows, cfg.n_resources)
-    dtype = _narrowest_int(0, int(bench.max(initial=0)))
-    needed = rows.shape[0] * cols.shape[0] * dtype.itemsize
-    if needed > max_bytes:
-        raise PayoffTooLargeError(
-            f"{rows.shape[0]}x{cols.shape[0]} needs {needed / 1e6:.1f} MB > cap; "
-            "shrink the instance or raise max_bytes, or use "
-            "`ne --mode acceptance-lp` for long sequences")
-    values = np.empty((rows.shape[0], cols.shape[0]), dtype=dtype)
-    step = max(1, _BLOCK_CELLS // max(1, cols.shape[0]))
-    units = min(cfg.n_resources, cfg.n_users)
-    for start in range(0, rows.shape[0], step):
-        block = slice(start, start + step)
-        if col_strategies is None:
-            _suffix_gaps(rows[block], bench[block], cfg.price_set, units, values[block])
-        else:
-            np.subtract(bench[block, None], welfare_grid(rows[block], cols, cfg.n_resources),
-                        out=values[block])
-    return PayoffMatrix(rows=rows, cols=cols, values=values)
+    return PayoffGame(cfg=cfg, rows=rows, cols=cols, bench=bench,
+                      dtype=_narrowest_int(0, int(bench.max(initial=0))),
+                      enumerated=col_strategies is None, max_bytes=max_bytes)
 
 
-def _payoff_array(payoff) -> np.ndarray:
-    """The 2-D values of a PayoffMatrix (its integer array) or of a raw array.
+def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
+                        max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffMatrix:
+    """The whole gap matrix of payoff_game(cfg, row_strategies, col_strategies).
 
-    Only raw arrays are converted to float64 and checked for NaN and
-    infinities: a PayoffMatrix holds integer gaps by construction, and its
-    consumers upcast only the slices they read, so no full float64 copy is
-    made.
+    Gaps lie in [0, max benchmark], so values are stored in the narrowest
+    signed integer dtype holding that range (int8 on the 7-user games) and
+    filled one block of rows at a time by the game's row kernel. Peak memory
+    is the integer output plus the working set of one block of about 256K
+    cells, and ``max_bytes``, which caps the output's real size, bounds the
+    footprint. The solvers never need this table: they read a PayoffGame
+    row by row and column by column.
     """
-    raw = not isinstance(payoff, PayoffMatrix)
-    C = np.asarray(payoff, dtype=np.float64) if raw else payoff.values
-    if C.ndim != 2 or 0 in C.shape:
-        raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
-    if raw and not np.isfinite(C).all():
-        raise ValueError("payoff matrix entries must be finite")
-    return C
+    game = payoff_game(cfg, row_strategies, col_strategies)
+    (M, K), dtype = game.shape, game.dtype
+    needed = M * K * dtype.itemsize
+    if needed > max_bytes:
+        raise PayoffTooLargeError(f"{M}x{K} needs {needed / 1e6:.1f} MB > cap; {_ROUTES_OUT}")
+    values = np.empty((M, K), dtype=dtype)
+    step = max(1, _BLOCK_CELLS // max(1, K))
+    for start in range(0, M, step):
+        block = slice(start, start + step)
+        game.fill(block, values[block])
+    return PayoffMatrix(rows=game.rows, cols=game.cols, values=values)
+
+
+class _Reader:
+    """Reads a payoff source one row or column at a time and keeps a float64
+    copy of each row and column it read, in order of first read.
+
+    The source is a PayoffGame (entries computed on demand), a PayoffMatrix
+    (its integer values are indexed, never copied whole) or a raw 2-D array,
+    which alone is converted to float64 and checked for NaN and infinities.
+    fresh_row(i) and fresh_col(j) read the source itself; row(i) and col(j)
+    go through the caches. rows() is a C-contiguous (n, K) view and cols()
+    an (m, M) view, so rows() and cols().T have the layouts of the gathers
+    C[support, :] and C[:, support] and feed matmul in the same summation
+    order. Each buffer grows by _CACHE_CHUNK entries at a time, and
+    PayoffTooLargeError is raised before the two would together pass the
+    game's max_bytes (DEFAULT_MATRIX_CAP for a matrix or array).
+    """
+
+    def __init__(self, payoff):
+        if isinstance(payoff, PayoffGame):
+            self.shape, self.max_bytes = payoff.shape, payoff.max_bytes
+            self.fresh_row, self.fresh_col = payoff.row, payoff.col
+        else:
+            raw = not isinstance(payoff, PayoffMatrix)
+            C = np.asarray(payoff, dtype=np.float64) if raw else payoff.values
+            if C.ndim != 2 or 0 in C.shape:
+                raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
+            if raw and not np.isfinite(C).all():
+                raise ValueError("payoff matrix entries must be finite")
+            self.shape, self.max_bytes = C.shape, DEFAULT_MATRIX_CAP
+            self.fresh_row, self.fresh_col = C.__getitem__, lambda j: C[:, j]
+        M, K = self.shape
+        self._buffers = [np.empty((0, K)), np.empty((0, M))]
+        # (rows, columns): strategy index -> buffer row, in order of first read
+        self.slots: tuple[dict[int, int], dict[int, int]] = ({}, {})
+
+    def _read(self, side: int, i: int) -> np.ndarray:
+        slots = self.slots[side]
+        slot = slots.get(i)
+        if slot is None:
+            slot = len(slots)
+            buffer = self._buffers[side]
+            if slot == buffer.shape[0]:
+                if buffer.nbytes + _CACHE_CHUNK * buffer.shape[1] * 8 \
+                        + self._buffers[1 - side].nbytes > self.max_bytes:
+                    raise PayoffTooLargeError(
+                        f"{self.shape[0]}x{self.shape[1]} game: caching more than "
+                        f"{len(self.slots[0])} rows and {len(self.slots[1])} columns would "
+                        f"pass the {self.max_bytes / 1e6:.1f} MB cap; {_ROUTES_OUT}")
+                grown = np.empty((slot + _CACHE_CHUNK, buffer.shape[1]))
+                grown[:slot] = buffer
+                self._buffers[side] = buffer = grown
+            buffer[slot] = (self.fresh_col if side else self.fresh_row)(i)
+            slots[i] = slot
+        return self._buffers[side][slot]
+
+    def row(self, i: int) -> np.ndarray:
+        return self._read(0, i)
+
+    def col(self, j: int) -> np.ndarray:
+        return self._read(1, j)
+
+    def rows(self) -> np.ndarray:
+        return self._buffers[0][:len(self.slots[0])]
+
+    def cols(self) -> np.ndarray:
+        return self._buffers[1][:len(self.slots[1])]
 
 
 def _game_lps(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,16 +314,17 @@ def _game_lps(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col.duals / col.duals.sum(), col.x / col.x.sum()
 
 
-def _certify(C: np.ndarray, mixed: MixedStrategy, tol: float) -> None:
+def _certify(payoffs: _Reader, mixed: MixedStrategy, tol: float) -> None:
+    """Check both mixes against rows and columns read afresh from the source,
+    not the caches the solve used."""
     v = mixed.value
     if abs(mixed.row_value - mixed.col_value) > tol:
         raise ArithmeticError(
             f"player values disagree: {mixed.row_value} vs {mixed.col_value}")
-    # only each mix's support is upcast: C @ col_mix would copy all of C
-    cs = np.flatnonzero(mixed.col_mix)
-    rs = np.flatnonzero(mixed.row_mix)
-    col_payoff = C[:, cs] @ mixed.col_mix[cs]
-    row_payoff = mixed.row_mix[rs] @ C[rs, :]
+    col_payoff = sum(mixed.col_mix[j] * payoffs.fresh_col(j)
+                     for j in np.flatnonzero(mixed.col_mix))
+    row_payoff = sum(mixed.row_mix[i] * payoffs.fresh_row(i)
+                     for i in np.flatnonzero(mixed.row_mix))
     if col_payoff.max() > v + tol or row_payoff.min() < v - tol:
         raise ArithmeticError("equilibrium certificate violated")
 
@@ -230,30 +335,26 @@ def solve_zero_sum(payoff, *, tol: float = VALUE_TOL) -> MixedStrategy:
     The double oracle of McMahan, Gordon & Blum (ICML 2003): each round
     solves the subgame on the current supports with one LP and adds both
     players' exact best responses, until the best-response bounds meet.
+    A round reads only the rows and columns that enter the supports: the
+    subgame comes from the cached support rows, the best row from a gemv
+    over the cached support columns, the best column from one over the
+    cached support rows.
     """
-    C = _payoff_array(payoff)
-    M, K = C.shape
-    row_support = [0]
-    col_support = [0]
-    # float64 copies of the support columns in order of entry, one buffer row
-    # each, converted once: a column of the row-major matrix is a strided
-    # gather. columns[:k].T is the same column-major (M, k) layout as the
-    # gather C[:, col_support] returns, so it feeds the same gemv. Support
-    # rows are contiguous slices, cheap to upcast each round; a row cache
-    # would hold |support| x K float64 for the whole solve (1.8 MB for the
-    # full 7-user game's 14 support rows).
-    columns = np.empty((8, M))
-    columns[0] = C[:, 0]
+    payoffs = _Reader(payoff)
+    M, K = payoffs.shape
+    payoffs.row(0)
+    payoffs.col(0)
     for _ in range(M + K + 1):
-        sub_row, sub_col = _game_lps(C[np.ix_(row_support, col_support)])
+        row_support, col_support = map(list, payoffs.slots)
+        rows = payoffs.rows()
+        sub_row, sub_col = _game_lps(rows[:, col_support])
         # exact best responses against the subgame optimum
         col_full = np.zeros(K)
         col_full[col_support] = sub_col
-        row_payoffs = columns[:len(col_support)].T @ sub_col
+        row_payoffs = payoffs.cols().T @ sub_col
         best_row = int(np.argmax(row_payoffs))
         upper = float(row_payoffs[best_row])
-        # upcast before the product: matmul's own cast sums in another order
-        col_payoffs = sub_row @ C[row_support, :].astype(np.float64, copy=False)
+        col_payoffs = sub_row @ rows
         best_col = int(np.argmin(col_payoffs))
         lower = float(col_payoffs[best_col])
         if upper - lower <= tol:
@@ -261,16 +362,10 @@ def solve_zero_sum(payoff, *, tol: float = VALUE_TOL) -> MixedStrategy:
             row_full[row_support] = sub_row
             mixed = MixedStrategy(row_mix=row_full, col_mix=col_full,
                                   row_value=lower, col_value=upper)
-            _certify(C, mixed, max(tol, VALUE_TOL))
+            _certify(payoffs, mixed, max(tol, VALUE_TOL))
             return mixed
-        if best_row not in row_support:
-            row_support.append(best_row)
-        if best_col not in col_support:
-            k = len(col_support)
-            if k == columns.shape[0]:
-                columns = np.concatenate([columns, np.empty_like(columns)])
-            columns[k] = C[:, best_col]
-            col_support.append(best_col)
+        payoffs.row(best_row)
+        payoffs.col(best_col)
     raise ArithmeticError("strategy generation failed to close the certificate")
 
 
@@ -334,40 +429,34 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     The picks repeat for long runs, so the loop takes one run at a time: it
     computes how many steps pass before another strategy overtakes either
     pick and adds the picked column and row that many times in one update.
-    Each picked column and row is converted to float64 once and cached, so
-    an integer PayoffMatrix is never copied whole. Inside a run the bound at
+    Each picked column and row is read once and cached in float64, so a
+    PayoffGame computes only those and an integer PayoffMatrix is never
+    copied whole. Inside a run the bound at
     step t + k is (a + k b) / (t + k), monotone in k, so only the run's first
     and last checkpoint are evaluated; a checkpoint on the run's final step
     scans the full vectors. On integer
-    payoffs (every PayoffMatrix) the float64 sums are exact integers while
+    payoffs (every PayoffGame and PayoffMatrix) the float64 sums are exact integers while
     below 2**53, so picks, bracket and averages are bit-identical to taking
     one step at a time. On non-integer payoffs the picks may differ from a
     per-step loop where rounding breaks a tie; the bracket stays valid, to
     the same rounding as a per-step loop.
     """
-    C = _payoff_array(payoff)
+    payoffs = _Reader(payoff)
     iterations = checked_int(iterations, "iterations")
     every = checked_int(checkpoint_every, "checkpoint_every")
-    M, K = C.shape
+    M, K = payoffs.shape
     row_payoff = np.zeros(M)   # cumulative C @ (col picks)
     col_payoff = np.zeros(K)   # cumulative (row picks) @ C
     row_counts = np.zeros(M)
     col_counts = np.zeros(K)
-    # contiguous float64 copies of the picked columns and rows
-    columns: dict[int, np.ndarray] = {}
-    rows: dict[int, np.ndarray] = {}
     best_lower = -np.inf
     best_upper = np.inf
     t = 0
     while t < iterations:
         i = int(row_payoff.argmax())
         j = int(col_payoff.argmin())
-        column = columns.get(j)
-        if column is None:
-            column = columns[j] = C[:, j].astype(np.float64)
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = C[i, :].astype(np.float64)
+        column = payoffs.col(j)
+        row = payoffs.row(i)
         # at least one step, even if a float quotient underflows to 0
         run = int(max(1, min(
             iterations - t,

@@ -1,16 +1,19 @@
 """End-to-end CLI runs: dispatch, artifacts, exit codes, reproducibility."""
 import csv
+import functools
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advalloc import training
+from advalloc import cli, equilibrium, training
 from advalloc.cli import FP_ITERATIONS, MIX_EPS, MW_HEADER, STRATEGIES_HEADER, run_cli
 from advalloc.baselines import RESULTS_HEADER
 from advalloc.config import load_config
@@ -395,6 +398,103 @@ class TestNe:
         assert captured.out == ""
         assert captured.err == f"error: {bad} {message}\n"
         assert not (tmp_path / "r" / "strategies.csv").exists()
+
+
+FULL_7_USER_CFG = """
+n_users = 7
+n_resources = 3
+price_set = {1, 3, 5, 7}
+budget_set = {2, 4, 6}
+"""
+MB = 1_000_000
+
+
+class TestNeFullGame:
+    """ne reads the payoff rows and columns it needs, never the 2187x16384
+    matrix, with the same output as a solve over the built matrix."""
+
+    @pytest.fixture
+    def full_cfg(self, tmp_path):
+        path = tmp_path / "full.cfg"
+        path.write_text(FULL_7_USER_CFG)
+        budgets, prices = tmp_path / "budgets.txt", tmp_path / "prices.txt"
+        rng = np.random.default_rng(12)
+        # prefix-length budget rows and full-length price rows
+        budgets.write_text("".join(
+            "[" + ",".join(map(str, rng.choice((2, 4, 6), int(rng.integers(1, 8))))) + "]\n"
+            for _ in range(60)))
+        prices.write_text("".join(
+            "[" + ",".join(map(str, rng.choice((1, 3, 5, 7), 7))) + "]\n" for _ in range(40)))
+        return path, str(budgets), str(prices)
+
+    def run_ne(self, full_cfg, out, mode, files, capsys):
+        path, budgets, prices = full_cfg
+        chosen = {"none": [], "budgets": [budgets], "prices": ["-", prices],
+                  "both": [budgets, prices]}[files]
+        extra = ["--strategy-files", *chosen] if chosen else []
+        assert run_cli(["ne", "--config", str(path), "--mode", mode, *extra,
+                        "--out-dir", str(out)]) == 0
+        return capsys.readouterr().out, (out / "strategies.csv").read_bytes()
+
+    @pytest.mark.parametrize("files", ["none", "budgets", "prices", "both"])
+    @pytest.mark.parametrize("mode", ["lp", "fp"])
+    def test_same_bytes_as_a_solve_over_the_built_matrix(self, full_cfg, tmp_path, capsys,
+                                                         monkeypatch, mode, files):
+        printed, written = self.run_ne(full_cfg, tmp_path / "game", mode, files, capsys)
+        if files == "none":   # the output of the dense solver these routes replaced
+            assert (printed, hashlib.sha256(written).hexdigest()) == {
+                "lp": ("3.278761062\n",
+                       "ececbc217554555c086ecf5b0dabe872349f27357eeb431ebb6c4bd4d1f1fb61"),
+                "fp": ("3.280002421 bracket=[3.26942029,3.290584551] width=0.02116426129\n",
+                       "61689d30cfbc55d5b7a02ff70be225f860e60c391f74b1f0093e1546b3be356c"),
+            }[mode]
+        monkeypatch.setattr(cli, "payoff_game", equilibrium.build_payoff_matrix)
+        assert self.run_ne(full_cfg, tmp_path / "dense", mode, files, capsys) == (
+            printed, written)
+
+    @pytest.mark.parametrize("mode", ["lp", "fp"])
+    def test_peak_memory_stays_far_below_the_matrix(self, full_cfg, tmp_path, capsys, mode):
+        # the int8 matrix alone is 35.8 MB
+        tracemalloc.start()
+        try:
+            self.run_ne(full_cfg, tmp_path / mode, mode, "none", capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * MB
+
+    def test_eight_user_lp_value(self, tmp_path, capsys):
+        # the 6561x65536 int8 matrix alone would take 430 MB
+        path = tmp_path / "full8.cfg"
+        path.write_text(FULL_7_USER_CFG.replace("n_users = 7", "n_users = 8"))
+        tracemalloc.start()
+        try:
+            assert run_cli(["ne", "--config", str(path), "--mode", "lp",
+                            "--out-dir", str(tmp_path / "lp")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == "3.482957513\n"
+        assert peak < 120 * MB
+
+    @pytest.mark.parametrize("mode", ["lp", "fp"])
+    def test_refuses_when_its_caches_would_pass_the_cap(self, full_cfg, tmp_path, capsys,
+                                                        monkeypatch, mode):
+        # room for 8 cached rows and 8 columns; both solvers read more rows
+        monkeypatch.setattr(cli, "payoff_game",
+                            functools.partial(equilibrium.payoff_game, max_bytes=1_200_000))
+        out = tmp_path / mode
+        assert run_cli(["ne", "--config", str(full_cfg[0]), "--mode", mode,
+                        "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: 2187x16384 game: caching more than 8 rows and ")
+        assert "would pass the 1.2 MB cap" in captured.err
+        assert not (out / "strategies.csv").exists()
+        assert (out / "run-manifest.txt").read_text().splitlines()[-1].startswith(
+            "failed: 2187x16384 game")
 
 
 class TestBench:

@@ -11,11 +11,13 @@ from advalloc import equilibrium
 from advalloc.equilibrium import (
     FictitiousPlayResult,
     MixedStrategy,
+    PayoffGame,
     PayoffMatrix,
     PayoffTooLargeError,
     build_payoff_matrix,
     enumerate_strategies,
     fictitious_play,
+    payoff_game,
     solve_acceptance_lp,
     solve_zero_sum,
 )
@@ -40,6 +42,17 @@ def cfg(n, r, prices, budgets):
 
 FULL_GAME = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))   # 2187x16384, gaps 0..18
 MB = 1_000_000
+
+
+def listed_strategies(game, seed=0):
+    """Seeded (budget rows, price columns): prefix-length budget rows, as a
+    --strategy-files budgets file may hold, and an explicit full-length
+    price-column list."""
+    rng = np.random.default_rng(seed)
+    rows = [tuple(rng.choice(game.budget_set, int(rng.integers(1, game.n_users + 1))).tolist())
+            for _ in range(12)]
+    cols = [tuple(rng.choice(game.price_set, game.n_users).tolist()) for _ in range(9)]
+    return rows, cols
 
 
 class TestEnumerate:
@@ -200,21 +213,27 @@ class TestNarrowValues:
         cfg(3, 2, (50, 100), (50, 100)),
     ])
     def test_same_results_as_float64_input(self, game, direct):
-        pm = build_payoff_matrix(game)
-        C = pm.values.astype(np.float64)
-        if direct:   # the whole game as one LP, without strategy generation
-            a, b = equilibrium._game_lps(pm.values), equilibrium._game_lps(C)
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        a, b = solve_zero_sum(pm), solve_zero_sum(C)
-        assert (a.row_value, a.col_value) == (b.row_value, b.col_value)
-        assert np.array_equal(a.row_mix, b.row_mix)
-        assert np.array_equal(a.col_mix, b.col_mix)
-        for iterations, every in ((1, 1), (997, 7), (5000, 100)):
-            a = fictitious_play(pm, iterations, checkpoint_every=every)
-            b = fictitious_play(C, iterations, checkpoint_every=every)
-            assert (a.lower, a.upper) == (b.lower, b.upper)
-            assert np.array_equal(a.row_avg, b.row_avg)
-            assert np.array_equal(a.col_avg, b.col_avg)
+        # the integer matrix, its float64 copy and the on-demand game give
+        # the same bytes, over full enumerations and over listed strategies
+        for lists in ((None, None), listed_strategies(game)):
+            pm = build_payoff_matrix(game, *lists)
+            C = pm.values.astype(np.float64)
+            others = (C, payoff_game(game, *lists))
+            if direct:   # the whole game as one LP, without strategy generation
+                a, b = equilibrium._game_lps(pm.values), equilibrium._game_lps(C)
+                assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            a = solve_zero_sum(pm)
+            for b in map(solve_zero_sum, others):
+                assert (a.row_value, a.col_value) == (b.row_value, b.col_value)
+                assert a.row_mix.tobytes() == b.row_mix.tobytes()
+                assert a.col_mix.tobytes() == b.col_mix.tobytes()
+            for iterations, every in ((1, 1), (997, 7), (5000, 100)):
+                a = fictitious_play(pm, iterations, checkpoint_every=every)
+                for other in others:
+                    b = fictitious_play(other, iterations, checkpoint_every=every)
+                    assert (a.lower, a.upper) == (b.lower, b.upper)
+                    assert a.row_avg.tobytes() == b.row_avg.tobytes()
+                    assert a.col_avg.tobytes() == b.col_avg.tobytes()
 
     def test_memory_stays_near_the_integer_matrix(self):
         # a full float64 copy of this matrix would add 287 MB
@@ -231,6 +250,53 @@ class TestNarrowValues:
                 assert peak - base <= 16 * MB
         finally:
             tracemalloc.stop()
+
+
+class TestPayoffGame:
+    """Rows and columns computed on demand equal the built matrix's."""
+
+    @pytest.mark.parametrize("listed", [False, True])
+    @pytest.mark.parametrize("game", [
+        cfg(4, 2, (1, 2, 3), (1, 2, 3)),
+        cfg(3, 2, (50, 100), (50, 100)),
+        cfg(2, 1, (1, 40_000), (1, 40_000)),
+    ])
+    def test_rows_and_columns_match_the_matrix(self, game, listed):
+        lists = listed_strategies(game, seed=3) if listed else (None, None)
+        pm = build_payoff_matrix(game, *lists)
+        g = payoff_game(game, *lists)
+        assert isinstance(g, PayoffGame) and g.shape == pm.shape
+        assert np.array_equal(g.rows, pm.rows) and np.array_equal(g.cols, pm.cols)
+        assert g.enumerated == (not listed) and g.dtype == pm.values.dtype
+        for i in range(pm.shape[0]):
+            assert g.row(i).dtype == pm.values.dtype
+            assert np.array_equal(g.row(i), pm.values[i])
+        for j in range(pm.shape[1]):
+            assert np.array_equal(g.col(j), pm.values[:, j])
+
+    def test_full_game_rows_and_columns(self):
+        g = payoff_game(FULL_GAME)
+        assert g.shape == (2187, 16384) and g.max_bytes == equilibrium.DEFAULT_MATRIX_CAP
+        rng = np.random.default_rng(6)
+        for i in rng.integers(g.shape[0], size=3):
+            j = int(rng.integers(g.shape[1]))
+            row, col = g.row(int(i)), g.col(j)
+            assert row[j] == col[i] == gap(FULL_GAME, g.rows[i].tolist(), g.cols[j].tolist())
+            for k in rng.integers(g.shape[1], size=20):
+                assert row[k] == gap(FULL_GAME, g.rows[i].tolist(), g.cols[k].tolist())
+            for k in rng.integers(g.shape[0], size=20):
+                assert col[k] == gap(FULL_GAME, g.rows[k].tolist(), g.cols[j].tolist())
+
+    @pytest.mark.parametrize("solve", [solve_zero_sum, lambda p: fictitious_play(p, 100_000)])
+    def test_caches_refuse_past_the_cap(self, solve):
+        # 8 float64 rows (1,048,576 B) and 8 columns (139,968 B) fit; a 9th
+        # row would pass the cap, and both solvers read more than 8 rows
+        g = payoff_game(FULL_GAME, max_bytes=1_200_000)
+        with pytest.raises(PayoffTooLargeError, match=(
+                r"^2187x16384 game: caching more than 8 rows and \d+ columns would pass "
+                r"the 1\.2 MB cap; shrink the instance or raise max_bytes, or use "
+                r"`ne --mode acceptance-lp` for long sequences$")):
+            solve(g)
 
 
 class TestSolveZeroSum:
