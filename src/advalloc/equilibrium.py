@@ -37,22 +37,23 @@ VALUE_TOL = 1e-6
 DEFAULT_MATRIX_CAP = 2 * 1024**3
 _BLOCK_CELLS = 1 << 18   # payoff cells built per row block
 _CACHE_CHUNK = 8         # rows or columns a solver's cache grows by at a time
-_ROUTES_OUT = ("shrink the instance or raise max_bytes, or use "
-               "`ne --mode acceptance-lp` for long sequences")
 
 
 class PayoffTooLargeError(ValueError):
     """A payoff table or a solver's row and column caches would exceed the
     memory cap.
 
-    build_payoff_matrix counts the integer output's real bytes, which with
-    one row block is the build's peak. The solvers never hold the table:
-    they read a PayoffGame one row and one column at a time and keep float64
-    copies of what they read, whose bytes count against the game's cap. On
-    the full 7-user game those copies reach 7.5 MB (about 13 MB while a
-    cache grows), against 36 MB for the int8 table. The routes out are a
-    smaller instance, a larger ``max_bytes``, or ``ne --mode acceptance-lp``
-    for long sequences.
+    build_payoff_matrix counts the integer output's real bytes against its
+    ``max_bytes``, which with one row block is the build's peak. The solvers
+    never hold the table: they read a payoff source one row and one column
+    at a time and keep float64 copies of what they read. A cache grows by
+    copying into a longer buffer, so the bytes counted against
+    DEFAULT_MATRIX_CAP are the growing cache twice (old and new buffer)
+    plus the other cache, which bounds the caches' peak. On the full 7-user
+    game the copies reach 7.5 MB (about 13 MB while a cache grows), against
+    36 MB for the int8 table. The routes out are a smaller instance, a
+    larger ``max_bytes`` for a build, or ``ne --mode acceptance-lp`` for
+    long sequences.
     """
 
 
@@ -157,8 +158,7 @@ class PayoffGame:
     Row i is the row kernel (fill) run on that one budget row: the suffix
     DP over enumerated price columns, else welfare_grid over the listed
     ones. Column j is the benchmark minus welfare_grid against that one
-    price row. ``max_bytes`` caps the float64 rows and columns a solver
-    keeps while reading the game.
+    price row.
     """
 
     cfg: GameConfig
@@ -167,7 +167,6 @@ class PayoffGame:
     bench: np.ndarray     # (M,) benchmark of each row
     dtype: np.dtype       # narrowest signed integer dtype holding every gap
     enumerated: bool      # cols are every price sequence, in enumerate_strategies order
-    max_bytes: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -191,8 +190,7 @@ class PayoffGame:
         return self.bench - welfare_grid(self.rows, self.cols[j:j + 1], self.cfg.n_resources)[:, 0]
 
 
-def payoff_game(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
-                max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffGame:
+def payoff_game(cfg: GameConfig, row_strategies=None, col_strategies=None) -> PayoffGame:
     """The gap game over the given (or fully enumerated) pure-strategy lists.
 
     Variable-length row strategies (prefix-style) are zero-padded; a padded
@@ -210,7 +208,7 @@ def payoff_game(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
     bench = benchmark_rows(rows, cfg.n_resources)
     return PayoffGame(cfg=cfg, rows=rows, cols=cols, bench=bench,
                       dtype=_narrowest_int(0, int(bench.max(initial=0))),
-                      enumerated=col_strategies is None, max_bytes=max_bytes)
+                      enumerated=col_strategies is None)
 
 
 def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
@@ -229,7 +227,9 @@ def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=Non
     (M, K), dtype = game.shape, game.dtype
     needed = M * K * dtype.itemsize
     if needed > max_bytes:
-        raise PayoffTooLargeError(f"{M}x{K} needs {needed / 1e6:.1f} MB > cap; {_ROUTES_OUT}")
+        raise PayoffTooLargeError(
+            f"{M}x{K} needs {needed / 1e6:.1f} MB > cap; shrink the instance or raise "
+            "max_bytes, or use `ne --mode acceptance-lp` for long sequences")
     values = np.empty((M, K), dtype=dtype)
     step = max(1, _BLOCK_CELLS // max(1, K))
     for start in range(0, M, step):
@@ -249,14 +249,16 @@ class _Reader:
     go through the caches. rows() is a C-contiguous (n, K) view and cols()
     an (m, M) view, so rows() and cols().T have the layouts of the gathers
     C[support, :] and C[:, support] and feed matmul in the same summation
-    order. Each buffer grows by _CACHE_CHUNK entries at a time, and
-    PayoffTooLargeError is raised before the two would together pass the
-    game's max_bytes (DEFAULT_MATRIX_CAP for a matrix or array).
+    order. Each buffer grows by _CACHE_CHUNK entries at a time, copied into
+    a new buffer, and PayoffTooLargeError is raised before the old and the
+    new buffer plus the other cache would pass DEFAULT_MATRIX_CAP, read
+    when the reader is made. Callers keep no view of a replaced buffer, so
+    only the growing cache ever has two buffers alive.
     """
 
     def __init__(self, payoff):
         if isinstance(payoff, PayoffGame):
-            self.shape, self.max_bytes = payoff.shape, payoff.max_bytes
+            self.shape = payoff.shape
             self.fresh_row, self.fresh_col = payoff.row, payoff.col
         else:
             raw = not isinstance(payoff, PayoffMatrix)
@@ -265,9 +267,10 @@ class _Reader:
                 raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
             if raw and not np.isfinite(C).all():
                 raise ValueError("payoff matrix entries must be finite")
-            self.shape, self.max_bytes = C.shape, DEFAULT_MATRIX_CAP
+            self.shape = C.shape
             self.fresh_row, self.fresh_col = C.__getitem__, lambda j: C[:, j]
         M, K = self.shape
+        self.max_bytes = DEFAULT_MATRIX_CAP
         self._buffers = [np.empty((0, K)), np.empty((0, M))]
         # (rows, columns): strategy index -> buffer row, in order of first read
         self.slots: tuple[dict[int, int], dict[int, int]] = ({}, {})
@@ -279,12 +282,13 @@ class _Reader:
             slot = len(slots)
             buffer = self._buffers[side]
             if slot == buffer.shape[0]:
-                if buffer.nbytes + _CACHE_CHUNK * buffer.shape[1] * 8 \
+                if 2 * buffer.nbytes + _CACHE_CHUNK * buffer.shape[1] * 8 \
                         + self._buffers[1 - side].nbytes > self.max_bytes:
                     raise PayoffTooLargeError(
                         f"{self.shape[0]}x{self.shape[1]} game: caching more than "
                         f"{len(self.slots[0])} rows and {len(self.slots[1])} columns would "
-                        f"pass the {self.max_bytes / 1e6:.1f} MB cap; {_ROUTES_OUT}")
+                        f"pass the {self.max_bytes / 1e6:.1f} MB cap; shrink the instance "
+                        "or use `ne --mode acceptance-lp` for long sequences")
                 grown = np.empty((slot + _CACHE_CHUNK, buffer.shape[1]))
                 grown[:slot] = buffer
                 self._buffers[side] = buffer = grown
@@ -338,7 +342,8 @@ def solve_zero_sum(payoff, *, tol: float = VALUE_TOL) -> MixedStrategy:
     A round reads only the rows and columns that enter the supports: the
     subgame comes from the cached support rows, the best row from a gemv
     over the cached support columns, the best column from one over the
-    cached support rows.
+    cached support rows. No view of a cache outlives the round's products,
+    so a growing cache never keeps its old buffer alive.
     """
     payoffs = _Reader(payoff)
     M, K = payoffs.shape
@@ -346,15 +351,14 @@ def solve_zero_sum(payoff, *, tol: float = VALUE_TOL) -> MixedStrategy:
     payoffs.col(0)
     for _ in range(M + K + 1):
         row_support, col_support = map(list, payoffs.slots)
-        rows = payoffs.rows()
-        sub_row, sub_col = _game_lps(rows[:, col_support])
+        sub_row, sub_col = _game_lps(payoffs.rows()[:, col_support])
         # exact best responses against the subgame optimum
         col_full = np.zeros(K)
         col_full[col_support] = sub_col
         row_payoffs = payoffs.cols().T @ sub_col
         best_row = int(np.argmax(row_payoffs))
         upper = float(row_payoffs[best_row])
-        col_payoffs = sub_row @ rows
+        col_payoffs = sub_row @ payoffs.rows()
         best_col = int(np.argmin(col_payoffs))
         lower = float(col_payoffs[best_col])
         if upper - lower <= tol:

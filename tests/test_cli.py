@@ -1,6 +1,5 @@
 """End-to-end CLI runs: dispatch, artifacts, exit codes, reproducibility."""
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -481,8 +480,7 @@ class TestNeFullGame:
     def test_refuses_when_its_caches_would_pass_the_cap(self, full_cfg, tmp_path, capsys,
                                                         monkeypatch, mode):
         # room for 8 cached rows and 8 columns; both solvers read more rows
-        monkeypatch.setattr(cli, "payoff_game",
-                            functools.partial(equilibrium.payoff_game, max_bytes=1_200_000))
+        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 1_200_000)
         out = tmp_path / mode
         assert run_cli(["ne", "--config", str(full_cfg[0]), "--mode", mode,
                         "--out-dir", str(out)]) == 1

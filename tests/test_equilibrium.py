@@ -276,7 +276,7 @@ class TestPayoffGame:
 
     def test_full_game_rows_and_columns(self):
         g = payoff_game(FULL_GAME)
-        assert g.shape == (2187, 16384) and g.max_bytes == equilibrium.DEFAULT_MATRIX_CAP
+        assert g.shape == (2187, 16384)
         rng = np.random.default_rng(6)
         for i in rng.integers(g.shape[0], size=3):
             j = int(rng.integers(g.shape[1]))
@@ -288,15 +288,44 @@ class TestPayoffGame:
                 assert col[k] == gap(FULL_GAME, g.rows[k].tolist(), g.cols[j].tolist())
 
     @pytest.mark.parametrize("solve", [solve_zero_sum, lambda p: fictitious_play(p, 100_000)])
-    def test_caches_refuse_past_the_cap(self, solve):
-        # 8 float64 rows (1,048,576 B) and 8 columns (139,968 B) fit; a 9th
-        # row would pass the cap, and both solvers read more than 8 rows
-        g = payoff_game(FULL_GAME, max_bytes=1_200_000)
+    def test_caches_refuse_past_the_cap(self, solve, monkeypatch):
+        # 8 float64 rows (1,048,576 B) and 8 columns (139,968 B) fit; growing
+        # to 16 rows holds the old 8 and the new 16 at once (3,285,088 B with
+        # the columns), which passes the cap, and both solvers read more
+        # than 8 rows
+        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 3_000_000)
         with pytest.raises(PayoffTooLargeError, match=(
                 r"^2187x16384 game: caching more than 8 rows and \d+ columns would pass "
-                r"the 1\.2 MB cap; shrink the instance or raise max_bytes, or use "
+                r"the 3\.0 MB cap; shrink the instance or use "
                 r"`ne --mode acceptance-lp` for long sequences$")):
-            solve(g)
+            solve(payoff_game(FULL_GAME))
+
+    def test_traced_peak_stays_under_the_cap(self, monkeypatch):
+        # one growth to 16 rows fits (3,285,088 B at its peak), the next does not
+        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 3_300_000)
+        reader = equilibrium._Reader(payoff_game(FULL_GAME))
+        tracemalloc.start()
+        try:
+            reader.col(0)
+            with pytest.raises(PayoffTooLargeError, match="more than 16 rows and 1 columns"):
+                for i in range(32):
+                    reader.row(i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 3_285_088 <= peak <= 3_300_000
+
+    @pytest.mark.parametrize("solve", [solve_zero_sum, lambda p: fictitious_play(p, 10_000)])
+    def test_raw_and_matrix_sources_share_the_cap(self, solve, monkeypatch):
+        rng = np.random.default_rng(8)
+        values = rng.integers(0, 9, size=(60, 60)).astype(np.int8)
+        # 8 rows and 8 columns (7,680 B) fit, growing either to 16 does not
+        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 10_000)
+        for source in (values.astype(np.float64),
+                       PayoffMatrix(rows=np.zeros((60, 1)), cols=np.zeros((60, 1)),
+                                    values=values)):
+            with pytest.raises(PayoffTooLargeError, match=r"^60x60 game: caching more than"):
+                solve(source)
 
 
 class TestSolveZeroSum:
