@@ -45,6 +45,7 @@ from .equilibrium import (
     payoff_game,
     solve_acceptance_lp,
     solve_zero_sum,
+    undominated_columns,
 )
 from .game import (
     AllocationTrace,

@@ -50,10 +50,12 @@ class PayoffTooLargeError(ValueError):
     copying into a longer buffer, so the bytes counted against
     DEFAULT_MATRIX_CAP are the growing cache twice (old and new buffer)
     plus the other cache, which bounds the caches' peak. On the full 7-user
-    game the copies reach 7.5 MB (about 13 MB while a cache grows), against
-    36 MB for the int8 table. The routes out are a smaller instance, a
-    larger ``max_bytes`` for a build, or ``ne --mode acceptance-lp`` for
-    long sequences.
+    game the LP's copies reach 7.1 MB (about 13.6 MB while a cache grows)
+    and fictitious play's, over the 729 undominated price sequences, 1.5 MB
+    (2.9 MB), against 36 MB for the int8 table. Fictitious play's refusal
+    names the game it plays, 2187x729 there. The routes out are a smaller
+    instance, a larger ``max_bytes`` for a build, or
+    ``ne --mode acceptance-lp`` for long sequences.
     """
 
 
@@ -209,6 +211,30 @@ def payoff_game(cfg: GameConfig, row_strategies=None, col_strategies=None) -> Pa
     return PayoffGame(cfg=cfg, rows=rows, cols=cols, bench=bench,
                       dtype=_narrowest_int(0, int(bench.max(initial=0))),
                       enumerated=col_strategies is None)
+
+
+def undominated_columns(cfg: GameConfig) -> np.ndarray:
+    """Indices, in enumerate_strategies order, of the price sequences that two
+    exact dominance rules keep. Each dropped sequence maps to a kept one of
+    lower index whose gap is no larger against any budget row, zero-padded
+    rows included, since a zero budget meets no price.
+
+    - Last slot: it posts price_set[0], as a sale there only adds welfare.
+    - Other slots: prices that the same budgets meet collapse to the smallest
+      of them, and a price no budget meets becomes the smallest price only
+      the largest budget meets, if there is one. That sale takes a unit, so
+      the play loses at most its last later sale, worth no more than it.
+
+    The kept sequences are the product of the kept prices per slot.
+    """
+    meets = [sum(b >= p for b in cfg.budget_set) for p in cfg.price_set]   # non-increasing
+    kept = [k for k, count in enumerate(meets) if k == 0 or count != meets[k - 1]]
+    if len(kept) > 1 and meets[kept[-1]] == 0 and meets[kept[-2]] == 1:
+        kept.pop()
+    index = np.zeros(1, dtype=np.int64)
+    for digits in [kept] * (cfg.n_users - 1) + [[0]]:
+        index = (index[:, None] * cfg.n_prices + digits).ravel()
+    return index
 
 
 def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
@@ -435,19 +461,31 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     pick and adds the picked column and row that many times in one update.
     Each picked column and row is read once and cached in float64, so a
     PayoffGame computes only those and an integer PayoffMatrix is never
-    copied whole. Inside a run the bound at
-    step t + k is (a + k b) / (t + k), monotone in k, so only the run's first
-    and last checkpoint are evaluated; a checkpoint on the run's final step
-    scans the full vectors. On integer
-    payoffs (every PayoffGame and PayoffMatrix) the float64 sums are exact integers while
-    below 2**53, so picks, bracket and averages are bit-identical to taking
-    one step at a time. On non-integer payoffs the picks may differ from a
-    per-step loop where rounding breaks a tie; the bracket stays valid, to
-    the same rounding as a per-step loop.
+    copied whole. Inside a run the bound at step t + k is
+    (a + k b) / (t + k), monotone in k, so only the run's first and last
+    checkpoint are evaluated; a checkpoint on the run's final step scans the
+    full vectors. On integer payoffs (every PayoffGame and PayoffMatrix) the
+    float64 sums are exact integers while below 2**53, so picks, bracket and
+    averages are bit-identical to taking one step at a time. On non-integer
+    payoffs the picks may differ from a per-step loop where rounding breaks
+    a tie; the bracket stays valid, to the same rounding as a per-step loop.
+
+    On a PayoffGame whose price side is enumerated the price player plays
+    only the undominated_columns (729 of 16,384 sequences on the full
+    7-user game, 6,561 of 262,144 on the 9-user game). A dropped column has
+    a kept one of lower index that is no larger on every row, so with exact
+    sums it is never the first argmin nor the first to overtake the pick:
+    picks, bracket and averages are those of the whole game, and col_avg is
+    scattered back to the enumeration's indices.
     """
-    payoffs = _Reader(payoff)
     iterations = checked_int(iterations, "iterations")
     every = checked_int(checkpoint_every, "checkpoint_every")
+    kept = None
+    if isinstance(payoff, PayoffGame) and payoff.enumerated:
+        kept = undominated_columns(payoff.cfg)
+        full_k = payoff.shape[1]
+        payoff = dataclasses.replace(payoff, cols=payoff.cols[kept], enumerated=False)
+    payoffs = _Reader(payoff)
     M, K = payoffs.shape
     row_payoff = np.zeros(M)   # cumulative C @ (col picks)
     col_payoff = np.zeros(K)   # cumulative (row picks) @ C
@@ -481,6 +519,9 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
         if t % every == 0 or t == iterations:
             best_lower = max(best_lower, float(col_payoff.min()) / t)
             best_upper = min(best_upper, float(row_payoff.max()) / t)
+    if kept is not None:   # back to the enumeration's indices
+        col_counts, kept_counts = np.zeros(full_k), col_counts
+        col_counts[kept] = kept_counts
     return FictitiousPlayResult(
         lower=best_lower,
         upper=best_upper,

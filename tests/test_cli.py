@@ -476,23 +476,48 @@ class TestNeFullGame:
         assert capsys.readouterr().out == "3.482957513\n"
         assert peak < 120 * MB
 
+    @pytest.mark.parametrize("n_users, printed, bound", [
+        # traced peaks measured at 15.0 MB and 63.9 MB; the 9-user peak is
+        # mostly the column cache (111 columns of 19,683 float64 gaps, held
+        # twice while it grows) and the 262,144 enumerated price sequences
+        (8, "3.483609387 bracket=[3.466866867,3.500351906] width=0.03348503929\n", 17 * MB),
+        (9, "3.609633271 bracket=[3.589288618,3.629977925] width=0.04068930706\n", 72 * MB),
+    ], ids=["n8", "n9"])
+    def test_fp_on_larger_games(self, tmp_path, capsys, n_users, printed, bound):
+        # fp plays 3^(N-1) of the 4^N price sequences
+        path = tmp_path / "full.cfg"
+        path.write_text(FULL_7_USER_CFG.replace("n_users = 7", f"n_users = {n_users}"))
+        tracemalloc.start()
+        try:
+            assert run_cli(["ne", "--config", str(path), "--mode", "fp",
+                            "--out-dir", str(tmp_path / "fp")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == printed
+        assert peak < bound
+
     @pytest.mark.parametrize("mode", ["lp", "fp"])
     def test_refuses_when_its_caches_would_pass_the_cap(self, full_cfg, tmp_path, capsys,
                                                         monkeypatch, mode):
-        # room for 8 cached rows and 8 columns; both solvers read more rows
+        # lp: room for 8 cached rows 16384 wide and 8 columns, and it reads
+        # more rows; fp plays the 729 undominated price sequences, so its
+        # refusal names that game, after 25 rows and 32 columns of the 67 it
+        # reads
         monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 1_200_000)
         out = tmp_path / mode
         assert run_cli(["ne", "--config", str(full_cfg[0]), "--mode", mode,
                         "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
+        game, cached = {"lp": ("2187x16384 game", "8 rows and "),
+                        "fp": ("2187x729 game", "25 rows and 32 columns ")}[mode]
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith(
-            "error: 2187x16384 game: caching more than 8 rows and ")
+        assert captured.err.startswith(f"error: {game}: caching more than {cached}")
         assert "would pass the 1.2 MB cap" in captured.err
         assert not (out / "strategies.csv").exists()
         assert (out / "run-manifest.txt").read_text().splitlines()[-1].startswith(
-            "failed: 2187x16384 game")
+            f"failed: {game}")
 
 
 class TestBench:

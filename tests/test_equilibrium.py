@@ -20,6 +20,7 @@ from advalloc.equilibrium import (
     payoff_game,
     solve_acceptance_lp,
     solve_zero_sum,
+    undominated_columns,
 )
 from advalloc.game import GameConfig, benchmark_rows, gap, welfare_grid
 from advalloc.simplex import solve_lp
@@ -289,14 +290,23 @@ class TestPayoffGame:
 
     @pytest.mark.parametrize("solve", [solve_zero_sum, lambda p: fictitious_play(p, 100_000)])
     def test_caches_refuse_past_the_cap(self, solve, monkeypatch):
-        # 8 float64 rows (1,048,576 B) and 8 columns (139,968 B) fit; growing
-        # to 16 rows holds the old 8 and the new 16 at once (3,285,088 B with
-        # the columns), which passes the cap, and both solvers read more
-        # than 8 rows
-        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 3_000_000)
+        if solve is solve_zero_sum:
+            # 8 float64 rows (1,048,576 B) and 8 columns (139,968 B) fit;
+            # growing to 16 rows holds the old 8 and the new 16 at once
+            # (3,285,088 B with the columns), which passes the cap, and the
+            # LP reads more than 8 rows
+            cap, cached, shape = 3_000_000, r"8 rows and \d+ columns", "2187x16384"
+        else:
+            # fictitious play caches rows over the 729 undominated price
+            # sequences: buffers of 24 rows (139,968 B) and 24 columns
+            # (419,904 B) fit; growing to 32 columns holds the old 24 and the
+            # new 32 at once (1,119,744 B with the rows), which passes the
+            # cap, and it reads 67 columns
+            cap, cached, shape = 1_000_000, "22 rows and 24 columns", "2187x729"
+        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", cap)
         with pytest.raises(PayoffTooLargeError, match=(
-                r"^2187x16384 game: caching more than 8 rows and \d+ columns would pass "
-                r"the 3\.0 MB cap; shrink the instance or use "
+                rf"^{shape} game: caching more than {cached} would pass "
+                rf"the {cap / 1e6:.1f} MB cap; shrink the instance or use "
                 r"`ne --mode acceptance-lp` for long sequences$")):
             solve(payoff_game(FULL_GAME))
 
@@ -596,6 +606,68 @@ class TestFictitiousPlay:
             assert res.lower == lower and res.upper == upper
             assert np.array_equal(res.row_avg, row_avg)
             assert np.array_equal(res.col_avg, col_avg)
+
+
+def random_small_games(seed, count):
+    """Seeded games with N <= 5 and at most 1,024 price sequences."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(count):
+        prices = np.sort(rng.choice(np.arange(1, 13), int(rng.integers(2, 6)), replace=False))
+        budgets = np.sort(rng.choice(np.arange(1, 13), int(rng.integers(1, 5)), replace=False))
+        n = int(rng.integers(1, 6))
+        while len(prices) ** n > 1024:
+            n -= 1
+        games.append(cfg(n, int(rng.integers(1, 5)), prices.tolist(), budgets.tolist()))
+    return games
+
+
+DOMINANCE_GAMES = [   # (game, kept prices at a slot before the last)
+    (cfg(4, 2, (1, 3, 5, 7), (2, 4, 6)), (1, 3, 5)),   # 7 meets no budget: becomes 5
+    (cfg(3, 2, (1, 3, 9), (2, 4, 6)), (1, 3, 9)),      # no price only 6 meets: 9 stays
+    (cfg(4, 2, (1, 2, 3, 4), (2, 4)), (1, 3)),         # 2 meets what 1 does, 4 what 3 does
+    (cfg(4, 2, (1, 2, 3), (2,)), (1,)),                # one budget: 3 becomes 1
+    (cfg(3, 1, (5, 6), (1, 2, 3)), (5,)),              # every price above every budget
+    (cfg(1, 1, (1, 2, 3), (1, 2, 3)), ()),             # N=1: only the last slot
+    (cfg(3, 5, (1, 2, 4, 8), (1, 4, 5)), (1, 2, 8)),   # more units than users
+] + [(game, None) for game in random_small_games(seed=23, count=12)]
+
+
+class TestUndominatedColumns:
+    """Fictitious play keeps only the price sequences two dominance rules keep."""
+
+    @pytest.mark.parametrize("game, slot_prices", DOMINANCE_GAMES)
+    def test_each_dropped_sequence_has_a_kept_one_never_worse(self, game, slot_prices):
+        kept = undominated_columns(game)
+        cols = enumerate_strategies(game.price_set, game.n_users)
+        assert np.array_equal(kept, np.unique(kept))
+        assert set(cols[kept, -1].tolist()) == {game.price_set[0]}
+        if slot_prices is not None:
+            assert len(kept) == len(slot_prices) ** (game.n_users - 1)
+            assert set(cols[kept, :-1].ravel().tolist()) == set(slot_prices)
+        # every budget sequence of every length: enumerated and zero-padded rows
+        rows = [seq for n in range(1, game.n_users + 1)
+                for seq in itertools.product(game.budget_set, repeat=n)]
+        C = build_payoff_matrix(game, rows).values
+        dropped = np.setdiff1d(np.arange(cols.shape[0]), kept)
+        never_worse = (C[:, kept, None] <= C[:, None, dropped]).all(axis=0)
+        never_worse &= kept[:, None] < dropped[None, :]
+        assert never_worse.any(axis=0).all()
+
+    @pytest.mark.parametrize("game, slot_prices", DOMINANCE_GAMES)
+    def test_same_bytes_as_the_dense_matrix(self, game, slot_prices):
+        for rows in (None, listed_strategies(game, seed=4)[0]):   # padded rows too
+            C = build_payoff_matrix(game, rows).values.astype(np.float64)
+            for iterations, every in ((1, 1), (997, 7), (5000, 100)):
+                a = fictitious_play(C, iterations, checkpoint_every=every)
+                b = fictitious_play(payoff_game(game, rows), iterations, checkpoint_every=every)
+                assert (a.lower, a.upper) == (b.lower, b.upper)
+                assert a.row_avg.tobytes() == b.row_avg.tobytes()
+                assert a.col_avg.tobytes() == b.col_avg.tobytes()
+
+    def test_the_full_game_plays_729_sequences(self):
+        kept = undominated_columns(FULL_GAME)
+        assert len(kept) == 729 and kept[-1] == 10920   # [5,5,5,5,5,5,1]
 
 
 class TestSolveStrategyTypes:
