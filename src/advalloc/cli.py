@@ -31,7 +31,8 @@ from .baselines import (
     random_sequences,
     snapshot_sequence_sampler,
 )
-from .completion import brute_force_completion, optimal_completion
+from .completion import (brute_force_completion, brute_force_completions, optimal_completion,
+                         optimal_gaps)
 from .config import ConfigError, load_config, parse_group, render_config
 from .equilibrium import (
     PayoffTooLargeError,
@@ -341,20 +342,22 @@ def cmd_oracle_check(args) -> int:
     artifact = "oracle-counterexample.txt"
     _write_manifest(args.out_dir, "oracle-check", args, [artifact + " (on failure)"])
     rng = derive_rng(args.seed, "oracle-check")
-    matched = 0
-    first_bad = None
-    for _ in range(args.cases):
-        cfg, prices, prefix = _random_instance(rng)
-        fast = optimal_completion(cfg, prices, prefix)
-        slow = brute_force_completion(cfg, prices, prefix)
-        if fast.gap == slow.gap:
-            matched += 1
-        elif first_bad is None:
-            first_bad = (cfg, prices, prefix, fast, slow)
+    cases = [_random_instance(rng) for _ in range(args.cases)]
+    groups = {}   # draw indices by (N, R): each group is scored in one call per oracle
+    for index, (cfg, _, _) in enumerate(cases):
+        groups.setdefault((cfg.n_users, cfg.n_resources), []).append(index)
+    agree = [False] * args.cases
+    for indices in groups.values():
+        group = [cases[i] for i in indices]
+        for i, fast, slow in zip(indices, optimal_gaps(group), brute_force_completions(group)):
+            agree[i] = fast == slow.gap
+    matched = sum(agree)
     print(f"{matched}/{args.cases} matched")
     if matched == args.cases:
         return 0
-    cfg, prices, prefix, fast, slow = first_bad
+    cfg, prices, prefix = cases[agree.index(False)]
+    fast = optimal_completion(cfg, prices, prefix)
+    slow = brute_force_completion(cfg, prices, prefix)
     path = os.path.join(args.out_dir, artifact)
     with open(path, "w", encoding="utf-8") as f:
         f.write("completion oracle mismatch\n"

@@ -15,9 +15,12 @@ import pytest
 from advalloc import cli, equilibrium, training
 from advalloc.cli import FP_ITERATIONS, MIX_EPS, MW_HEADER, STRATEGIES_HEADER, run_cli
 from advalloc.baselines import RESULTS_HEADER
+from advalloc.completion import brute_force_completion, optimal_completion, optimal_gaps
 from advalloc.config import load_config
 from advalloc.equilibrium import build_payoff_matrix, solve_acceptance_lp, solve_zero_sum
+from advalloc.game import format_sequence
 from advalloc.persist import load_model, load_ring
+from advalloc.rng import derive_rng
 from advalloc.training import METRICS_HEADER
 
 SMALL_CFG = """
@@ -79,6 +82,56 @@ class TestOracleCheck:
         assert capsys.readouterr().out.strip() == "40/40 matched"
         assert (tmp_path / "run-manifest.txt").exists()
         assert not (tmp_path / "oracle-counterexample.txt").exists()
+
+    @staticmethod
+    def drawn_cases(seed, count):
+        rng = derive_rng(seed, "oracle-check")
+        return [cli._random_instance(rng) for _ in range(count)]
+
+    def test_scores_the_drawn_cases_in_groups(self, tmp_path, monkeypatch):
+        scored = []
+
+        def recording(group):
+            scored.append(list(group))
+            return optimal_gaps(group)
+
+        monkeypatch.setattr(cli, "optimal_gaps", recording)
+        assert run_cli(["oracle-check", "--cases", "40", "--seed", "7",
+                        "--out-dir", str(tmp_path)]) == 0
+        groups = {}
+        for case in self.drawn_cases(7, 40):
+            groups.setdefault((case[0].n_users, case[0].n_resources), []).append(case)
+        assert scored == list(groups.values())
+        assert len(scored) == 15
+
+    def test_mismatch_writes_the_first_case_in_draw_order(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cases = self.drawn_cases(7, 40)
+        # draw 20's (N, R) group is scored before draw 17's
+        wrong = [cases[17], cases[20]]
+
+        def off_by_one(group):
+            return [g + (case in wrong) for case, g in zip(group, optimal_gaps(group))]
+
+        monkeypatch.setattr(cli, "optimal_gaps", off_by_one)
+        code = run_cli(["oracle-check", "--cases", "40", "--seed", "7",
+                        "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.strip() == "38/40 matched"
+        assert "counterexample written to" in err
+        cfg, prices, prefix = cases[17]
+        assert (prices, prefix) == ((8, 12, 8, 12, 12, 2), (12, 12, 2, 2))
+        fast = optimal_completion(cfg, prices, prefix)
+        slow = brute_force_completion(cfg, prices, prefix)
+        assert len(fast.full_sequence) == len(slow.full_sequence) == 6
+        assert (tmp_path / "oracle-counterexample.txt").read_text() == (
+            "completion oracle mismatch\n"
+            "config: n_users=6 n_resources=3 price_set=(2, 8, 12) budget_set=(2, 12)\n"
+            "prices: 8,12,8,12,12,2\n"
+            "prefix: 12,12,2,2\n"
+            f"fast gap: {fast.gap} via {format_sequence(fast.full_sequence)}\n"
+            f"brute gap: {slow.gap} via {format_sequence(slow.full_sequence)}\n")
 
 
 class TestTrain:

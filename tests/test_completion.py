@@ -118,22 +118,69 @@ class TestBlockedBruteForce:
 
     def test_memory_stays_flat(self):
         prices = (2, 4, 4, 2, 2, 4, 2, 4, 4, 2, 4, 2)
+        small, large = cfg(12, 3, (2, 4), (1, 3)), cfg(12, 3, (2, 4), (1, 3, 5))
+        # 2**12 completions (one block), 3**12, and five cases whose 205,161
+        # completions fill 51 blocks, three of them shared between cases
+        calls = ([(small, prices, ())], [(large, prices, ())],
+                 [(small, prices, (3,)), (large, prices, (1, 5, 3)), (small, prices, ()),
+                  (large, prices, (5,) * 5), (large, prices, (1,))])
         peaks = []
         tracemalloc.start()
         try:
-            for budgets in ((1, 3), (1, 3, 5)):   # 2**12 (one block) and 3**12 completions
-                c = cfg(12, 3, (2, 4), budgets)
+            for cases in calls:
                 tracemalloc.reset_peak()
                 base, _ = tracemalloc.get_traced_memory()
-                res = brute_force_completion(c, prices, ())
+                res = completion.brute_force_completions(cases)
                 _, peak = tracemalloc.get_traced_memory()
                 peaks.append(peak - base)
         finally:
             tracemalloc.stop()
-        assert res.gap == optimal_completion(c, prices, ()).gap
+        assert [r.gap for r in res] == completion.optimal_gaps(cases) == [6, 6, 9, 0, 9]
+        assert res == [brute_force_completion(*case) for case in cases]
         # a block of 4096 rows is about 0.4 MB; all 3**12 rows would be 51 MB
-        assert peaks[1] <= peaks[0] + 64 * 1024
-        assert peaks[1] <= 2_000_000
+        assert max(peaks[1:]) <= peaks[0] + 64 * 1024
+        assert max(peaks) <= 2_000_000
+
+
+class TestGroupedReaders:
+    """optimal_gaps and brute_force_completions score a group of cases of
+    one sequence length and R in one call; the one-case readers are their
+    reference, case by case."""
+
+    @staticmethod
+    def groups(seed, count):
+        rng = np.random.default_rng(seed)
+        by_shape = {}
+        for i in range(count):
+            c, prices, prefix = brute_instance(rng, ties=i % 3 == 0)
+            by_shape.setdefault((len(prices), c.n_resources), []).append((c, prices, prefix))
+        return list(by_shape.values())
+
+    @pytest.mark.parametrize("block", [1, 5, 7])
+    def test_match_the_one_case_readers(self, monkeypatch, block):
+        monkeypatch.setattr(completion, "_BRUTE_BLOCK", block)
+        for seed in (3, 5, 13):
+            for group in self.groups(seed, 300):
+                fast = completion.optimal_gaps(group)
+                slow = completion.brute_force_completions(group)
+                for case, f, s in zip(group, fast, slow):
+                    assert f == optimal_completion(*case).gap == s.gap
+                    assert s == brute_force_completion(*case)
+                    assert all(type(v) is int for v in s.full_sequence + (s.gap, f))
+
+    def test_first_maximum_per_case_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(completion, "_BRUTE_BLOCK", 3)
+        # every completion ties at gap 0; the cases end and start mid-block
+        cases = [(cfg(3, 3, (1,), (1, 2)), (1, 1, 1), prefix)
+                 for prefix in ((), (2,), (2, 2), (), (1, 2, 2))]
+        assert [r.full_sequence for r in completion.brute_force_completions(cases)] == \
+            [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 1), (1, 2, 2)]
+
+    @pytest.mark.parametrize("reader", ["optimal_gaps", "brute_force_completions"])
+    def test_rejects_mixed_groups(self, reader):
+        c = cfg(3, 2, (1, 2), (1, 2))
+        with pytest.raises(ValueError, match="needs cases of one sequence length"):
+            getattr(completion, reader)([(c, (1, 2, 1), ()), (c, (1, 2), ())])
 
 
 class TestOptimalCompletion:
