@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from advalloc import (GameConfig, build_payoff_matrix, fictitious_play, payoff_game,
+from advalloc import (GameConfig, fictitious_play, payoff_game,
                       solve_acceptance_lp, solve_zero_sum, undominated_columns)
 
 # A staircase of budgets: 1 through 5, five users at each level, five
@@ -35,7 +35,7 @@ cfg = GameConfig(n_users=7, n_resources=3, price_set=(1, 2, 3),
 menu = ((1, 1, 2, 2, 3, 3, 3),
         (1, 1, 1, 2, 2, 2, 3),
         (1, 2, 2, 2, 3, 3, 3))
-payoff = build_payoff_matrix(cfg, col_strategies=menu)
+payoff = payoff_game(cfg, col_strategies=menu)
 mixed = solve_zero_sum(payoff)
 print(f"\nrestricted game ({payoff.shape[0]}x{payoff.shape[1]}):",
       f"value {mixed.value:.6f} (= {Fraction(13, 3)} as a fraction)")

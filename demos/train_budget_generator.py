@@ -12,9 +12,8 @@ import time
 
 import numpy as np
 
-from advalloc import (GameConfig, TrainConfig, build_payoff_matrix,
-                      derive_rng, gap, snapshot_sequence_sampler,
-                      solve_zero_sum, train_adv_vs_mw)
+from advalloc import (GameConfig, TrainConfig, derive_rng, gap, payoff_game,
+                      snapshot_sequence_sampler, solve_zero_sum, train_adv_vs_mw)
 
 cfg = GameConfig(n_users=7, n_resources=3, price_set=(1, 2, 3),
                  budget_set=(1, 2, 3))
@@ -22,7 +21,7 @@ menu = ((1, 1, 2, 2, 3, 3, 3),
         (1, 1, 1, 2, 2, 2, 3),
         (1, 2, 2, 2, 3, 3, 3))
 
-mixed = solve_zero_sum(build_payoff_matrix(cfg, col_strategies=menu))
+mixed = solve_zero_sum(payoff_game(cfg, col_strategies=menu))
 print(f"exact value of the restricted game: {mixed.value:.6f}")
 
 tcfg = TrainConfig(episodes=100_000, batch=10, lr_adv=1e-2, seed=7,

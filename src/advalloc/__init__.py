@@ -37,9 +37,7 @@ from .equilibrium import (
     FictitiousPlayResult,
     MixedStrategy,
     PayoffGame,
-    PayoffMatrix,
     PayoffTooLargeError,
-    build_payoff_matrix,
     enumerate_strategies,
     fictitious_play,
     payoff_game,
@@ -62,7 +60,7 @@ from .game import (
     welfare_grid,
     welfare_paired,
 )
-from .gradients import DualInfo, ProbGradient, budget_gradient, price_gradient, shadow_price
+from .gradients import DualInfo, ProbGradient, price_gradient, shadow_price
 from .nets import (
     AdversaryPolicy,
     AlgorithmPolicy,

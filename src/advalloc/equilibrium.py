@@ -11,8 +11,8 @@ player's mix, best responses are exact scans of the payoff vectors built
 from the support rows and columns read so far, and the loop ends only when
 the upper and lower certificates meet. Fictitious play provides an
 any-size approximate value bracket from the rows and columns it picks.
-build_payoff_matrix still fills the whole table, with the same row kernel,
-for callers that want it. A separate prefix-family LP computes the optimal
+Both solvers also take a raw 2-D array, the dense reference the tests
+compare against. A separate prefix-family LP computes the optimal
 per-user acceptance probabilities against a fixed budget sequence.
 """
 from __future__ import annotations
@@ -35,41 +35,23 @@ from .simplex import solve_lp
 
 VALUE_TOL = 1e-6
 DEFAULT_MATRIX_CAP = 2 * 1024**3
-_BLOCK_CELLS = 1 << 18   # payoff cells built per row block
 _CACHE_CHUNK = 8         # rows or columns a solver's cache grows by at a time
 
 
 class PayoffTooLargeError(ValueError):
-    """A payoff table or a solver's row and column caches would exceed the
-    memory cap.
+    """A solver's row and column caches would exceed the memory cap.
 
-    build_payoff_matrix counts the integer output's real bytes against its
-    ``max_bytes``, which with one row block is the build's peak. The solvers
-    never hold the table: they read a payoff source one row and one column
-    at a time and keep float64 copies of what they read. A cache grows by
-    copying into a longer buffer, so the bytes counted against
+    The solvers never hold the whole table: they read a payoff source one
+    row and one column at a time and keep float64 copies of what they read.
+    A cache grows by copying into a longer buffer, so the bytes counted against
     DEFAULT_MATRIX_CAP are the growing cache twice (old and new buffer)
     plus the other cache, which bounds the caches' peak. On the full 7-user
     game the LP's copies reach 7.1 MB (about 13.6 MB while a cache grows)
     and fictitious play's, over the 729 undominated price sequences, 1.5 MB
     (2.9 MB), against 36 MB for the int8 table. Fictitious play's refusal
     names the game it plays, 2187x729 there. The routes out are a smaller
-    instance, a larger ``max_bytes`` for a build, or
-    ``ne --mode acceptance-lp`` for long sequences.
+    instance or ``ne --mode acceptance-lp`` for long sequences.
     """
-
-
-@dataclasses.dataclass(frozen=True)
-class PayoffMatrix:
-    """Gap table over explicit strategy lists (rows maximize, columns minimize)."""
-
-    rows: np.ndarray      # (M, N) budget sequences, zero-padded to length N
-    cols: np.ndarray      # (K, N) price sequences, zero-padded
-    values: np.ndarray    # (M, K) gaps, narrowest signed integer dtype holding them
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,10 +139,9 @@ class PayoffGame:
     """The gap game over explicit strategy lists, each entry computed only
     when a solver reads its row or column; the M x K table is never built.
 
-    Row i is the row kernel (fill) run on that one budget row: the suffix
-    DP over enumerated price columns, else welfare_grid over the listed
-    ones. Column j is the benchmark minus welfare_grid against that one
-    price row.
+    Row i is the suffix DP run on that one budget row over enumerated
+    price columns, else welfare_grid over the listed ones. Column j is the
+    benchmark minus welfare_grid against that one price row.
     """
 
     cfg: GameConfig
@@ -174,18 +155,15 @@ class PayoffGame:
     def shape(self) -> tuple[int, int]:
         return self.rows.shape[0], self.cols.shape[0]
 
-    def fill(self, block: slice, out: np.ndarray) -> None:
-        """Write the gaps of rows[block] against every column into out."""
-        if self.enumerated:
-            _suffix_gaps(self.rows[block], self.bench[block], self.cfg.price_set,
-                         min(self.cfg.n_resources, self.cfg.n_users), out)
-        else:
-            np.subtract(self.bench[block, None],
-                        welfare_grid(self.rows[block], self.cols, self.cfg.n_resources), out=out)
-
     def row(self, i: int) -> np.ndarray:
         out = np.empty((1, self.cols.shape[0]), dtype=self.dtype)
-        self.fill(slice(i, i + 1), out)
+        rows, bench = self.rows[i:i + 1], self.bench[i:i + 1]
+        if self.enumerated:
+            _suffix_gaps(rows, bench, self.cfg.price_set,
+                         min(self.cfg.n_resources, self.cfg.n_users), out)
+        else:
+            np.subtract(bench[:, None], welfare_grid(rows, self.cols, self.cfg.n_resources),
+                        out=out)
         return out[0]
 
     def col(self, j: int) -> np.ndarray:
@@ -237,40 +215,12 @@ def undominated_columns(cfg: GameConfig) -> np.ndarray:
     return index
 
 
-def build_payoff_matrix(cfg: GameConfig, row_strategies=None, col_strategies=None, *,
-                        max_bytes: int = DEFAULT_MATRIX_CAP) -> PayoffMatrix:
-    """The whole gap matrix of payoff_game(cfg, row_strategies, col_strategies).
-
-    Gaps lie in [0, max benchmark], so values are stored in the narrowest
-    signed integer dtype holding that range (int8 on the 7-user games) and
-    filled one block of rows at a time by the game's row kernel. Peak memory
-    is the integer output plus the working set of one block of about 256K
-    cells, and ``max_bytes``, which caps the output's real size, bounds the
-    footprint. The solvers never need this table: they read a PayoffGame
-    row by row and column by column.
-    """
-    game = payoff_game(cfg, row_strategies, col_strategies)
-    (M, K), dtype = game.shape, game.dtype
-    needed = M * K * dtype.itemsize
-    if needed > max_bytes:
-        raise PayoffTooLargeError(
-            f"{M}x{K} needs {needed / 1e6:.1f} MB > cap; shrink the instance or raise "
-            "max_bytes, or use `ne --mode acceptance-lp` for long sequences")
-    values = np.empty((M, K), dtype=dtype)
-    step = max(1, _BLOCK_CELLS // max(1, K))
-    for start in range(0, M, step):
-        block = slice(start, start + step)
-        game.fill(block, values[block])
-    return PayoffMatrix(rows=game.rows, cols=game.cols, values=values)
-
-
 class _Reader:
     """Reads a payoff source one row or column at a time and keeps a float64
     copy of each row and column it read, in order of first read.
 
-    The source is a PayoffGame (entries computed on demand), a PayoffMatrix
-    (its integer values are indexed, never copied whole) or a raw 2-D array,
-    which alone is converted to float64 and checked for NaN and infinities.
+    The source is a PayoffGame (entries computed on demand) or a raw 2-D
+    array, which is converted to float64 and checked for NaN and infinities.
     fresh_row(i) and fresh_col(j) read the source itself; row(i) and col(j)
     go through the caches. rows() is a C-contiguous (n, K) view and cols()
     an (m, M) view, so rows() and cols().T have the layouts of the gathers
@@ -287,11 +237,10 @@ class _Reader:
             self.shape = payoff.shape
             self.fresh_row, self.fresh_col = payoff.row, payoff.col
         else:
-            raw = not isinstance(payoff, PayoffMatrix)
-            C = np.asarray(payoff, dtype=np.float64) if raw else payoff.values
+            C = np.asarray(payoff, dtype=np.float64)
             if C.ndim != 2 or 0 in C.shape:
                 raise ValueError(f"payoff matrix must be 2-D and non-empty, got {C.shape}")
-            if raw and not np.isfinite(C).all():
+            if not np.isfinite(C).all():
                 raise ValueError("payoff matrix entries must be finite")
             self.shape = C.shape
             self.fresh_row, self.fresh_col = C.__getitem__, lambda j: C[:, j]
@@ -460,15 +409,14 @@ def fictitious_play(payoff, iterations: int = 100_000, *,
     computes how many steps pass before another strategy overtakes either
     pick and adds the picked column and row that many times in one update.
     Each picked column and row is read once and cached in float64, so a
-    PayoffGame computes only those and an integer PayoffMatrix is never
-    copied whole. Inside a run the bound at step t + k is
+    PayoffGame computes only those. Inside a run the bound at step t + k is
     (a + k b) / (t + k), monotone in k, so only the run's first and last
     checkpoint are evaluated; a checkpoint on the run's final step scans the
-    full vectors. On integer payoffs (every PayoffGame and PayoffMatrix) the
-    float64 sums are exact integers while below 2**53, so picks, bracket and
-    averages are bit-identical to taking one step at a time. On non-integer
-    payoffs the picks may differ from a per-step loop where rounding breaks
-    a tie; the bracket stays valid, to the same rounding as a per-step loop.
+    full vectors. On integer payoffs (every PayoffGame) the float64 sums
+    are exact integers while below 2**53, so picks, bracket and averages are
+    bit-identical to taking one step at a time. On non-integer payoffs the
+    picks may differ from a per-step loop where rounding breaks a tie; the
+    bracket stays valid, to the same rounding as a per-step loop.
 
     On a PayoffGame whose price side is enumerated the price player plays
     only the undominated_columns (729 of 16,384 sequences on the full

@@ -4,8 +4,7 @@ The pricing side uses the resource constraint's shadow price: with y units
 left before slot i, the shadow price is the midpoint of the y-th and
 (y+1)-th largest remaining budgets (missing order statistics count as 0).
 Accepting a budget b is worth b minus that shadow price, charged on every
-price the user would accept. The budget side scores each candidate budget at
-a slot by the best completion gap it enables.
+price the user would accept.
 
 Slots are 0-indexed throughout.
 """
@@ -14,8 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from .completion import optimal_completion
-from .game import GameConfig, validate_budgets, validate_prices
+from .game import GameConfig, validate_budgets
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,24 +84,3 @@ def price_gradient(cfg: GameConfig, budgets: Sequence[int], slot: int,
     per_action = tuple(signal if p <= b else 0.0 for p in cfg.price_set)
     return ProbGradient(slot=slot, per_action=per_action)
 
-
-def budget_gradient(cfg: GameConfig, prices: Sequence[int], budgets: Sequence[int],
-                    slot: int) -> ProbGradient:
-    """Gap gradient on the budget distribution of one slot.
-
-    Entry for candidate budget b substitutes b at the slot, keeps the sampled
-    budgets before it, and scores the optimal completion's gap. Training
-    takes the same values for whole batches from completion.candidate_gaps;
-    this per-slot form is its reference.
-    """
-    prices = validate_prices(cfg, prices, allow_partial=True)
-    budgets = validate_budgets(cfg, budgets, allow_partial=True)
-    if len(budgets) != len(prices):
-        raise ValueError(f"length mismatch: {len(budgets)} budgets vs {len(prices)} prices")
-    _check_slot(len(prices), slot)
-    per_action = []
-    head = budgets[:slot]
-    for b in cfg.budget_set:
-        result = optimal_completion(cfg, prices, head + (b,))
-        per_action.append(float(result.gap))
-    return ProbGradient(slot=slot, per_action=tuple(per_action))

@@ -24,9 +24,9 @@ from advalloc.baselines import (
 )
 from advalloc.cli import run_cli
 from advalloc.equilibrium import (
-    build_payoff_matrix,
     enumerate_strategies,
     fictitious_play,
+    payoff_game,
     solve_acceptance_lp,
     solve_zero_sum,
 )
@@ -55,7 +55,7 @@ def test_acceptance_lp_value_for_staircase_sequence():
 
 
 def test_restricted_game_value():
-    payoff = build_payoff_matrix(SMALL_GAME, None, SMALL_PRICE_MENU)
+    payoff = payoff_game(SMALL_GAME, None, SMALL_PRICE_MENU)
     assert payoff.shape == (3**7, 3)
     mixed = solve_zero_sum(payoff)
     assert abs(mixed.value - 13.0 / 3.0) <= 0.001
@@ -63,7 +63,7 @@ def test_restricted_game_value():
 
 def test_full_game_value_exact_and_bracketed():
     start = time.perf_counter()
-    payoff = build_payoff_matrix(FULL_GAME)
+    payoff = payoff_game(FULL_GAME)
     assert payoff.shape == (3**7, 4**7)
     mixed = solve_zero_sum(payoff)
     assert abs(mixed.value - 3.279) <= 0.001
@@ -253,11 +253,11 @@ def test_single_user_game_is_free():
     ]:
         cfg = GameConfig(1, n_resources, price_set, budget_set)
         assert min(price_set) <= min(budget_set)
-        payoff = build_payoff_matrix(cfg)
+        payoff = payoff_game(cfg)
         mixed = solve_zero_sum(payoff)
         assert abs(mixed.value) <= 1e-9
         # the cheapest price is a pure optimum: zero gap against every budget
-        assert (payoff.values[:, 0] == 0).all()
+        assert (payoff.col(0) == 0).all()
         for b in budget_set:
             assert gap(cfg, (b,), (min(price_set),)) == 0
 

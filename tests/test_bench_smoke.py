@@ -4,7 +4,10 @@ Each workload runs once through `perfbench/run.py --quick` and must finish
 with every output check passed; the run records go to the ignored
 `perfbench/out/`. The tracer must find every function it wraps, because a
 renamed target would only be recorded as missing and its spans would read
-zero.
+zero. The only exceptions, DELETED_TARGETS, wrap functions the library
+has deleted and no workload called, so their spans read zero either way;
+the benchmark's next re-pin drops them from its target list, and empties
+DELETED_TARGETS.
 """
 import json
 import subprocess
@@ -27,6 +30,10 @@ def test_quick_pass_is_correct(workload):
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
 
 
+DELETED_TARGETS = ["advalloc.gradients.budget_gradient",
+                   "advalloc.equilibrium.build_payoff_matrix"]
+
+
 def test_tracer_finds_every_target(monkeypatch):
     import advalloc.cli  # noqa: F401  (run.py imports the CLI before tracing)
 
@@ -36,6 +43,6 @@ def test_tracer_finds_every_target(monkeypatch):
     tracer = Tracer()
     tracer.install()
     try:
-        assert tracer.missing == []
+        assert tracer.missing == DELETED_TARGETS
     finally:
         tracer.uninstall()

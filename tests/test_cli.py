@@ -17,7 +17,7 @@ from advalloc.cli import FP_ITERATIONS, MIX_EPS, MW_HEADER, STRATEGIES_HEADER, r
 from advalloc.baselines import RESULTS_HEADER
 from advalloc.completion import brute_force_completion, optimal_completion, optimal_gaps
 from advalloc.config import load_config
-from advalloc.equilibrium import build_payoff_matrix, solve_acceptance_lp, solve_zero_sum
+from advalloc.equilibrium import payoff_game, solve_acceptance_lp, solve_zero_sum
 from advalloc.game import format_sequence
 from advalloc.persist import load_model, load_ring
 from advalloc.rng import derive_rng
@@ -381,7 +381,7 @@ class TestNe:
 
     def test_lp_matches_library_and_fp_brackets_it(self, cfg_path, tmp_path, capsys):
         game = load_config(cfg_path).game
-        expected = solve_zero_sum(build_payoff_matrix(game)).value
+        expected = solve_zero_sum(payoff_game(game)).value
 
         assert run_cli(["ne", "--config", str(cfg_path), "--mode", "lp",
                         "--out-dir", str(tmp_path / "lp")]) == 0
@@ -403,7 +403,7 @@ class TestNe:
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_strategy_rows_are_the_support_in_index_order(self, cfg_path, tmp_path):
-        payoff = build_payoff_matrix(load_config(cfg_path).game)
+        payoff = payoff_game(load_config(cfg_path).game)
         mixed = solve_zero_sum(payoff)
         assert run_cli(["ne", "--config", str(cfg_path), "--mode", "lp",
                         "--out-dir", str(tmp_path / "lp")]) == 0
@@ -423,7 +423,7 @@ class TestNe:
                         "--out-dir", str(tmp_path / "r")]) == 0
         restricted = float(capsys.readouterr().out.strip())
         game = load_config(cfg_path).game
-        full = solve_zero_sum(build_payoff_matrix(game)).value
+        full = solve_zero_sum(payoff_game(game)).value
         # taking options away from the minimizer cannot lower the value
         assert restricted >= full - 1e-9
         _, rows = read_csv(tmp_path / "r" / "strategies.csv")
@@ -459,6 +459,27 @@ price_set = {1, 3, 5, 7}
 budget_set = {2, 4, 6}
 """
 MB = 1_000_000
+# (mode, --strategy-files variant) -> printed line and strategies.csv sha256
+# of the same ne run solved over the whole built int8 matrix
+DENSE_NE_OUTPUT = {
+    ("lp", "none"): ("3.278761062\n",
+                     "ececbc217554555c086ecf5b0dabe872349f27357eeb431ebb6c4bd4d1f1fb61"),
+    ("lp", "budgets"): ("2.740740741\n",
+                        "18614f8767220268acbf644a0449e83ecd88e5271cd9a7c1bd79ba256dc9f70a"),
+    ("lp", "prices"): ("4.255271341\n",
+                       "b6bbf825162fa3f55f22fc5fb7670e4c79eae856d9952c62394c2ba84aa1ad3e"),
+    ("lp", "both"): ("3.751995089\n",
+                     "383acd9bd72970d551196ab24bdeff76b95058956b9f79cff1a85aaa6605d1db"),
+    ("fp", "none"): ("3.280002421 bracket=[3.26942029,3.290584551] width=0.02116426129\n",
+                     "61689d30cfbc55d5b7a02ff70be225f860e60c391f74b1f0093e1546b3be356c"),
+    ("fp", "budgets"): (
+        "2.741494327 bracket=[2.738212928,2.744775726] width=0.006562797837\n",
+        "48ea96f9bd36ed24887390560084ef2b29c7534e6b31e1de982c5d372d1f521b"),
+    ("fp", "prices"): ("4.251950925 bracket=[4.238498123,4.265403727] width=0.02690560405\n",
+                       "80af01414a1a3bbe9bfaefb6dc4446772b62de051dd5c544b78aa00c1d3fdf49"),
+    ("fp", "both"): ("3.749621386 bracket=[3.741532663,3.75771011] width=0.01617744631\n",
+                     "e77afd6370013a167f8a26020ec724b1c0a1c62c67290698ecbd06b04380783f"),
+}
 
 
 class TestNeFullGame:
@@ -491,18 +512,9 @@ class TestNeFullGame:
     @pytest.mark.parametrize("files", ["none", "budgets", "prices", "both"])
     @pytest.mark.parametrize("mode", ["lp", "fp"])
     def test_same_bytes_as_a_solve_over_the_built_matrix(self, full_cfg, tmp_path, capsys,
-                                                         monkeypatch, mode, files):
+                                                         mode, files):
         printed, written = self.run_ne(full_cfg, tmp_path / "game", mode, files, capsys)
-        if files == "none":   # the output of the dense solver these routes replaced
-            assert (printed, hashlib.sha256(written).hexdigest()) == {
-                "lp": ("3.278761062\n",
-                       "ececbc217554555c086ecf5b0dabe872349f27357eeb431ebb6c4bd4d1f1fb61"),
-                "fp": ("3.280002421 bracket=[3.26942029,3.290584551] width=0.02116426129\n",
-                       "61689d30cfbc55d5b7a02ff70be225f860e60c391f74b1f0093e1546b3be356c"),
-            }[mode]
-        monkeypatch.setattr(cli, "payoff_game", equilibrium.build_payoff_matrix)
-        assert self.run_ne(full_cfg, tmp_path / "dense", mode, files, capsys) == (
-            printed, written)
+        assert (printed, hashlib.sha256(written).hexdigest()) == DENSE_NE_OUTPUT[mode, files]
 
     @pytest.mark.parametrize("mode", ["lp", "fp"])
     def test_peak_memory_stays_far_below_the_matrix(self, full_cfg, tmp_path, capsys, mode):

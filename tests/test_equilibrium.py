@@ -12,9 +12,7 @@ from advalloc.equilibrium import (
     FictitiousPlayResult,
     MixedStrategy,
     PayoffGame,
-    PayoffMatrix,
     PayoffTooLargeError,
-    build_payoff_matrix,
     enumerate_strategies,
     fictitious_play,
     payoff_game,
@@ -45,6 +43,11 @@ FULL_GAME = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))   # 2187x16384, gaps 0..18
 MB = 1_000_000
 
 
+def table(game):
+    """A PayoffGame's whole gap table, its rows stacked in the game's dtype."""
+    return np.stack([game.row(i) for i in range(game.shape[0])])
+
+
 def listed_strategies(game, seed=0):
     """Seeded (budget rows, price columns): prefix-length budget rows, as a
     --strategy-files budgets file may hold, and an explicit full-length
@@ -65,67 +68,63 @@ class TestEnumerate:
         assert enumerate_strategies((1, 3, 5, 7), 7).shape == (16384, 7)
 
 
-class TestBuildPayoff:
+class TestPayoffEntries:
     def test_single_user_closed_form(self):
         c = cfg(1, 1, (1, 2), (1, 2))
-        pm = build_payoff_matrix(c)
         # entry = b * 1(b < p)
-        assert pm.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert table(payoff_game(c)).tolist() == [[0, 1], [0, 0]]
 
     def test_entries_match_scalar_gap(self):
         c = cfg(3, 2, (1, 2), (1, 2, 3))
-        pm = build_payoff_matrix(c)
+        g = payoff_game(c)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            i = int(rng.integers(pm.rows.shape[0]))
-            j = int(rng.integers(pm.cols.shape[0]))
-            assert pm.values[i, j] == gap(c, pm.rows[i].tolist(), pm.cols[j].tolist())
-        assert (pm.values >= 0).all()
+            i = int(rng.integers(g.shape[0]))
+            j = int(rng.integers(g.shape[1]))
+            assert g.row(i)[j] == gap(c, g.rows[i].tolist(), g.cols[j].tolist())
+        assert (table(g) >= 0).all()
 
     def test_prefix_rows_padded(self):
         c = cfg(3, 1, (1, 2), (1, 2))
-        pm = build_payoff_matrix(c, row_strategies=[(2,), (1, 2), (1, 1, 2)],
-                                 col_strategies=[(1, 1, 1)])
-        assert pm.rows.tolist() == [[2, 0, 0], [1, 2, 0], [1, 1, 2]]
-        assert pm.values[0, 0] == 0      # accepted immediately
-        assert pm.values[1, 0] == 1      # unit burnt on the 1, benchmark 2
-        assert pm.values[2, 0] == 1
+        g = payoff_game(c, row_strategies=[(2,), (1, 2), (1, 1, 2)],
+                        col_strategies=[(1, 1, 1)])
+        assert g.rows.tolist() == [[2, 0, 0], [1, 2, 0], [1, 1, 2]]
+        assert g.row(0)[0] == 0      # accepted immediately
+        assert g.row(1)[0] == 1      # unit burnt on the 1, benchmark 2
+        assert g.row(2)[0] == 1
         for side in ("row_strategies", "col_strategies"):
             with pytest.raises(ValueError, match="need at least one pure strategy"):
-                build_payoff_matrix(c, **{side: []})
+                payoff_game(c, **{side: []})
 
     def test_full_enumeration_bytes_pinned(self):
         # sha256 of the 729x4096 matrix built by one welfare_grid call over
-        # all rows, so the row-blocked build must reproduce it byte for byte
-        pm = build_payoff_matrix(cfg(6, 3, (1, 3, 5, 7), (2, 4, 6)))
-        assert pm.values.dtype == np.int8
-        assert hashlib.sha256(pm.values.astype(np.float64).tobytes()).hexdigest() == (
+        # all rows, so the one-row suffix DP must reproduce it byte for byte
+        C = table(payoff_game(cfg(6, 3, (1, 3, 5, 7), (2, 4, 6))))
+        assert C.dtype == np.int8
+        assert hashlib.sha256(C.astype(np.float64).tobytes()).hexdigest() == (
             "a64a5ff44969d9ebe2054ecd07ea40a41aedbacbf4bf012e513ee59647d0981e")
 
-    def test_partial_last_block_with_prefix_rows(self, monkeypatch):
+    def test_random_prefix_rows_against_listed_columns(self):
         c = cfg(4, 2, (1, 2, 3), (1, 2, 3))
         cols = [(1, 2, 3, 1), (3, 3, 1, 1), (2, 1, 2, 3), (1, 1, 1, 1), (3, 2, 1, 2)]
         rng = np.random.default_rng(8)
         rows = [tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(1, 5))))
                 for _ in range(11)]
-        # 3 rows per block: 11 rows leave a partial last block of 2
-        monkeypatch.setattr(equilibrium, "_BLOCK_CELLS", 3 * len(cols) + 1)
-        pm = build_payoff_matrix(c, row_strategies=rows, col_strategies=cols)
-        assert pm.shape == (11, 5)
+        g = payoff_game(c, row_strategies=rows, col_strategies=cols)
+        assert g.shape == (11, 5) and not g.enumerated
         for i, r in enumerate(rows):
             for j, p in enumerate(cols):
-                assert pm.values[i, j] == gap(c, r, p[: len(r)])
+                want = gap(c, r, p[: len(r)])
+                assert g.row(i)[j] == g.col(j)[i] == want
 
-    def test_partial_last_block_with_enumerated_columns(self, monkeypatch):
+    def test_row_subset_against_enumerated_columns(self):
         c = cfg(4, 2, (1, 2, 3), (1, 2, 3))
-        # 3 rows per block: 11 rows leave a partial last block of 2
-        monkeypatch.setattr(equilibrium, "_BLOCK_CELLS", 3 * 3**4 + 1)
         rows = [r.tolist() for r in enumerate_strategies(c.budget_set, 4)[::8]]
-        pm = build_payoff_matrix(c, row_strategies=rows)
-        assert pm.shape == (11, 81)
+        g = payoff_game(c, row_strategies=rows)
+        assert g.shape == (11, 81) and g.enumerated
         for i, r in enumerate(rows):
-            for j, p in enumerate(pm.cols.tolist()):
-                assert pm.values[i, j] == gap(c, r, p)
+            for j, p in enumerate(g.cols.tolist()):
+                assert g.row(i)[j] == g.col(j)[i] == gap(c, r, p)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_suffix_dp_matches_welfare_grid(self, seed):
@@ -144,55 +143,39 @@ class TestBuildPayoff:
                 # full-length and zero-padded prefix rows
                 rows = [tuple(rng.choice(budgets, int(rng.integers(0, n + 1))).tolist())
                         for _ in range(int(rng.integers(1, 40)))]
-                for pm in (build_payoff_matrix(c, row_strategies=rows),
-                           build_payoff_matrix(c) if len(budgets) ** n <= 729 else None):
-                    if pm is None:
+                for g in (payoff_game(c, row_strategies=rows),
+                          payoff_game(c) if len(budgets) ** n <= 729 else None):
+                    if g is None:
                         continue
                     cols = enumerate_strategies(c.price_set, n)
-                    bench = benchmark_rows(pm.rows, c.n_resources)
-                    assert np.array_equal(pm.cols, cols)
-                    assert pm.values.dtype == equilibrium._narrowest_int(0, int(bench.max()))
+                    bench = benchmark_rows(g.rows, c.n_resources)
+                    assert np.array_equal(g.cols, cols)
+                    C = table(g)
+                    assert C.dtype == g.dtype == equilibrium._narrowest_int(0, int(bench.max()))
                     assert np.array_equal(
-                        pm.values, bench[:, None] - welfare_grid(pm.rows, cols, c.n_resources))
-                    dtypes.add(pm.values.dtype)
+                        C, bench[:, None] - welfare_grid(g.rows, cols, c.n_resources))
+                    dtypes.add(C.dtype)
         assert dtypes == {np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32)}
-
-    def test_memory_cap(self):
-        c = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))
-        with pytest.raises(PayoffTooLargeError):
-            build_payoff_matrix(c, max_bytes=1000)
-
-    def test_memory_cap_message_names_existing_routes(self):
-        c = cfg(7, 3, (1, 3, 5, 7), (2, 4, 6))
-        with pytest.raises(PayoffTooLargeError) as err:
-            build_payoff_matrix(c, max_bytes=1000)
-        assert str(err.value) == (
-            "2187x16384 needs 35.8 MB > cap; shrink the instance or raise max_bytes, "
-            "or use `ne --mode acceptance-lp` for long sequences")
 
 
 class TestNarrowValues:
-    """Gaps are stored in the narrowest signed integer dtype that holds them."""
+    """Gaps are read in the narrowest signed integer dtype that holds them."""
 
     @pytest.fixture(scope="class")
     def full(self):
-        # the int8 matrix needs 35.8 MB, so a 40 MB cap admits it
-        return build_payoff_matrix(FULL_GAME, max_bytes=40_000_000)
+        return payoff_game(FULL_GAME)
 
     def test_full_game_is_int8(self, full):
-        assert full.values.dtype == np.int8
-        assert full.values.nbytes == 2187 * 16384
-        assert full.values.min() == 0 and full.values.max() <= 18
+        assert full.dtype == np.int8 and full.shape == (2187, 16384)
         rng = np.random.default_rng(4)
         for _ in range(40):
             i = int(rng.integers(full.shape[0]))
             j = int(rng.integers(full.shape[1]))
-            assert full.values[i, j] == gap(FULL_GAME, full.rows[i].tolist(),
-                                            full.cols[j].tolist())
-
-    def test_cap_counts_real_bytes(self):
-        with pytest.raises(PayoffTooLargeError, match="needs 35.8 MB"):
-            build_payoff_matrix(FULL_GAME, max_bytes=30_000_000)
+            row = full.row(i)
+            assert row.dtype == np.int8 and row.shape == (16384,)
+            # some price sequence sells exactly to the row's top three budgets
+            assert row.min() == 0 and row.max() <= 18
+            assert row[j] == gap(FULL_GAME, full.rows[i].tolist(), full.cols[j].tolist())
 
     @pytest.mark.parametrize("game, dtype", [
         (cfg(3, 2, (1, 2), (1, 2, 3)), np.int8),
@@ -200,11 +183,13 @@ class TestNarrowValues:
         (cfg(2, 1, (1, 40_000), (1, 40_000)), np.int32),  # benchmark 40000
     ])
     def test_dtype_follows_the_largest_benchmark(self, game, dtype):
-        pm = build_payoff_matrix(game)
-        assert pm.values.dtype == dtype
-        for i, r in enumerate(pm.rows.tolist()):
-            for j, p in enumerate(pm.cols.tolist()):
-                assert pm.values[i, j] == gap(game, r, p)
+        g = payoff_game(game)
+        assert g.dtype == dtype
+        for i, r in enumerate(g.rows.tolist()):
+            row = g.row(i)
+            assert row.dtype == dtype
+            for j, p in enumerate(g.cols.tolist()):
+                assert row[j] == gap(game, r, p)
 
     @pytest.mark.parametrize("direct", [True, False])
     @pytest.mark.parametrize("game", [
@@ -214,39 +199,35 @@ class TestNarrowValues:
         cfg(3, 2, (50, 100), (50, 100)),
     ])
     def test_same_results_as_float64_input(self, game, direct):
-        # the integer matrix, its float64 copy and the on-demand game give
-        # the same bytes, over full enumerations and over listed strategies
+        # the on-demand game and the float64 copy of its table give the same
+        # bytes, over full enumerations and over listed strategies
         for lists in ((None, None), listed_strategies(game)):
-            pm = build_payoff_matrix(game, *lists)
-            C = pm.values.astype(np.float64)
-            others = (C, payoff_game(game, *lists))
+            g = payoff_game(game, *lists)
+            values = table(g)
+            C = values.astype(np.float64)
             if direct:   # the whole game as one LP, without strategy generation
-                a, b = equilibrium._game_lps(pm.values), equilibrium._game_lps(C)
+                a, b = equilibrium._game_lps(values), equilibrium._game_lps(C)
                 assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-            a = solve_zero_sum(pm)
-            for b in map(solve_zero_sum, others):
-                assert (a.row_value, a.col_value) == (b.row_value, b.col_value)
-                assert a.row_mix.tobytes() == b.row_mix.tobytes()
-                assert a.col_mix.tobytes() == b.col_mix.tobytes()
+            a, b = solve_zero_sum(g), solve_zero_sum(C)
+            assert (a.row_value, a.col_value) == (b.row_value, b.col_value)
+            assert a.row_mix.tobytes() == b.row_mix.tobytes()
+            assert a.col_mix.tobytes() == b.col_mix.tobytes()
             for iterations, every in ((1, 1), (997, 7), (5000, 100)):
-                a = fictitious_play(pm, iterations, checkpoint_every=every)
-                for other in others:
-                    b = fictitious_play(other, iterations, checkpoint_every=every)
-                    assert (a.lower, a.upper) == (b.lower, b.upper)
-                    assert a.row_avg.tobytes() == b.row_avg.tobytes()
-                    assert a.col_avg.tobytes() == b.col_avg.tobytes()
+                a = fictitious_play(g, iterations, checkpoint_every=every)
+                b = fictitious_play(C, iterations, checkpoint_every=every)
+                assert (a.lower, a.upper) == (b.lower, b.upper)
+                assert a.row_avg.tobytes() == b.row_avg.tobytes()
+                assert a.col_avg.tobytes() == b.col_avg.tobytes()
 
-    def test_memory_stays_near_the_integer_matrix(self):
-        # a full float64 copy of this matrix would add 287 MB
+    def test_solves_stay_far_below_the_table(self):
+        # the int8 table would take 36 MB, a float64 copy 287 MB
+        g = payoff_game(FULL_GAME)
         tracemalloc.start()
         try:
-            pm = build_payoff_matrix(FULL_GAME)
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak <= pm.values.nbytes + 3 * MB
             for solve in (solve_zero_sum, lambda p: fictitious_play(p, 100_000)):
                 tracemalloc.reset_peak()
                 base, _ = tracemalloc.get_traced_memory()
-                solve(pm)
+                solve(g)
                 _, peak = tracemalloc.get_traced_memory()
                 assert peak - base <= 16 * MB
         finally:
@@ -254,7 +235,7 @@ class TestNarrowValues:
 
 
 class TestPayoffGame:
-    """Rows and columns computed on demand equal the built matrix's."""
+    """Rows and columns computed on demand equal the dense gap grid's."""
 
     @pytest.mark.parametrize("listed", [False, True])
     @pytest.mark.parametrize("game", [
@@ -262,18 +243,25 @@ class TestPayoffGame:
         cfg(3, 2, (50, 100), (50, 100)),
         cfg(2, 1, (1, 40_000), (1, 40_000)),
     ])
-    def test_rows_and_columns_match_the_matrix(self, game, listed):
+    def test_rows_and_columns_match_the_grid(self, game, listed):
         lists = listed_strategies(game, seed=3) if listed else (None, None)
-        pm = build_payoff_matrix(game, *lists)
         g = payoff_game(game, *lists)
-        assert isinstance(g, PayoffGame) and g.shape == pm.shape
-        assert np.array_equal(g.rows, pm.rows) and np.array_equal(g.cols, pm.cols)
-        assert g.enumerated == (not listed) and g.dtype == pm.values.dtype
-        for i in range(pm.shape[0]):
-            assert g.row(i).dtype == pm.values.dtype
-            assert np.array_equal(g.row(i), pm.values[i])
-        for j in range(pm.shape[1]):
-            assert np.array_equal(g.col(j), pm.values[:, j])
+        assert isinstance(g, PayoffGame) and g.enumerated == (not listed)
+        if listed:
+            rows, cols = lists
+            assert g.rows.tolist() == [list(r) + [0] * (game.n_users - len(r)) for r in rows]
+            assert g.cols.tolist() == [list(p) for p in cols]
+        else:
+            assert np.array_equal(g.rows, enumerate_strategies(game.budget_set, game.n_users))
+            assert np.array_equal(g.cols, enumerate_strategies(game.price_set, game.n_users))
+        grid = g.bench[:, None] - welfare_grid(g.rows, g.cols, game.n_resources)
+        assert g.shape == grid.shape
+        assert g.dtype == equilibrium._narrowest_int(0, int(g.bench.max()))
+        for i in range(g.shape[0]):
+            assert g.row(i).dtype == g.dtype
+            assert np.array_equal(g.row(i), grid[i])
+        for j in range(g.shape[1]):
+            assert np.array_equal(g.col(j), grid[:, j])
 
     def test_full_game_rows_and_columns(self):
         g = payoff_game(FULL_GAME)
@@ -326,22 +314,38 @@ class TestPayoffGame:
         assert 3_285_088 <= peak <= 3_300_000
 
     @pytest.mark.parametrize("solve", [solve_zero_sum, lambda p: fictitious_play(p, 10_000)])
-    def test_raw_and_matrix_sources_share_the_cap(self, solve, monkeypatch):
+    def test_raw_source_shares_the_cap(self, solve, monkeypatch):
         rng = np.random.default_rng(8)
-        values = rng.integers(0, 9, size=(60, 60)).astype(np.int8)
+        values = rng.integers(0, 9, size=(60, 60)).astype(np.float64)
         # 8 rows and 8 columns (7,680 B) fit, growing either to 16 does not
         monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 10_000)
-        for source in (values.astype(np.float64),
-                       PayoffMatrix(rows=np.zeros((60, 1)), cols=np.zeros((60, 1)),
-                                    values=values)):
-            with pytest.raises(PayoffTooLargeError, match=r"^60x60 game: caching more than"):
+        with pytest.raises(PayoffTooLargeError, match=r"^60x60 game: caching more than"):
+            solve(values)
+
+    @pytest.mark.parametrize("solve", [solve_zero_sum, lambda p: fictitious_play(p, 10_000)])
+    def test_game_and_raw_sources_share_the_cap(self, solve, monkeypatch):
+        # the cap counts the float64 caches, not the int8 gaps of the source:
+        # 8 rows and 8 columns of 243 (31,104 B) fit, growing either to 16
+        # (62,208 B) does not, whichever source the solve reads
+        game = cfg(5, 2, (1, 2, 3), (1, 2, 3))
+        g = payoff_game(game, col_strategies=enumerate_strategies(game.price_set, 5).tolist())
+        assert g.dtype == np.int8 and not g.enumerated
+        monkeypatch.setattr(equilibrium, "DEFAULT_MATRIX_CAP", 60_000)
+        messages = []
+        for source in (g, table(g).astype(np.float64)):
+            with pytest.raises(PayoffTooLargeError) as err:
                 solve(source)
+            messages.append(str(err.value))
+        assert messages == [
+            "243x243 game: caching more than 8 rows and 8 columns would pass the "
+            "0.1 MB cap; shrink the instance or use `ne --mode acceptance-lp` for "
+            "long sequences"] * 2
 
 
 class TestSolveZeroSum:
     @pytest.fixture(scope="class")
     def full(self):
-        return build_payoff_matrix(FULL_GAME)
+        return payoff_game(FULL_GAME)
 
     def test_lowest_price_dominates(self):
         mixed = solve_zero_sum(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -357,9 +361,9 @@ class TestSolveZeroSum:
     def test_restricted_game_value(self):
         c = cfg(7, 3, (1, 2, 3), (1, 2, 3))
         price_rows = [(1, 1, 2, 2, 3, 3, 3), (1, 1, 1, 2, 2, 2, 3), (1, 2, 2, 2, 3, 3, 3)]
-        pm = build_payoff_matrix(c, col_strategies=price_rows)
-        assert pm.shape == (2187, 3)
-        mixed = solve_zero_sum(pm)
+        g = payoff_game(c, col_strategies=price_rows)
+        assert g.shape == (2187, 3)
+        mixed = solve_zero_sum(g)
         assert mixed.value == pytest.approx(13.0 / 3.0, abs=1e-6)
         assert abs(mixed.row_value - mixed.col_value) <= 1e-6
 
@@ -388,7 +392,7 @@ class TestSolveZeroSum:
         M, K = ((20, 40), (36, 63), (60, 120))[seed % 3]
         rows = np.sort(rng.choice(full.shape[0], M, replace=False))
         cols = np.sort(rng.choice(full.shape[1], K, replace=False))
-        sub = full.values[np.ix_(rows, cols)]
+        sub = np.stack([full.row(i) for i in rows])[:, cols]
         want = reference_strategy_generation(sub.astype(np.float64))
         lps = []
 
@@ -397,7 +401,7 @@ class TestSolveZeroSum:
             return solve_lp(*args, **kwargs)
 
         monkeypatch.setattr(equilibrium, "solve_lp", counting)
-        for C in (PayoffMatrix(full.rows[rows], full.cols[cols], sub),
+        for C in (payoff_game(FULL_GAME, full.rows[rows].tolist(), full.cols[cols].tolist()),
                   sub.astype(np.float64)):
             lps.clear()
             got = solve_zero_sum(C)
@@ -633,6 +637,29 @@ DOMINANCE_GAMES = [   # (game, kept prices at a slot before the last)
 ] + [(game, None) for game in random_small_games(seed=23, count=12)]
 
 
+class TestSolveStrategyTypes:
+    """The solvers read a PayoffGame or a raw 2-D array, nothing else."""
+
+    def test_accepts_payoff_game(self):
+        g = payoff_game(cfg(2, 1, (1, 2), (1, 2)))
+        mixed = solve_zero_sum(g)
+        assert isinstance(mixed, MixedStrategy)
+        fp = fictitious_play(g, 100)
+        assert fp.lower - 1e-9 <= mixed.value <= fp.upper + 1e-9
+
+    @pytest.mark.parametrize("payoff, message", [
+        (np.zeros(3), r"^payoff matrix must be 2-D and non-empty, got \(3,\)$"),
+        (np.zeros((0, 3)), r"^payoff matrix must be 2-D and non-empty, got \(0, 3\)$"),
+        (np.zeros((2, 2, 2)), r"^payoff matrix must be 2-D and non-empty, got \(2, 2, 2\)$"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), "^payoff matrix entries must be finite$"),
+        (np.array([[0.0, 1.0], [-np.inf, 0.0]]), "^payoff matrix entries must be finite$"),
+    ], ids=["1-D", "empty", "3-D", "nan", "inf"])
+    def test_rejects_malformed_raw_source(self, payoff, message):
+        for solve in (solve_zero_sum, fictitious_play):
+            with pytest.raises(ValueError, match=message):
+                solve(payoff)
+
+
 class TestUndominatedColumns:
     """Fictitious play keeps only the price sequences two dominance rules keep."""
 
@@ -648,7 +675,7 @@ class TestUndominatedColumns:
         # every budget sequence of every length: enumerated and zero-padded rows
         rows = [seq for n in range(1, game.n_users + 1)
                 for seq in itertools.product(game.budget_set, repeat=n)]
-        C = build_payoff_matrix(game, rows).values
+        C = table(payoff_game(game, rows))
         dropped = np.setdiff1d(np.arange(cols.shape[0]), kept)
         never_worse = (C[:, kept, None] <= C[:, None, dropped]).all(axis=0)
         never_worse &= kept[:, None] < dropped[None, :]
@@ -657,7 +684,7 @@ class TestUndominatedColumns:
     @pytest.mark.parametrize("game, slot_prices", DOMINANCE_GAMES)
     def test_same_bytes_as_the_dense_matrix(self, game, slot_prices):
         for rows in (None, listed_strategies(game, seed=4)[0]):   # padded rows too
-            C = build_payoff_matrix(game, rows).values.astype(np.float64)
+            C = table(payoff_game(game, rows)).astype(np.float64)
             for iterations, every in ((1, 1), (997, 7), (5000, 100)):
                 a = fictitious_play(C, iterations, checkpoint_every=every)
                 b = fictitious_play(payoff_game(game, rows), iterations, checkpoint_every=every)
@@ -669,13 +696,3 @@ class TestUndominatedColumns:
         kept = undominated_columns(FULL_GAME)
         assert len(kept) == 729 and kept[-1] == 10920   # [5,5,5,5,5,5,1]
 
-
-class TestSolveStrategyTypes:
-    def test_accepts_payoff_matrix(self):
-        c = cfg(2, 1, (1, 2), (1, 2))
-        pm = build_payoff_matrix(c)
-        mixed = solve_zero_sum(pm)
-        assert isinstance(mixed, MixedStrategy)
-        assert isinstance(pm, PayoffMatrix)
-        fp = fictitious_play(pm, 100)
-        assert fp.lower - 1e-9 <= mixed.value <= fp.upper + 1e-9

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from advalloc.completion import brute_force_completion, candidate_gaps
 from advalloc.game import GameConfig
-from advalloc.gradients import DualInfo, budget_gradient, price_gradient, shadow_price
+from advalloc.gradients import DualInfo, price_gradient, shadow_price
 
 
 def cfg(n, r, prices, budgets):
@@ -72,27 +72,32 @@ class TestPriceGradient:
         assert g.per_action[2] == 0.0
 
 
-class TestBudgetGradient:
+class TestCandidateGaps:
+    """Examples of one slot of candidate_gaps: the best completion gap of
+    each candidate budget there, after the sampled budgets before it."""
+
+    def slot_gaps(self, c, prices, budgets, slot):
+        out = candidate_gaps(c, np.array([prices]), np.array([budgets]))
+        return tuple(out[0, slot].tolist())
+
     def test_single_slot(self):
         c = cfg(1, 1, (2,), (1, 2, 3))
-        g = budget_gradient(c, (2,), (1,), 0)
         # benchmark b, welfare b if b >= price
-        assert g.per_action == (1.0, 0.0, 0.0)
+        assert self.slot_gaps(c, (2,), (1,), 0) == (1, 0, 0)
 
     def test_two_slot_example(self):
         c = cfg(2, 1, (1, 2), (1, 2))
-        g = budget_gradient(c, (1, 2), (1, 2), 0)
-        assert g.per_action == (1.0, 0.0)
+        assert self.slot_gaps(c, (1, 2), (1, 2), 0) == (1, 0)
 
     def test_matches_brute_force_fixed_slot(self):
         c = cfg(4, 2, (1, 2, 3), (1, 2, 3))
         prices = (2, 1, 3, 2)
         sampled = (3, 1, 2, 1)
         slot = 1
-        g = budget_gradient(c, prices, sampled, slot)
+        gaps = self.slot_gaps(c, prices, sampled, slot)
         for idx, b in enumerate(c.budget_set):
             ref = brute_force_completion(c, prices, sampled[:slot] + (b,))
-            assert g.per_action[idx] == ref.gap
+            assert gaps[idx] == ref.gap
 
 
 @st.composite
@@ -144,18 +149,10 @@ class TestProperties:
                 assert val == 0.0
 
     @given(grad_instance())
-    @settings(max_examples=60, deadline=None)
-    def test_budget_gradient_matches_brute_force(self, inst):
-        c, bs, ps, slot, _ = inst
-        g = budget_gradient(c, ps, bs, slot)
-        for idx, b in enumerate(c.budget_set):
-            ref = brute_force_completion(c, ps, bs[:slot] + (b,))
-            assert g.per_action[idx] == float(ref.gap)
-
-    @given(grad_instance())
     @settings(max_examples=100, deadline=None)
-    def test_candidate_gaps_row_matches_budget_gradient(self, inst):
+    def test_candidate_gaps_row_matches_brute_force(self, inst):
         c, bs, ps, slot, _ = inst
         out = candidate_gaps(c, np.array([ps]), np.array([bs]))
-        assert tuple(out[0, slot].astype(np.float64)) == \
-            budget_gradient(c, ps, bs, slot).per_action
+        for idx, b in enumerate(c.budget_set):
+            ref = brute_force_completion(c, ps, bs[:slot] + (b,))
+            assert out[0, slot, idx] == ref.gap

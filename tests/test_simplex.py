@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from advalloc import equilibrium, simplex
-from advalloc.equilibrium import build_payoff_matrix, solve_acceptance_lp, solve_zero_sum
+from advalloc.equilibrium import payoff_game, solve_acceptance_lp, solve_zero_sum
 from advalloc.game import GameConfig
 from advalloc.simplex import (
     InfeasibleError,
@@ -250,7 +250,7 @@ def outcome(lp, pivot=None, always_block=False):
 
 @pytest.fixture(scope="module")
 def full_game():
-    return build_payoff_matrix(FULL_GAME)
+    return payoff_game(FULL_GAME)
 
 
 class TestKernelBitIdentity:
@@ -283,11 +283,11 @@ class TestKernelBitIdentity:
 
 
 def payoff_submatrix(game, seed, M, K):
-    """Sorted random rows, then sorted random columns, of a 7-user matrix."""
+    """Sorted random rows, then sorted random columns, of a 7-user game."""
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(game.shape[0], M, replace=False))
     cols = np.sort(rng.choice(game.shape[1], K, replace=False))
-    return game.values[np.ix_(rows, cols)]
+    return np.stack([game.row(i) for i in rows])[:, cols].astype(np.float64)
 
 
 def highs_value(C):
@@ -303,7 +303,7 @@ def highs_value(C):
 
 @pytest.fixture(scope="module")
 def small_game():
-    return build_payoff_matrix(SMALL_GAME)
+    return payoff_game(SMALL_GAME)
 
 
 class TestPayoffSubgamesAgainstHighs:
