@@ -24,7 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .game import GameConfig, benchmark_rows, checked_int, play_out, validate_budgets
+from .game import (
+    GameConfig,
+    _narrowest_int,
+    benchmark_rows,
+    checked_int,
+    play_out,
+    validate_budgets,
+)
 from .nets import AdversaryPolicy, AlgorithmPolicy, categorical_from_uniform
 from .rng import derive_rng
 from .training import SnapshotRing, TrainSnapshot, play_batch
@@ -267,6 +274,7 @@ def _best_sequence(cfg: GameConfig, table: np.ndarray, moves, p: int, q: int):
     unpicked = -(p * scale + 1) * budget.astype(dtype) * accepts.astype(dtype)
     picked = unpicked + (q * scale + 1) * n * budget.astype(dtype)
     value, choices = np.zeros((len(budget), units + 1), dtype=dtype), []
+    choice_type = _narrowest_int(0, 2 * budget.shape[1] - 1)   # a choice indexes 2 x width options
     for _ in range(cfg.n_users):
         after = value[succ]
         keep = unpicked[:, :, None] + after
@@ -274,7 +282,7 @@ def _best_sequence(cfg: GameConfig, table: np.ndarray, moves, p: int, q: int):
         # left that option copies the move and loses the tie
         take = np.concatenate([keep[:, :, :1], picked[:, :, None] + after[:, :, :-1]], axis=2)
         options = np.concatenate([keep, take], axis=1)
-        choices.append(options.argmax(axis=1))
+        choices.append(options.argmax(axis=1).astype(choice_type))
         value = options.max(axis=1)
     seq, state, left, width = [], 0, units, budget.shape[1]
     for choice in reversed(choices):

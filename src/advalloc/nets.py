@@ -1,28 +1,36 @@
 """Small feed-forward nets with softmax heads, written directly in numpy.
 
 The pricing policy encodes the padded feature history with one shared affine
-layer plus a per-slot bias matrix, concatenates the current slot's features,
-and runs a few dense leaky-rectifier layers into a softmax over prices. Its
-forward takes the raw history or an EncodedHistory; a caller playing slot by
-slot starts from HistoryEncoder.empty and encodes each new row once with
-HistoryEncoder.extend. The budget generator maps a Gaussian latent through
-dense layers into one softmax head per slot over the budget set. The heads of
-a net share one size and are normalized in one reshaped reduction.
+layer plus a per-slot bias matrix, follows it with the current slot's
+features, and runs a few dense leaky-rectifier layers into a softmax over
+prices. Its forward takes the raw history or an EncodedHistory; a caller
+playing slot by slot starts from HistoryEncoder.empty and encodes each new row
+once with HistoryEncoder.extend. An EncodedHistory keeps its encoding inside
+the MLP input row (EncodedHistory.row), whose last columns hold the current
+slot's features (EncodedHistory.step), so a play fills those columns in place
+and passes them as the current features, and no pass concatenates its input.
+The budget generator maps a Gaussian latent through dense layers into one
+softmax head per slot over the budget set. The heads of a net share one size
+and are normalized in one reshaped reduction; the pricer's single head needs
+no reshape.
 
 Backprop starts from externally supplied gradients on the output
 probabilities (the objective is always sum_a g_a * P_a here), so no loss
-classes exist. A tape holds references to arrays the forward pass computed
-anyway, never copies: each layer's input and the probabilities, and for the
-pricer the play's EncodedHistory with the number of rows the pass saw, since
-later rows are only ever appended. Per-slot tapes of one play stack into one
-tape with a leading slot axis (stack_tapes), and one backprop over it adds
-each slot's gradient in slot order, so it gives the same bits as a backprop
-per slot. Each policy is a ParamBlocks over its components (encoder and
-dense layers, or dense layers alone): parameters and gradients travel as flat
-lists of arrays in the components' order, and any parameter change moves every
-component's version counter, which invalidates the tapes built before it. Each
-policy names its constructor keywords in ARCH and keeps them as attributes, so
-persist can record the architecture and rebuild it.
+classes exist. A tape holds references to the arrays the forward pass wrote,
+never copies: each layer's input and the probabilities, and for the pricer
+the play's EncodedHistory with the number of rows the pass saw, since later
+rows are only ever appended. A play that keeps its tapes records them in
+place: AlgorithmPolicy.tape_block preallocates one (slot, batch, width)
+buffer per layer input and for the probabilities, and each pass given the
+block as its history writes its input row and every layer's output into the
+block's next slot. One backprop over the block adds each slot's gradient in
+slot order, so it gives the same bits as a backprop per slot. Each policy is
+a ParamBlocks over its components (encoder and dense layers, or dense layers
+alone): parameters and gradients travel as flat lists of arrays in the
+components' order, and any parameter change moves every component's version
+counter, which invalidates the tapes, blocks and encoded histories built
+before it. Each policy names its constructor keywords in ARCH and keeps them
+as attributes, so persist can record the architecture and rebuild it.
 """
 from __future__ import annotations
 
@@ -74,18 +82,19 @@ def _head_size(head_sizes: Sequence[int]) -> int:
     return head_sizes[0]
 
 
-def _split_heads(a: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
-    """a with its last axis split into (n_heads, size); reductions along the
-    new last axis are the per-head ones."""
-    return a.reshape(*a.shape[:-1], len(head_sizes), _head_size(head_sizes))
+def _softmax_(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, in place."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def softmax_heads(z: np.ndarray, head_sizes: Sequence[int]) -> np.ndarray:
     """Row-wise softmax applied independently per contiguous head block."""
-    blocks = _split_heads(z, head_sizes)
-    e = np.exp(blocks - np.maximum.reduce(blocks, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e.reshape(z.shape)
+    z = np.asarray(z, dtype=np.float64)
+    blocks = z.reshape(*z.shape[:-1], len(head_sizes), _head_size(head_sizes))
+    return _softmax_(blocks.copy()).reshape(z.shape)
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -147,8 +156,9 @@ class MlpTape:
 class SoftmaxMlp:
     """Dense layers with leaky-rectifier hidden activations and softmax heads.
 
-    Inputs are (batch, in) or, for a stacked tape, (slot, batch, in): numpy's
-    stacked product runs one gemm per slot, the same kernel as a 2-D call.
+    Inputs are (batch, in) or, for a block of slots, (slot, batch, in):
+    numpy's stacked product runs one gemm per slot, the same kernel as a 2-D
+    call.
     """
 
     def __init__(self, layer_sizes: Sequence[int], head_sizes: Sequence[int], *,
@@ -161,9 +171,9 @@ class SoftmaxMlp:
             raise ValueError("all sizes must be positive")
         if sum(head_sizes) != layer_sizes[-1]:
             raise ValueError(f"heads {head_sizes} do not tile output {layer_sizes[-1]}")
-        _head_size(head_sizes)
         self.layer_sizes = layer_sizes
         self.head_sizes = head_sizes
+        self.head_size = _head_size(head_sizes)
         self.slope = _checked_slope(slope)
         self.version = 0
         self.weights: list[np.ndarray] = []
@@ -188,22 +198,36 @@ class SoftmaxMlp:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input width {x.shape[-1]} != {self.layer_sizes[0]}")
-        # each hidden layer's bias and rectifier go into its product's array
+        return self._forward(x)
+
+    def _forward(self, x: np.ndarray,
+                 out: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, MlpTape]:
+        """forward for a float64 x of the input width, unchecked. With out,
+        one C-contiguous float64 array per layer, shaped like x with that
+        layer's width, layer k's output (the last is the probabilities) is
+        written into out[k] and the tape refers to those arrays."""
+        if out is None:
+            out = [np.empty(x.shape[:-1] + (size,)) for size in self.layer_sizes[1:]]
+        # each layer's product, bias and (hidden) rectifier go into its output array
         activations = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = activations[-1] @ w
+        for k, (w, b, z) in enumerate(zip(self.weights, self.biases, out), start=1):
+            np.matmul(activations[-1], w, out=z)
             z += b
-            activations.append(leaky(z, self.slope, out=z))
-        z = activations[-1] @ self.weights[-1]
-        z += self.biases[-1]
-        probs = softmax_heads(z, self.head_sizes)
+            if k < len(self.weights):
+                leaky(z, self.slope, out=z)
+            activations.append(z)
+        probs = activations.pop()
+        if len(self.head_sizes) == 1:
+            _softmax_(probs)
+        else:   # a view: the output array is contiguous
+            _softmax_(probs.reshape(*probs.shape[:-1], len(self.head_sizes), self.head_size))
         return probs, MlpTape(version=self.version, activations=activations, probs=probs)
 
     def backprop(self, tape: MlpTape, grad_probs: np.ndarray, *,
                  into: list[np.ndarray] | None = None, return_input_grad: bool = False):
         """Gradient of sum_{batch, action} grad_probs * P w.r.t. parameters.
 
-        A stacked tape's slots are summed one at a time in slot order, onto
+        A block tape's slots are summed one at a time in slot order, onto
         `into` when given, so blocks of one play added in turn give the same
         bits as add_grads over per-slot backprops. With return_input_grad the
         gradient on the input batch comes back too, so wrappers can keep
@@ -221,8 +245,8 @@ class SoftmaxMlp:
             probs, grad_probs = probs[None], grad_probs[None]
             activations = [a[None] for a in activations]
         grads = list(into) if into is not None else [None] * (2 * len(self.weights))
-        p_heads = _split_heads(probs, self.head_sizes)
-        g_heads = _split_heads(grad_probs, self.head_sizes)
+        p_heads = probs.reshape(*probs.shape[:-1], len(self.head_sizes), self.head_size)
+        g_heads = grad_probs.reshape(p_heads.shape)
         inner = (g_heads * p_heads).sum(axis=-1, keepdims=True)
         dz = (p_heads * (g_heads - inner)).reshape(probs.shape)
         for k in range(len(self.weights) - 1, -1, -1):
@@ -239,19 +263,27 @@ class SoftmaxMlp:
 
 @dataclasses.dataclass
 class EncodedHistory:
-    """Raw history rows with their flat encoding.
+    """Raw history rows with their flat encoding, inside the pricer's input row.
 
-    Rows from `filled` on are unfilled zero rows, encoded like any other.
-    HistoryEncoder.encode builds one from a raw history (every row filled),
-    HistoryEncoder.empty builds an unfilled one and HistoryEncoder.extend
-    fills its next row in place, so a slot-by-slot caller encodes each row
-    once. It is valid only for the encoder parameters it was built with.
+    row is the input of a pricing pass: flat, the flattened encoding
+    leaky(history @ W + B), then step, the features of the slot being priced,
+    which each pass writes. Rows from `filled` on are unfilled zero rows,
+    encoded like any other. HistoryEncoder.encode builds one from a raw
+    history (every row filled), HistoryEncoder.empty builds an unfilled one
+    and HistoryEncoder.extend fills its next row in place, so a slot-by-slot
+    caller encodes each row once. It is valid only for the encoder
+    parameters it was built with.
     """
 
     version: int
     history: np.ndarray   # (batch, n_slots, n_features)
-    flat: np.ndarray      # (batch, n_slots * width): flattened leaky(history @ W + B)
+    row: np.ndarray       # (batch, n_slots * width + n_features): flat, then step
     filled: int
+
+    def __post_init__(self):
+        split = self.row.shape[1] - self.history.shape[2]
+        self.flat = self.row[:, :split]
+        self.step = self.row[:, split:]
 
 
 class HistoryEncoder:
@@ -294,9 +326,11 @@ class HistoryEncoder:
             raise ValueError(
                 f"history shape {history.shape[1:]} != {(self.n_slots, self.n_features)}")
         z = history @ self.weight + self.bias
-        flat = leaky(z, self.slope).reshape(history.shape[0], self.out_width)
-        return EncodedHistory(version=self.version, history=history, flat=flat,
-                              filled=self.n_slots)
+        encoded = EncodedHistory(
+            version=self.version, history=history, filled=self.n_slots,
+            row=np.zeros((history.shape[0], self.out_width + self.n_features)))
+        encoded.flat[...] = leaky(z, self.slope).reshape(history.shape[0], self.out_width)
+        return encoded
 
     def empty(self, batch: int) -> EncodedHistory:
         """The encoding of batch all-zero histories, with no row filled yet."""
@@ -323,7 +357,7 @@ class HistoryEncoder:
             lo = max(0, min(slot, self.n_slots - 2))
             z = (history[:, lo:lo + 2] @ self.weight)[:, slot - lo]
         z += self.bias[slot]
-        encoded.flat[:, slot * self.width:(slot + 1) * self.width] = leaky(z, self.slope)
+        leaky(z, self.slope, out=encoded.flat[:, slot * self.width:(slot + 1) * self.width])
         encoded.filled = slot + 1
 
     def _check_current(self, encoded: EncodedHistory) -> None:
@@ -336,10 +370,11 @@ class HistoryEncoder:
         encodes encoded's first `filled` rows followed by zero rows.
 
         flat and grad_flat are (batch, out_width), or (slot, batch, out_width)
-        with one filled count per slot; slots are summed in order, onto
-        `into` when given, as in SoftmaxMlp.backprop. The rows a pass saw are
-        read back from encoded, which may have been extended since: filled
-        rows never change. A row's slope is read off flat, like the MLP's.
+        for a tape block, with one filled count per slot; slots are summed in
+        order, onto `into` when given, as in SoftmaxMlp.backprop. The rows a
+        pass saw are read back from encoded, which may have been extended
+        since: filled rows never change. A row's slope is read off flat, like
+        the MLP's.
         """
         self._check_current(encoded)
         if flat.ndim == 2:   # one slot
@@ -406,25 +441,17 @@ class ParamBlocks:
 @dataclasses.dataclass
 class AlgTape:
     """An AlgorithmPolicy pass: the encoded history it read, of which it saw
-    the first `filled` rows (one count per slot when stacked), and its MLP tape."""
+    the first `filled` rows, and its MLP tape.
+
+    A tape block (AlgorithmPolicy.tape_block) records up to a fixed number of
+    passes over one history along a leading slot axis of preallocated
+    buffers, one filled count per slot; `slots` counts the passes recorded.
+    """
 
     encoded: EncodedHistory
     filled: int | np.ndarray
     mlp_tape: MlpTape
-
-
-def stack_tapes(tapes: Sequence[AlgTape]) -> AlgTape:
-    """One tape with a leading slot axis over per-slot tapes of one play."""
-    first = tapes[0]
-    if any(t.encoded is not first.encoded or t.mlp_tape.version != first.mlp_tape.version
-           for t in tapes):
-        raise StaleTapeError("tapes come from different plays or parameters")
-    layers = zip(*(t.mlp_tape.activations for t in tapes))
-    mlp_tape = MlpTape(version=first.mlp_tape.version,
-                       activations=[np.stack(a) for a in layers],
-                       probs=np.stack([t.mlp_tape.probs for t in tapes]))
-    return AlgTape(encoded=first.encoded, filled=np.array([t.filled for t in tapes]),
-                   mlp_tape=mlp_tape)
+    slots: int | None = None   # None for a single pass
 
 
 class AlgorithmPolicy(ParamBlocks):
@@ -449,32 +476,75 @@ class AlgorithmPolicy(ParamBlocks):
         self.encoder_width = self.encoder.width
         self.slope = self.mlp.slope
 
-    def forward(self, history, current: np.ndarray) -> tuple[np.ndarray, AlgTape]:
-        """Price probabilities for the current slot's features.
+    def tape_block(self, encoded: EncodedHistory, n_slots: int) -> AlgTape:
+        """An empty tape block for up to n_slots passes over encoded, with one
+        (n_slots, batch, width) buffer per layer input and for the probabilities."""
+        self.encoder._check_current(encoded)
+        batch = encoded.row.shape[0]
+        layers = [np.empty((n_slots, batch, size)) for size in self.mlp.layer_sizes]
+        return AlgTape(encoded=encoded, filled=np.zeros(n_slots, dtype=np.int64),
+                       mlp_tape=MlpTape(version=self.mlp.version, activations=layers[:-1],
+                                        probs=layers[-1]),
+                       slots=0)
+
+    def forward(self, history, current: np.ndarray) -> tuple[np.ndarray, AlgTape | None]:
+        """Price probabilities for the current slot's features, and the tape.
 
         history is the raw (batch, n_users - 1, N_STEP_FEATURES) array, future
         rows zero, or an EncodedHistory from self.encoder holding the same rows;
-        both give bit-identical probabilities and gradients.
+        both give bit-identical probabilities and gradients. It may also be a
+        tape block from self.tape_block: the pass reads the block's history,
+        writes its input row and each layer's output into the block's next
+        slot, and returns the block as its tape.
+
+        current may be the history's own step columns (EncodedHistory.step),
+        filled by the caller: the pass then reads the history's input row in
+        place, unchecked, and outside a block it keeps no tape (None), since
+        the history's next pass or extend overwrites that row.
         """
-        current = np.atleast_2d(np.asarray(current, dtype=np.float64))
-        if isinstance(history, EncodedHistory):
-            self.encoder._check_current(history)
-            encoded = history
+        block = history if isinstance(history, AlgTape) else None
+        encoded = history.encoded if block is not None else history
+        if isinstance(encoded, EncodedHistory):
+            self.encoder._check_current(encoded)
         else:
             encoded = self.encoder.encode(history)
-        x = np.concatenate([encoded.flat, current], axis=1)
-        probs, mlp_tape = self.mlp.forward(x)
-        return probs, AlgTape(encoded=encoded, filled=encoded.filled, mlp_tape=mlp_tape)
+        if current is encoded.step:
+            x = encoded.row
+        else:
+            current = np.atleast_2d(np.asarray(current, dtype=np.float64))
+            if current.shape != encoded.step.shape:
+                raise ValueError(f"current features {current.shape} != {encoded.step.shape}")
+            x = np.concatenate([encoded.flat, current], axis=1)
+        if block is None:
+            probs, mlp_tape = self.mlp._forward(x)
+            if x is encoded.row:
+                return probs, None
+            return probs, AlgTape(encoded=encoded, filled=encoded.filled, mlp_tape=mlp_tape)
+        if block.mlp_tape.version != self.mlp.version:
+            raise StaleTapeError("parameters changed since this block was made")
+        j = block.slots
+        layers = block.mlp_tape.activations + [block.mlp_tape.probs]
+        layers[0][j] = x
+        probs, _ = self.mlp._forward(layers[0][j], [a[j] for a in layers[1:]])
+        block.filled[j] = encoded.filled
+        block.slots = j + 1
+        return probs, block
 
     def backprop(self, tape: AlgTape, grad_probs: np.ndarray, *,
                  into: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        """Parameter gradients, summed over a stacked tape's slots in slot order
-        and added into `into` when given."""
+        """Parameter gradients, summed over a block's recorded slots in slot
+        order and added into `into` when given."""
+        mlp_tape, filled = tape.mlp_tape, tape.filled
+        if tape.slots is not None:
+            n = tape.slots
+            mlp_tape = MlpTape(version=mlp_tape.version, probs=mlp_tape.probs[:n],
+                               activations=[a[:n] for a in mlp_tape.activations])
+            filled = filled[:n]
         width = self.encoder.out_width
-        mlp_grads, dx = self.mlp.backprop(tape.mlp_tape, grad_probs, return_input_grad=True,
+        mlp_grads, dx = self.mlp.backprop(mlp_tape, grad_probs, return_input_grad=True,
                                           into=None if into is None else into[2:])
-        enc_grads = self.encoder.backprop(tape.encoded, tape.filled,
-                                          tape.mlp_tape.activations[0][..., :width],
+        enc_grads = self.encoder.backprop(tape.encoded, filled,
+                                          mlp_tape.activations[0][..., :width],
                                           dx[..., :width],
                                           into=None if into is None else into[:2])
         return enc_grads + mlp_grads

@@ -18,15 +18,20 @@ once a quarter of it has settled, never below 2 rows (numpy sends a 1-row
 product to gemv, whose bits differ from the gemm row), and the play stops
 forwarding once every row has settled. Rows are independent in every
 product, so each unsettled row gets the bits of a full-batch play; sampling
-still draws one uniform per row and slot, settled rows included. A gradient
-play forwards every row at every slot, since the generator's signal reads
-every posted price; it keeps the tape of each slot with a live row and, as
-soon as a block of slots is played, scores the block's signal with one sort
-and back-propagates it in one stacked pass, adding the slots in order: the
-gradient has the same bits as one backprop per slot, and memory stays flat
-in the number of slots. The slots after the last live one have an all-zero
-signal and are never back-propagated. Episode = one played sequence; the
-convergence statistic is the gap averaged over the trailing 500 episodes.
+still draws one uniform per row and slot, settled rows included, all of them
+in one call before the first slot. A gradient play forwards every row at
+every slot, since the generator's signal reads every posted price. It
+records the tape of each slot with a live row in place, into one tape block
+of at most _TAPE_BYTES that it allocates once, and as soon as the block is
+full or the live slots end it scores the block's signal with one sort and
+back-propagates it in one pass, adding the slots in order, then records the
+next slots over the same buffers: the gradient has the same bits as one
+backprop per slot, and memory stays flat in the number of slots. The slots
+after the last live one have an all-zero signal and are never recorded.
+play_batch and algorithm_gradients check their rows at entry; the training
+loops check theirs once and play them without checking again. Episode = one
+played sequence; the convergence statistic is the gap averaged over the
+trailing 500 episodes.
 """
 from __future__ import annotations
 
@@ -55,7 +60,6 @@ from .nets import (
     clip_grads,
     sample_categorical,
     scale_grads,
-    stack_tapes,
 )
 
 METRICS_HEADER = ("iteration", "mean_gap", "mean_welfare", "trailing_avg_gap")
@@ -63,10 +67,11 @@ TRAILING_EPISODES = 500
 # raw MW weights only ever shrink relative to each other by (1+eta); rescale
 # all of them together long before float64 overflow can bite
 WEIGHT_RESCALE_LIMIT = 1e100
-# a gradient play back-propagates its slots in blocks of at most this many
-# (row, slot) cells, as soon as each block is played, so its memory peak
-# stays flat in the number of slots
-_BACKPROP_CELLS = 64
+# a gradient play records its slots' tapes in place into a block of at most
+# this many bytes (one slot if a slot's tape is larger) and back-propagates
+# each block as soon as it is played, so its memory peak stays flat in the
+# number of slots
+_TAPE_BYTES = 320 * 1024
 
 
 @dataclasses.dataclass
@@ -284,8 +289,10 @@ def _price_signal(budgets: np.ndarray, lengths: np.ndarray, slots: np.ndarray,
     return signal[..., None] * (price_arr <= b[..., None])
 
 
-def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
-          sample: bool, want_grads: bool):
+def _checked_rows(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
+                  sample: bool):
+    """A play's prepared rows and lengths (see _prepare_budget_rows), once the
+    policy is checked to fit the game and an rng is given if prices are sampled."""
     built = (policy.n_users, policy.n_prices)
     if built != (cfg.n_users, cfg.n_prices):
         raise ValueError(f"pricing policy was built for (n_users, n_prices) = {built}, "
@@ -293,6 +300,12 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
     budgets, lengths = _prepare_budget_rows(cfg, budgets, lengths)
     if sample and rng is None:
         raise ValueError("sampling prices requires an rng")
+    return budgets, lengths
+
+
+def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets: np.ndarray, lengths: np.ndarray,
+          rng, sample: bool, want_grads: bool):
+    """Play rows and lengths from _checked_rows through the policy."""
     batch, n = budgets.shape
     price_arr = np.asarray(cfg.price_set, dtype=np.int64)
     max_price = float(price_arr[-1])
@@ -310,14 +323,15 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
     # a play without
     rows, row_lengths = slice(None), lengths
     posted = np.zeros(batch, dtype=np.int64)   # a settled row may keep any price
-    block = max(1, _BACKPROP_CELLS // batch)
-    tapes = []
+    u = rng.random((n, batch, 1)) if sample else None   # every slot draws for every row
     grad_total = None
+    if want_grads:
+        slot_bytes = 8 * batch * sum(policy.mlp.layer_sizes)   # float64 inputs and probs
+        block = policy.tape_block(history, max(1, min(n, _TAPE_BYTES // slot_bytes)))
 
     def price_at(i, left):
         nonlocal grad_total, history, rows, row_lengths
         lefts[i] = left
-        u = rng.random((batch, 1)) if sample else None   # every slot draws for every row
         row_left = left[rows]
         live = (row_left > 0) & (i < row_lengths)
         if not want_grads:
@@ -334,32 +348,31 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
                 rows = np.arange(batch)[rows][keep]
                 row_left, row_lengths = row_left[keep], row_lengths[keep]
                 history = dataclasses.replace(history, history=history.history[keep],
-                                              flat=history.flat[keep])
-        current = features[i, rows]
-        current[:, 1] = row_left / r
-        probs, tape = policy.forward(history, current)
+                                              row=history.row[keep])
+        # the pass reads the history's input row, its features filled in place
+        step = history.step
+        step[...] = features[i, rows]
+        step[:, 1] = row_left / r
+        # A slot where no row is live has an all-zero signal. Settling is
+        # permanent, so such slots form a suffix that is never recorded.
+        recorded = want_grads and live.any()
+        probs, _ = policy.forward(block if recorded else history, step)
         if sample:
-            idx = categorical_from_uniform(probs, u[rows])
+            idx = categorical_from_uniform(probs, u[i, rows])
         else:
             idx = np.argmax(probs, axis=1)
         price_idx[rows, i] = idx
         posted[rows] = price_arr[idx]
         if want_grads:
-            # A slot where no row is live has an all-zero signal. Settling is
-            # permanent, so such slots form a suffix that is never back-propagated.
-            end = i   # the pending tapes are of the slots end - len(tapes) .. end - 1
-            if live.any():
-                tapes.append(tape)
-                end = i + 1
-            if tapes and (len(tapes) == block or end in (i, n)):
-                slots = np.arange(end - len(tapes), end)
-                stacked = stack_tapes(tapes)
-                tapes.clear()   # the per-slot copies go before the backward runs
+            end = i + 1 if recorded else i   # the block holds slots end - block.slots ..
+            if block.slots and (block.slots == block.filled.size or end in (i, n)):
+                slots = np.arange(end - block.slots, end)
                 grad_total = policy.backprop(
-                    stacked, _price_signal(budgets, lengths, slots, lefts[slots], price_arr),
+                    block, _price_signal(budgets, lengths, slots, lefts[slots], price_arr),
                     into=grad_total)
+                block.slots = 0
         if i < n - 1:
-            policy.encoder.extend(history, current)
+            policy.encoder.extend(history, step)
             features[i + 1, rows, 3] = posted[rows] / max_price
         return posted
 
@@ -380,6 +393,7 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
 def play_batch(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng=None, *,
                lengths=None, sample: bool = True) -> BatchResult:
     """Play budget rows through the policy; sample=False decodes by argmax."""
+    budgets, lengths = _checked_rows(cfg, policy, budgets, lengths, rng, sample)
     result, _ = _play(cfg, policy, budgets, lengths, rng, sample, want_grads=False)
     return result
 
@@ -387,6 +401,7 @@ def play_batch(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng=None, *,
 def algorithm_gradients(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng, *,
                         lengths=None, sample: bool = True):
     """Play a batch and return (result, mean shadow-price gradient on params)."""
+    budgets, lengths = _checked_rows(cfg, policy, budgets, lengths, rng, sample)
     return _play(cfg, policy, budgets, lengths, rng, sample, want_grads=True)
 
 
@@ -517,25 +532,27 @@ def train_alg_vs_mw(cfg: GameConfig, tcfg: TrainConfig, adversary_pure_strategie
     """
     rng = np.random.default_rng(tcfg.seed) if rng is None else rng
     algorithm = algorithm or make_algorithm_policy(cfg, tcfg, rng)
-    experts, expert_lengths = strategy_rows(cfg, adversary_pure_strategies, "budgets",
-                                            allow_partial=True)
+    experts, expert_lengths = _checked_rows(
+        cfg, algorithm, *strategy_rows(cfg, adversary_pure_strategies, "budgets",
+                                       allow_partial=True), rng, sample=True)
     n_experts = experts.shape[0]
+    rep_rows = np.repeat(experts, tcfg.mw_rollouts, axis=0)
+    rep_lens = np.repeat(expert_lengths, tcfg.mw_rollouts)
     mw = MwState.uniform(n_experts, tcfg.mw_eta)
     ring = SnapshotRing(tcfg.snapshot_window)
 
     def step():
         nonlocal mw
         # expected gap per pure strategy, fresh sampled plays
-        rep_rows = np.repeat(experts, tcfg.mw_rollouts, axis=0)
-        rep_lens = np.repeat(expert_lengths, tcfg.mw_rollouts)
-        rollout = play_batch(cfg, algorithm, rep_rows, rng, lengths=rep_lens)
+        rollout, _ = _play(cfg, algorithm, rep_rows, rep_lens, rng, sample=True,
+                           want_grads=False)
         payoffs = rollout.gap.reshape(n_experts, tcfg.mw_rollouts).mean(axis=1)
         mw = mw_update(mw, payoffs)
 
         # policy ascent against the updated mixture
         pick = sample_categorical(rng, np.tile(mw.mixture, (tcfg.batch, 1)))
-        result, grads = algorithm_gradients(cfg, algorithm, experts[pick], rng,
-                                            lengths=expert_lengths[pick])
+        result, grads = _play(cfg, algorithm, experts[pick], expert_lengths[pick], rng,
+                              sample=True, want_grads=True)
         _ascend(algorithm, grads, tcfg, tcfg.lr_alg)
         return result.gap, result.welfare
 

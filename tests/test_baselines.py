@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -423,6 +424,24 @@ class TestRandomizedWorstCase:
         crs = {name: exact_worst_case(POW2, policy.mixture(POW2))[0]
                for name, policy in default_policies().items()}
         assert crs == {"greedy": 8.0, "threshold": 24 / 7, "randomized": 4.0}
+
+    @pytest.mark.parametrize("n_users, n_resources, cr, gap, peak_mb", [
+        (100, 8, 4.0, 42.0, None), (50, 10, 4.0, 52.5, 8.0)])
+    def test_long_games_on_ten_levels(self, n_users, n_resources, cr, gap, peak_mb):
+        # the DP stores each slot's choices in the narrowest integer dtype:
+        # the N=50 peak is 7.3 MB, and was 11.1 MB with int64 choices
+        levels = tuple(range(1, 11))
+        cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=levels,
+                         budget_set=levels)
+        table = RandomizedPolicy().mixture(cfg)
+        tracemalloc.start()
+        try:
+            got_cr, _, got_gap, _ = exact_worst_case(cfg, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got_cr, got_gap) == (cr, gap)
+        assert peak_mb is None or peak <= peak_mb * 1e6
 
 
 class TestLearnedPolicy:

@@ -18,7 +18,6 @@ from advalloc.nets import (
     sample_categorical,
     scale_grads,
     softmax_heads,
-    stack_tapes,
 )
 
 FD_STEP = 1e-5
@@ -449,10 +448,11 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("n_users,batch,n_prices", [(1, 3, 2), (2, 1, 1), (4, 5, 3),
                                                         (7, 32, 1), (25, 10, 5)])
-    def test_stacked_tape_matches_per_slot_backprop(self, n_users, batch, n_prices):
-        # one backprop over a stacked play adds each slot's gradient in slot
-        # order, bit for bit as add_grads over per-slot backprops on raw
-        # histories; later slots' rows filled into the history stay unseen
+    def test_tape_block_matches_per_slot_backprop(self, n_users, batch, n_prices):
+        # one backprop over a tape block recorded through a play adds each
+        # slot's gradient in slot order, bit for bit as add_grads over per-slot
+        # backprops on raw histories; later slots' rows filled into the
+        # history stay unseen
         rng = np.random.default_rng(n_users * 100 + batch)
         pol = AlgorithmPolicy(n_users, n_prices, hidden=(6, 1, 5), encoder_width=3,
                               rng=rng)
@@ -461,31 +461,58 @@ class TestBitIdentity:
         pol.set_params(pol.get_params())
         raw = np.zeros((batch, n_users - 1, N_STEP_FEATURES))
         encoded = pol.encoder.empty(batch)
+        whole = pol.tape_block(encoded, n_users)
+        cut = n_users // 2   # a second block, back-propagated in two halves
+        halves = pol.tape_block(encoded, max(cut, n_users - cut))
         signals = rng.normal(size=(n_users, batch, n_prices))
         signals[:, 0] = 0.0   # a row without signal, like a played-out one
-        tapes, ref = [], None
+        ref = into = None
         for i in range(n_users):
             current = rng.normal(size=(batch, N_STEP_FEATURES))
-            _, t_raw = pol.forward(raw, current)
+            p_raw, t_raw = pol.forward(raw, current)
             ref = add_grads(ref, pol.backprop(t_raw, signals[i]))
-            tapes.append(pol.forward(encoded, current)[1])
+            if i == cut > 0:
+                into = pol.backprop(halves, signals[:cut])
+                halves.slots = 0
+            # passes given their features apart, or filled into the history's row
+            if i % 2:
+                encoded.step[...] = current
+                current = encoded.step
+            for block in (whole, halves):
+                probs, tape = pol.forward(block, current)
+                assert tape is block and same_bits(probs, p_raw)
             if i < n_users - 1:
                 raw[:, i] = current
                 pol.encoder.extend(encoded, current)
-        whole = pol.backprop(stack_tapes(tapes), signals)
-        assert all(same_bits(g, h) for g, h in zip(whole, ref))
-        # two blocks added into one running total give the same bits again
-        cut = n_users // 2
-        into = pol.backprop(stack_tapes(tapes[:cut]), signals[:cut]) if cut else None
-        blocks = pol.backprop(stack_tapes(tapes[cut:]), signals[cut:], into=into)
-        assert all(same_bits(g, h) for g, h in zip(blocks, ref))
+        assert whole.slots == n_users
+        assert all(same_bits(g, h) for g, h in zip(pol.backprop(whole, signals), ref))
+        split = pol.backprop(halves, signals[cut:], into=into)
+        assert all(same_bits(g, h) for g, h in zip(split, ref))
 
-    def test_stack_tapes_rejects_mixed_plays(self):
-        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2)
-        a = pol.forward(pol.encoder.empty(2), np.zeros((2, N_STEP_FEATURES)))[1]
-        b = pol.forward(pol.encoder.empty(2), np.zeros((2, N_STEP_FEATURES)))[1]
+    def test_pass_reading_the_history_row_in_place_keeps_no_tape(self):
+        rng = np.random.default_rng(5)
+        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
+        encoded = pol.encoder.empty(2)
+        current = rng.normal(size=(2, N_STEP_FEATURES))
+        apart, tape = pol.forward(encoded, current)
+        encoded.step[...] = current
+        in_place, no_tape = pol.forward(encoded, encoded.step)
+        assert tape is not None and no_tape is None
+        assert same_bits(apart, in_place)
+
+    def test_tape_block_goes_stale_on_step(self):
+        rng = np.random.default_rng(9)
+        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
+        encoded = pol.encoder.empty(2)
+        block = pol.tape_block(encoded, 3)
+        pol.forward(block, np.zeros((2, N_STEP_FEATURES)))
+        pol.step(pol.zero_grads(), lr=0.1)
         with pytest.raises(StaleTapeError):
-            stack_tapes([a, b])
+            pol.forward(block, np.zeros((2, N_STEP_FEATURES)))
+        with pytest.raises(StaleTapeError):
+            pol.backprop(block, np.zeros((1, 2, 2)))
+        with pytest.raises(StaleTapeError):
+            pol.tape_block(encoded, 3)
 
     def test_encoded_history_goes_stale_on_step(self):
         rng = np.random.default_rng(9)
@@ -498,7 +525,7 @@ class TestBitIdentity:
         with pytest.raises(StaleTapeError):
             pol.encoder.extend(encoded, np.zeros((2, N_STEP_FEATURES)))
         with pytest.raises(StaleTapeError):
-            pol.backprop(stack_tapes([tape]), np.zeros((1, 2, 2)))
+            pol.backprop(tape, np.zeros((2, 2)))
 
 
 class TestSlope:

@@ -277,10 +277,12 @@ class TestPlayBatch:
         for i in range(1, len(calls)):
             assert max(live[i], min(batch, 2)) <= calls[i] <= calls[i - 1]
 
-    @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 6), (9, 10), (25, 32)])
+    @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 6), (9, 10), (25, 32),
+                                               (9, 700), (25, 300)])
     def test_backprop_runs_per_block_of_slots(self, monkeypatch, n_users, batch):
         # the perf harness times the backward pass by wrapping AlgorithmPolicy.backprop:
-        # plays never call it, gradient plays call it once per block of slots
+        # plays never call it, gradient plays call it once per block of slots, each
+        # block's tape at most _TAPE_BYTES
         cfg = GameConfig(n_users=n_users, n_resources=2, price_set=(1, 2, 3),
                          budget_set=(1, 2, 3))
         rng = np.random.default_rng(n_users + batch)
@@ -299,9 +301,11 @@ class TestPlayBatch:
         res, _ = algorithm_gradients(cfg, policy, budgets, rng)
         # slots with a live row form a prefix; the rest have no signal
         played = int(np.count_nonzero(live_rows(cfg, res).any(axis=0)))
-        block = max(1, training._BACKPROP_CELLS // batch)
+        slot_bytes = 8 * batch * sum(policy.mlp.layer_sizes)   # float64 layer inputs and probs
+        block = max(1, training._TAPE_BYTES // slot_bytes)
         full, rest = divmod(played, block)
         assert calls == [block] * full + [rest] * (rest > 0)
+        assert (len(calls) > 1) == (batch >= 300)   # 2-slot blocks; the rest fit in one
 
     @pytest.mark.parametrize("built", [(4, 5), (4, 2), (5, 3)])
     def test_rejects_policy_built_for_another_game(self, built):
@@ -419,24 +423,41 @@ def per_slot_gradients(cfg, policy, budgets, lengths, rng, sample):
     return np.stack(price_idx, axis=1), scale_grads(grads, 1.0 / batch)
 
 
-# (n_users, n_resources, batch, padded, sample, encoder width): R >= N,
-# padded rows, slots played with no unit left, sampled and argmax play,
-# blocks of one slot (batch 64) up to the whole play in one block (batch 1)
-BIT_CASES = [
+def with_arch(cases, *arch):
+    """cases as pytest params with the architecture columns arch appended,
+    under the ids of the cases alone."""
+    return [pytest.param(*case, *arch, id="-".join(map(str, case))) for case in cases]
+
+
+def hidden_64(*case):
+    """A case with three 64-wide hidden layers."""
+    return pytest.param(*case, (64, 64, 64), id="-".join(map(str, case)) + "-h64")
+
+
+# (n_users, n_resources, batch, padded, sample, encoder width[, hidden]): R >= N,
+# padded rows, slots played with no unit left, sampled and argmax play, small
+# tape blocks (batch 64) up to the whole play in one block (batch 1); each
+# 64-wide N=25 case spans at least two tape blocks
+BIT_CASES = with_arch([
     (1, 1, 1, False, False, 3), (1, 3, 10, False, True, 8), (2, 1, 10, True, False, 1),
     (2, 4, 32, False, True, 3), (7, 3, 1, False, True, 16), (7, 9, 10, True, False, 8),
     (7, 1, 32, True, True, 3), (25, 5, 1, True, False, 1), (25, 5, 10, False, True, 8),
     (25, 30, 32, True, True, 3), (25, 2, 64, False, False, 16), (25, 5, 32, False, False, 8),
+], (9, 7)) + [
+    hidden_64(25, 30, 1, False, True, 64), hidden_64(25, 30, 3, False, False, 16),
+    hidden_64(25, 30, 3, True, True, 64), hidden_64(25, 5, 32, False, True, 8),
+    hidden_64(25, 30, 32, False, False, 8),
 ]
 
 
-@pytest.mark.parametrize("n_users, n_resources, batch, padded, sample, width", BIT_CASES)
+@pytest.mark.parametrize("n_users, n_resources, batch, padded, sample, width, hidden",
+                         BIT_CASES)
 def test_gradients_match_per_slot_backprop_bit_for_bit(n_users, n_resources, batch, padded,
-                                                       sample, width):
+                                                       sample, width, hidden):
     cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=(1, 2, 4, 5),
                      budget_set=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(n_users * 1000 + n_resources * 100 + batch)
-    policy = AlgorithmPolicy(n_users, 4, hidden=(9, 7), encoder_width=width, rng=rng)
+    policy = AlgorithmPolicy(n_users, 4, hidden=hidden, encoder_width=width, rng=rng)
     if n_users % 2:   # the zero biases of a fresh net, or perturbed ones
         policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
     budgets = rng.integers(1, 6, size=(batch, n_users))
@@ -451,22 +472,28 @@ def test_gradients_match_per_slot_backprop_bit_for_bit(n_users, n_resources, bat
     assert all(same_bits(g, h) for g, h in zip(grads, ref))
 
 
-# (n_users, n_resources, batch, kind of lengths, sample): batches of 1, 2, 3 and 40,
-# full rows or random lengths, sampled and argmax play, R >= N so that no row
-# sells out, and rows of length 1 beside one full-length row, which leave one
-# live row for a play without gradients to forward beside a settled one
-PLAY_CASES = [
+# (n_users, n_resources, batch, kind of lengths, sample[, encoder width, hidden]):
+# batches of 1, 2, 3, 32 and 40, full rows or random lengths, sampled and argmax
+# play, R >= N so that no row sells out, and rows of length 1 beside one
+# full-length row, which leave one live row for a play without gradients to
+# forward beside a settled one; each 64-wide gradient play spans at least two
+# tape blocks
+PLAY_CASES = with_arch([
     (7, 3, 1, "full", True), (7, 2, 1, "random", False), (7, 3, 2, "full", False),
     (7, 2, 2, "random", True), (9, 3, 3, "random", True), (9, 2, 3, "full", False),
     (25, 5, 40, "full", True), (25, 4, 40, "random", False), (25, 5, 40, "random", True),
     (7, 7, 40, "full", True), (25, 30, 3, "random", False),
     (9, 9, 5, "one long", False), (25, 25, 40, "one long", True),
+], 3, (16, 16)) + [
+    hidden_64(25, 30, 1, "full", False, 64), hidden_64(25, 5, 3, "random", True, 64),
+    hidden_64(25, 30, 32, "full", True, 3), hidden_64(25, 5, 32, "one long", False, 3),
 ]
 
 
-@pytest.mark.parametrize("n_users, n_resources, batch, kind, sample", PLAY_CASES)
+@pytest.mark.parametrize("n_users, n_resources, batch, kind, sample, width, hidden",
+                         PLAY_CASES)
 def test_plays_match_a_full_batch_play_bit_for_bit(monkeypatch, n_users, n_resources, batch,
-                                                   kind, sample):
+                                                   kind, sample, width, hidden):
     # per_slot_gradients forwards every row at every slot; both plays must give
     # its outcomes, its probabilities and prices wherever a row can still sell,
     # its gradients and its rng state, although neither forwards settled rows
@@ -474,7 +501,7 @@ def test_plays_match_a_full_batch_play_bit_for_bit(monkeypatch, n_users, n_resou
     cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=(1, 2, 4, 5),
                      budget_set=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(n_users * 1000 + n_resources * 100 + batch)
-    policy = AlgorithmPolicy(n_users, 4, hidden=(16, 16), encoder_width=3, rng=rng)
+    policy = AlgorithmPolicy(n_users, 4, hidden=hidden, encoder_width=width, rng=rng)
     policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
     budgets = rng.integers(1, 6, size=(batch, n_users))
     if kind == "random":
@@ -698,6 +725,22 @@ PINNED_LOOPS = {
                                  metrics_hook=hook),
         "c2696fec626e619184b23bf977f8eaa577f86d9e1b360706adba2ba7c0a8a8ec"),
 }
+# Fingerprints at N=25 computed while a gradient play still back-propagated
+# blocks of at most 64 (row, slot) cells, so 5 blocks of a batch-10 play and
+# 13 of a batch-32 one; the alg-vs-mw rollouts shrink their forwarded rows.
+PINNED_LOOPS.update({
+    "alg-vs-mw-n25": (
+        lambda hook: train_alg_vs_mw(STAIRCASE, tiny_tcfg(episodes=30, batch=10,
+                                                          snapshot_window=2),
+                                     [STAIRCASE_ROW[:i + 1] for i in range(25)],
+                                     metrics_hook=hook),
+        "59a87fb9c85888ad41338aafd81d903011a0d5995ad1c88776e72c52310735d2"),
+    "joint-n25": (
+        lambda hook: train_joint(STAIRCASE, tiny_tcfg(episodes=64, batch=32,
+                                                      snapshot_window=2),
+                                 metrics_hook=hook),
+        "6a157204b0af691ae30319b784f807787a2337af46eb2ccb06ebd4b5fd5042d5"),
+})
 
 
 @pytest.mark.parametrize("name", list(PINNED_LOOPS))
@@ -719,6 +762,7 @@ def per_row_signal(cfg, price_rows, budget_rows):
 
 STAIRCASE = GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
                        budget_set=(1, 2, 3, 4, 5))
+STAIRCASE_ROW = tuple(v for v in range(1, 6) for _ in range(5))
 SEVEN = GameConfig(n_users=7, n_resources=3, price_set=(1, 2, 3), budget_set=(1, 2, 3))
 SIGNAL_RUNS = {
     "joint-n25": lambda: train_joint(STAIRCASE, tiny_tcfg(episodes=24, batch=8, xi=2)),
