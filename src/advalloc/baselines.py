@@ -29,12 +29,13 @@ from .game import (
     _narrowest_int,
     benchmark_rows,
     checked_int,
+    checked_rows,
     play_out,
     validate_budgets,
 )
 from .nets import AdversaryPolicy, AlgorithmPolicy, categorical_from_uniform
 from .rng import derive_rng
-from .training import SnapshotRing, TrainSnapshot, play_batch
+from .training import SnapshotRing, TrainSnapshot, check_fits, play_batch
 
 RESULTS_HEADER = ("policy", "mode", "cr", "mean_welfare", "mean_gap")
 EVAL_MODES = ("worst", "random")
@@ -102,16 +103,12 @@ class _ScheduleRule:
 class GreedyPolicy(_ScheduleRule):
     """Posts the lowest budget value, accepting everyone while units remain."""
 
-    name = "greedy"
-
     def mixture(self, cfg):
         return np.full((1, cfg.n_resources + 1), float(cfg.lower_bound))
 
 
 class ThresholdPolicy(_ScheduleRule):
     """Deterministic rule pricing at (U e / L)^z (L / e) for utilization z."""
-
-    name = "threshold"
 
     def mixture(self, cfg):
         params, r = BaselineParams.from_config(cfg), cfg.n_resources
@@ -120,8 +117,6 @@ class ThresholdPolicy(_ScheduleRule):
 
 class RandomizedPolicy(_ScheduleRule):
     """Per-sequence threshold L*2^i with i drawn uniformly from the levels."""
-
-    name = "randomized"
 
     def mixture(self, cfg):
         params = BaselineParams.from_config(cfg)
@@ -134,8 +129,6 @@ class LearnedPolicy:
     argmax unless sampling is requested. An attached opponent sampler
     supplies worst-case candidate sequences drawn from trained generator
     snapshots."""
-
-    name = "learned"
 
     def __init__(self, policy: AlgorithmPolicy, *, sample: bool = False,
                  opponent_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None):
@@ -165,10 +158,7 @@ def snapshot_sequence_sampler(cfg: GameConfig, adversary: AdversaryPolicy,
     row, so they match 1-row draws byte for byte. The adversary is left
     holding the last sequence's snapshot.
     """
-    built = (adversary.n_users, adversary.n_budgets)
-    if built != (cfg.n_users, cfg.n_budgets):
-        raise ValueError(f"adversary was built for (n_users, n_budgets) = {built}, "
-                         f"config has {(cfg.n_users, cfg.n_budgets)}")
+    check_fits(cfg, adversary)
     budget_arr = np.asarray(cfg.budget_set, dtype=np.int64)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -202,21 +192,14 @@ def play_protocol(cfg: GameConfig, policy, budgets,
     A 1-D sequence returns (welfare, gap) as ints. A 2-D array of rows
     returns per-row (welfare, gap) int64 arrays. Both are scored by one
     policy.play_rows call, a sequence as one row. Every row must hold
-    exactly n_users budgets from the budget set.
+    exactly n_users budgets from the budget set (game.checked_rows checks
+    an array of rows).
     """
     one_row = np.ndim(budgets) != 2
     if one_row:
         rows = np.asarray([validate_budgets(cfg, budgets)], dtype=np.int64)
     else:
-        rows = np.asarray(budgets)
-        if rows.shape[1] != cfg.n_users:
-            raise ValueError(f"budget rows have {rows.shape[1]} slots, "
-                             f"config has {cfg.n_users}")
-        if rows.dtype.kind not in "iu":
-            raise ValueError(f"budget rows must be integers, got dtype {rows.dtype}")
-        if not np.isin(rows, cfg.budget_set).all():
-            raise ValueError(f"budget rows hold entries not in {cfg.budget_set}")
-        rows = rows.astype(np.int64, copy=False)
+        rows, _ = checked_rows(cfg, budgets, "budgets")
     welfare = np.asarray(policy.play_rows(cfg, rows, rng), dtype=np.int64)
     gaps = benchmark_rows(rows, cfg.n_resources) - welfare
     if one_row:
@@ -353,7 +336,7 @@ def _worst_row(cfg: GameConfig, name: str, policy, rng: np.random.Generator,
 
 def evaluate_policies(cfg: GameConfig, policies, *, mode: str,
                       n_sequences: int = 1000, seed: int = 0) -> list[EvalRow]:
-    """Score named policies in one mode.
+    """Score a {name: policy} dict in one mode, in its order.
 
     worst: the exact worst case of each schedule rule, snapshot attack
     candidates for a learned policy, uniform random candidates for any
@@ -364,16 +347,14 @@ def evaluate_policies(cfg: GameConfig, policies, *, mode: str,
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     n_sequences = checked_int(n_sequences, "n_sequences")
-    named = list(policies.items()) if isinstance(policies, dict) else \
-        [(p.name, p) for p in policies]
     rows: list[EvalRow] = []
     if mode == "worst":
-        for name, policy in named:
+        for name, policy in policies.items():
             rng = derive_rng(seed, f"eval:worst:{name}")
             rows.append(_worst_row(cfg, name, policy, rng, n_sequences))
         return rows
     shared = random_sequences(cfg, derive_rng(seed, "eval:sequences"), n_sequences)
-    for name, policy in named:
+    for name, policy in policies.items():
         rng = derive_rng(seed, f"eval:random:{name}")
         welfare, gaps = play_protocol(cfg, policy, shared, rng)
         rows.append(EvalRow(name, "random", None, float(welfare.sum()) / n_sequences,

@@ -6,7 +6,9 @@ the artifact files the run will produce, so a finished directory is
 self-describing and reproducible from the manifest alone. A command that
 fails after writing its manifest (exit 1, one `error:` line) appends a
 final `failed: <message>` line to it, since some listed artifacts may be
-missing; a manifest left by an earlier run is never touched. All randomness
+missing; a manifest left by an earlier run is never touched. bench scores
+each policy on its own, so when some fail it still writes the others' rows,
+then fails with one `error:` line naming each failed one. All randomness
 descends from --seed through labeled streams, CSV floats are rendered with
 %.10g, and nothing time- or host-dependent is ever written, so same-seed
 runs produce byte-identical outputs.
@@ -48,6 +50,7 @@ from .rng import derive_rng
 from .simplex import SimplexError
 from .training import (
     METRICS_HEADER,
+    check_fits,
     train_adv_vs_mw,
     train_alg_vs_mw,
     train_joint,
@@ -206,6 +209,7 @@ def _load_pricing_model(args, cfg: GameConfig):
     policy = load_model(args.model)
     if not isinstance(policy, AlgorithmPolicy):
         raise PersistError(f"{args.model} holds an adversary, not a pricing policy")
+    check_fits(cfg, policy)
     return policy, sampler
 
 
@@ -310,13 +314,21 @@ def cmd_bench(args) -> int:
     if args.model is not None:
         policy, sampler = _load_pricing_model(args, cfg)
         policies["learned"] = LearnedPolicy(policy, opponent_sampler=sampler)
-    rows = evaluate_policies(cfg, policies, mode=args.mode,
-                             n_sequences=args.n_sequences, seed=args.seed)
+    # each policy is scored on its own streams, so a failed one drops only its row
+    rows, failures = [], []
+    for name, policy in policies.items():
+        try:
+            rows += evaluate_policies(cfg, {name: policy}, mode=args.mode,
+                                      n_sequences=args.n_sequences, seed=args.seed)
+        except ValueError as exc:
+            failures.append(str(exc))
     _write_csv(os.path.join(args.out_dir, "results.csv"), RESULTS_HEADER,
                [(r.policy, r.mode, r.cr, r.mean_welfare, r.mean_gap) for r in rows])
     for r in rows:
         print(f"{r.policy} mode={r.mode} cr={_fmt(r.cr) or 'n/a'} "
               f"mean_welfare={_fmt(r.mean_welfare)} mean_gap={_fmt(r.mean_gap)}")
+    if failures:
+        raise ValueError("; ".join(failures))
     return 0
 
 

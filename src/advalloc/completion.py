@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import (GameConfig, benchmark_rows, play_out, validate_budgets, validate_prices,
-                   welfare_paired)
+from .game import (GameConfig, benchmark_rows, checked_rows, play_out, validate_budgets,
+                   validate_prices, welfare_paired)
 
 # below every reachable value of G; sums with it stay far from int64 overflow
 _NEVER = np.iinfo(np.int64).min // 4
@@ -156,18 +156,6 @@ def optimal_gaps(cases: Sequence[Case]) -> list[int]:
             for (_, row, prefix), table in zip(cases, tables)]
 
 
-def _set_rows(cfg: GameConfig, rows, value_set: tuple[int, ...], what: str) -> np.ndarray:
-    """(M, n_users) integer rows with every entry in value_set, as int64."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != cfg.n_users or rows.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integer rows of shape (M, {cfg.n_users}), "
-                         f"got {rows.dtype} {rows.shape}")
-    outside = ~np.isin(rows, value_set)
-    if outside.any():
-        raise ValueError(f"{what} entry {int(rows[outside][0])} not in {value_set}")
-    return rows.astype(np.int64, copy=False)
-
-
 def _move_tables(budget_sets: Sequence[tuple[int, ...]], prices: np.ndarray):
     """_completion_values' moves for (M, n) price rows, row m against the
     ascending budget set budget_sets[m] (one set serves every row): the
@@ -214,8 +202,8 @@ def candidate_gaps(cfg: GameConfig, price_rows, budget_rows) -> np.ndarray:
     no cap.
     """
     r = _checked_picks(cfg, cfg.n_users)
-    prices = _set_rows(cfg, price_rows, cfg.price_set, "prices")
-    budgets = _set_rows(cfg, budget_rows, cfg.budget_set, "budgets")
+    prices, _ = checked_rows(cfg, price_rows, "prices")
+    budgets, _ = checked_rows(cfg, budget_rows, "budgets")
     if prices.shape != budgets.shape:
         raise ValueError(f"{prices.shape[0]} price rows vs {budgets.shape[0]} budget rows")
     m, n = budgets.shape

@@ -205,6 +205,42 @@ def strategy_rows(cfg: GameConfig, strategies, what: str,
     return rows, np.asarray([len(seq) for seq in seqs], dtype=np.int64)
 
 
+def checked_rows(cfg: GameConfig, rows, what: str,
+                 lengths=None) -> tuple[np.ndarray, np.ndarray]:
+    """"budgets" or "prices" rows as (M, n_users) int64 rows zeroed past each
+    row's length, and their (M,) int64 lengths (all n_users if None).
+
+    The rows must be a 2-D integer array (bool and float refused) of width
+    n_users, and lengths integers in [1, n_users]. Live entries, those before
+    a row's length, must lie in the value set; padding is free.
+    """
+    value_set = cfg.budget_set if what == "budgets" else cfg.price_set
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != cfg.n_users or rows.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integer rows of shape (M, {cfg.n_users}), "
+                         f"got {rows.dtype} {rows.shape}")
+    m, n = rows.shape
+    if lengths is None:
+        lengths = np.full(m, n, dtype=np.int64)
+    else:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (m,):
+            raise ValueError(f"one length per {what} row required")
+        if lengths.dtype.kind not in "iu":
+            fractional = lengths[lengths != np.floor(lengths)]   # NaN included
+            if fractional.size:
+                raise ValueError(f"lengths entry {fractional[0].item()} is not an integer")
+        if (lengths < 1).any() or (lengths > n).any():
+            raise ValueError("lengths must lie in [1, n_users]")
+    live = np.arange(n) < lengths[:, None]
+    allowed = np.asarray(value_set)   # sorted: the nearest entry at or above
+    outside = live & (allowed.take(np.searchsorted(allowed, rows), mode="clip") != rows)
+    if outside.any():
+        raise ValueError(f"{what} entry {rows[outside][0].item()} not in {value_set}")
+    return (np.where(live, rows, 0).astype(np.int64, copy=False),
+            lengths.astype(np.int64, copy=False))
+
+
 _INT_RANGES = tuple((np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
                     for t in (np.int8, np.int16, np.int32))
 

@@ -28,10 +28,14 @@ back-propagates it in one pass, adding the slots in order, then records the
 next slots over the same buffers: the gradient has the same bits as one
 backprop per slot, and memory stays flat in the number of slots. The slots
 after the last live one have an all-zero signal and are never recorded.
-play_batch and algorithm_gradients check their rows at entry; the training
-loops check theirs once and play them without checking again. Episode = one
-played sequence; the convergence statistic is the gap averaged over the
-trailing 500 episodes.
+play_batch and algorithm_gradients check their rows with game.checked_rows,
+as candidate_gaps does. train_alg_vs_mw checks its experts once; train_joint
+re-checks its rows in algorithm_gradients and candidate_gaps every
+iteration, train_adv_vs_mw its experts in candidate_gaps. Each loop checks
+at entry that the nets it trains fit the game (check_fits), but train_joint
+leaves its pricing policy to algorithm_gradients. Episode = one played
+sequence; the convergence statistic is the gap averaged over the trailing
+500 episodes.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ from .game import (
     GameConfig,
     benchmark_rows,
     checked_int,
+    checked_rows,
     play_out,
     strategy_rows,
     welfare_grid,
@@ -232,38 +237,6 @@ class BatchResult:
     gap: np.ndarray         # (batch,) benchmark - welfare
 
 
-def _prepare_budget_rows(cfg: GameConfig, budgets, lengths):
-    """(batch, n_users) int64 rows zeroed past each row's length, and the
-    lengths. Live entries must lie in the budget set; padding is free."""
-    budgets = np.asarray(budgets)
-    if budgets.ndim == 1:
-        budgets = budgets[None, :]
-    batch, n = budgets.shape
-    if n != cfg.n_users:
-        raise ValueError(f"budget rows have {n} slots, config has {cfg.n_users}")
-    if lengths is None:
-        lengths = np.full(batch, n, dtype=np.int64)
-    else:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (batch,):
-            raise ValueError("one length per budget row required")
-        if lengths.dtype.kind not in "iu":
-            fractional = lengths[lengths != np.floor(lengths)]   # NaN included
-            if fractional.size:
-                raise ValueError(f"lengths entry {fractional[0].item()} is not an integer")
-        if (lengths < 1).any() or (lengths > n).any():
-            raise ValueError("lengths must lie in [1, n_users]")
-    live = np.arange(n)[None, :] < lengths[:, None]
-    budget_arr = np.asarray(cfg.budget_set)   # sorted: the nearest entry at or above
-    outside = live & (budget_arr.take(np.searchsorted(budget_arr, budgets), mode="clip")
-                      != budgets)
-    if outside.any():
-        raise ValueError(f"budgets entry {budgets[outside][0].item()} not in {cfg.budget_set}")
-    # zero out slots past each row's end; zeros are inert everywhere downstream
-    return (np.where(live, budgets, 0).astype(np.int64, copy=False),
-            lengths.astype(np.int64, copy=False))
-
-
 def _price_signal(budgets: np.ndarray, lengths: np.ndarray, slots: np.ndarray,
                   left: np.ndarray, price_arr: np.ndarray) -> np.ndarray:
     """Shadow-price signal on the price distributions of a block of slots.
@@ -289,23 +262,21 @@ def _price_signal(budgets: np.ndarray, lengths: np.ndarray, slots: np.ndarray,
     return signal[..., None] * (price_arr <= b[..., None])
 
 
-def _checked_rows(cfg: GameConfig, policy: AlgorithmPolicy, budgets, lengths, rng,
-                  sample: bool):
-    """A play's prepared rows and lengths (see _prepare_budget_rows), once the
-    policy is checked to fit the game and an rng is given if prices are sampled."""
-    built = (policy.n_users, policy.n_prices)
-    if built != (cfg.n_users, cfg.n_prices):
-        raise ValueError(f"pricing policy was built for (n_users, n_prices) = {built}, "
-                         f"config has {(cfg.n_users, cfg.n_prices)}")
-    budgets, lengths = _prepare_budget_rows(cfg, budgets, lengths)
-    if sample and rng is None:
-        raise ValueError("sampling prices requires an rng")
-    return budgets, lengths
+def check_fits(cfg: GameConfig, net) -> None:
+    """Refuse a pricing policy or an adversary built for another game."""
+    size, who = (("n_prices", "pricing policy") if net.kind == "algorithm"
+                 else ("n_budgets", "adversary"))
+    built, want = (net.n_users, getattr(net, size)), (cfg.n_users, getattr(cfg, size))
+    if built != want:
+        raise ValueError(f"{who} was built for (n_users, {size}) = {built}, "
+                         f"config has {want}")
 
 
 def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets: np.ndarray, lengths: np.ndarray,
           rng, sample: bool, want_grads: bool):
-    """Play rows and lengths from _checked_rows through the policy."""
+    """Play rows and lengths from game.checked_rows through the policy."""
+    if sample and rng is None:
+        raise ValueError("sampling prices requires an rng")
     batch, n = budgets.shape
     price_arr = np.asarray(cfg.price_set, dtype=np.int64)
     max_price = float(price_arr[-1])
@@ -393,15 +364,16 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets: np.ndarray, lengths
 def play_batch(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng=None, *,
                lengths=None, sample: bool = True) -> BatchResult:
     """Play budget rows through the policy; sample=False decodes by argmax."""
-    budgets, lengths = _checked_rows(cfg, policy, budgets, lengths, rng, sample)
-    result, _ = _play(cfg, policy, budgets, lengths, rng, sample, want_grads=False)
-    return result
+    check_fits(cfg, policy)
+    budgets, lengths = checked_rows(cfg, budgets, "budgets", lengths)
+    return _play(cfg, policy, budgets, lengths, rng, sample, want_grads=False)[0]
 
 
 def algorithm_gradients(cfg: GameConfig, policy: AlgorithmPolicy, budgets, rng, *,
                         lengths=None, sample: bool = True):
     """Play a batch and return (result, mean shadow-price gradient on params)."""
-    budgets, lengths = _checked_rows(cfg, policy, budgets, lengths, rng, sample)
+    check_fits(cfg, policy)
+    budgets, lengths = checked_rows(cfg, budgets, "budgets", lengths)
     return _play(cfg, policy, budgets, lengths, rng, sample, want_grads=True)
 
 
@@ -500,6 +472,7 @@ def train_joint(cfg: GameConfig, tcfg: TrainConfig, *,
     rng = np.random.default_rng(tcfg.seed) if rng is None else rng
     algorithm = algorithm or make_algorithm_policy(cfg, tcfg, rng)
     adversary = adversary or make_adversary_policy(cfg, tcfg, rng)
+    check_fits(cfg, adversary)
     alg_ring = SnapshotRing(tcfg.snapshot_window)
     adv_ring = SnapshotRing(tcfg.snapshot_window)
 
@@ -532,9 +505,9 @@ def train_alg_vs_mw(cfg: GameConfig, tcfg: TrainConfig, adversary_pure_strategie
     """
     rng = np.random.default_rng(tcfg.seed) if rng is None else rng
     algorithm = algorithm or make_algorithm_policy(cfg, tcfg, rng)
-    experts, expert_lengths = _checked_rows(
-        cfg, algorithm, *strategy_rows(cfg, adversary_pure_strategies, "budgets",
-                                       allow_partial=True), rng, sample=True)
+    check_fits(cfg, algorithm)
+    experts, expert_lengths = strategy_rows(cfg, adversary_pure_strategies, "budgets",
+                                            allow_partial=True)
     n_experts = experts.shape[0]
     rep_rows = np.repeat(experts, tcfg.mw_rollouts, axis=0)
     rep_lens = np.repeat(expert_lengths, tcfg.mw_rollouts)
@@ -572,6 +545,7 @@ def train_adv_vs_mw(cfg: GameConfig, tcfg: TrainConfig, algorithm_pure_strategie
     """
     rng = np.random.default_rng(tcfg.seed) if rng is None else rng
     adversary = adversary or make_adversary_policy(cfg, tcfg, rng)
+    check_fits(cfg, adversary)
     experts, _ = strategy_rows(cfg, algorithm_pure_strategies, "prices")
     mw = MwState.uniform(experts.shape[0], tcfg.mw_eta)
     ring = SnapshotRing(tcfg.snapshot_window)

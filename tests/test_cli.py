@@ -609,6 +609,27 @@ class TestBench:
         assert err[0].startswith("error: randomized: ")
         assert "reachable sold-count states" in err[0]
 
+    def test_worst_mode_keeps_the_rows_it_certified(self, tmp_path, capsys):
+        # N=100: greedy and threshold certify at once, randomized is refused
+        grid = "{" + ", ".join(map(str, range(1, 11))) + "}"
+        path = tmp_path / "n100.cfg"
+        path.write_text(f"n_users = 100\nn_resources = 20\nprice_set = {grid}\n"
+                        f"budget_set = {grid}\n")
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(path), "--mode", "worst",
+                        "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: randomized: exact worst case needs over 50000 cells")
+        _, rows = read_csv(out / "results.csv")
+        assert rows == [["greedy", "worst", "10", "20", "180"],
+                        ["threshold", "worst", "3.125", "64", "136"]]
+        assert [line.split()[0] for line in captured.out.splitlines()] == \
+            ["greedy", "threshold"]
+        manifest = (out / "run-manifest.txt").read_text().splitlines()
+        assert manifest[-1] == "failed: " + err[0].removeprefix("error: ")
+
     def test_failed_run_marks_its_manifest(self, tmp_path, capsys):
         path = tmp_path / "wide.cfg"
         path.write_text("n_users = 50\nn_resources = 10\nprice_set = {1}\n"
@@ -619,7 +640,8 @@ class TestBench:
         err = capsys.readouterr().err
         lines = (out / "run-manifest.txt").read_text().splitlines()
         assert lines[lines.index("artifacts:") + 1] == "  results.csv"
-        assert not (out / "results.csv").exists()
+        _, rows = read_csv(out / "results.csv")   # the rules it certified
+        assert [r[0] for r in rows] == ["greedy", "threshold"]
         assert lines[-1] == "failed: " + err.removeprefix("error: ").rstrip("\n")
         assert [line for line in lines if line.startswith("failed:")] == lines[-1:]
 

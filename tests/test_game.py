@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advalloc import game
+from advalloc.baselines import GreedyPolicy, play_protocol
+from advalloc.completion import candidate_gaps
 from advalloc.game import (
     AllocationTrace,
     GameConfig,
     benchmark,
     benchmark_rows,
+    checked_rows,
     format_sequence,
     gap,
     parse_sequence,
@@ -22,6 +25,8 @@ from advalloc.game import (
     welfare_grid,
     welfare_paired,
 )
+from advalloc.nets import AlgorithmPolicy
+from advalloc.training import algorithm_gradients, play_batch
 
 
 def cfg(n, r, prices, budgets):
@@ -321,3 +326,56 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match=re.escape("prices longer than n_users: 4 > 3")):
             validate_prices(c, (1, 1, 1, 1), allow_partial=True)
+
+
+class TestCheckedRows:
+    """Every array entry point checks its rows with game.checked_rows, so each
+    refuses a bad row with one message."""
+
+    GAME = cfg(4, 2, (1, 2, 3), (1, 2, 3))
+    VALID = np.array([[1, 2, 3, 1], [2, 2, 3, 3]])
+    POLICY = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+    # (what the rows are, a call that feeds them to one entry point)
+    ENTRY_POINTS = {
+        "play_batch": ("budgets", lambda c, rows: play_batch(
+            c, TestCheckedRows.POLICY, rows, np.random.default_rng(0))),
+        "algorithm_gradients": ("budgets", lambda c, rows: algorithm_gradients(
+            c, TestCheckedRows.POLICY, rows, np.random.default_rng(0))),
+        "candidate_gaps-prices": ("prices", lambda c, rows: candidate_gaps(
+            c, rows, TestCheckedRows.VALID)),
+        "candidate_gaps-budgets": ("budgets", lambda c, rows: candidate_gaps(
+            c, TestCheckedRows.VALID, rows)),
+        "play_protocol": ("budgets", lambda c, rows: play_protocol(c, GreedyPolicy(), rows)),
+    }
+    BAD_ROWS = {
+        "float": (np.array([[1.0, 2.0, 3.0, 1.0]] * 2), "must be integer rows of shape "
+                                                       "(M, 4), got float64 (2, 4)"),
+        "bool": (np.ones((2, 4), dtype=bool), "must be integer rows of shape "
+                                               "(M, 4), got bool (2, 4)"),
+        "wide": (np.ones((2, 5), dtype=np.int64), "must be integer rows of shape "
+                                                   "(M, 4), got int64 (2, 5)"),
+        "outside-set": (np.array([[1, 2, 3, 1], [2, 4, 3, 3]]), "entry 4 not in (1, 2, 3)"),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD_ROWS))
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_every_entry_point_refuses_with_one_message(self, entry, bad):
+        what, call = self.ENTRY_POINTS[entry]
+        rows, message = self.BAD_ROWS[bad]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {message}')}$"):
+            call(self.GAME, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {message}')}$"):
+            checked_rows(self.GAME, rows, what)
+
+    def test_rows_come_back_int64_and_zeroed_past_their_lengths(self):
+        rows, lengths = checked_rows(self.GAME, np.array([[2, 3, 0, 99], [1, 2, 3, 1]],
+                                                         dtype=np.uint8), "budgets", [2, 4])
+        assert rows.dtype == lengths.dtype == np.int64
+        assert rows.tolist() == [[2, 3, 0, 0], [1, 2, 3, 1]]
+        assert lengths.tolist() == [2, 4]
+        full, lengths = checked_rows(self.GAME, self.VALID, "prices")
+        assert full.tolist() == self.VALID.tolist() and lengths.tolist() == [4, 4]
+
+    def test_one_length_per_row(self):
+        with pytest.raises(ValueError, match="^one length per budgets row required$"):
+            checked_rows(self.GAME, self.VALID, "budgets", [2])

@@ -12,6 +12,7 @@ from advalloc.completion import candidate_gaps, optimal_completion
 from advalloc.gradients import price_gradient
 from advalloc.nets import (
     N_STEP_FEATURES,
+    AdversaryPolicy,
     AlgorithmPolicy,
     add_grads,
     sample_categorical,
@@ -239,10 +240,13 @@ class TestPlayBatch:
             play(SMALL, policy, rows, np.random.default_rng(0), lengths=lengths)
 
     @pytest.mark.parametrize("lengths", [[2], [2.0]])
-    def test_padding_past_lengths_is_free(self, lengths):
+    @pytest.mark.parametrize("play", [
+        play_batch, lambda *args, **kw: algorithm_gradients(*args, **kw)[0]],
+        ids=["play_batch", "algorithm_gradients"])
+    def test_padding_past_lengths_is_free(self, lengths, play):
         policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
-        padded = play_batch(SMALL, policy, [[2, 3, 0, 99]], lengths=lengths, sample=False)
-        clean = play_batch(SMALL, policy, [[2, 3, 1, 1]], lengths=[2], sample=False)
+        padded = play(SMALL, policy, [[2, 3, 0, 99]], None, lengths=lengths, sample=False)
+        clean = play(SMALL, policy, [[2, 3, 1, 1]], None, lengths=[2], sample=False)
         assert padded.welfare.tolist() == clean.welfare.tolist()
         assert padded.benchmark.tolist() == clean.benchmark.tolist() == [5]
 
@@ -655,6 +659,19 @@ class TestLoops:
         assert len(res.adv_ring) == res.iterations
         assert np.isclose(res.mw.mixture.sum(), 1.0)
         assert all(len(row) == 4 for row in res.metrics)
+
+    @pytest.mark.parametrize("n_budgets", [2, 5])
+    @pytest.mark.parametrize("train", [
+        lambda adversary: train_joint(SMALL, tiny_tcfg(), adversary=adversary),
+        lambda adversary: train_adv_vs_mw(SMALL, tiny_tcfg(), [(1, 1, 2, 2)],
+                                          adversary=adversary),
+    ], ids=["joint", "adv-vs-mw"])
+    def test_rejects_adversary_built_for_another_game(self, train, n_budgets):
+        adversary = AdversaryPolicy(4, n_budgets, latent_dim=4, hidden=(8,))
+        with pytest.raises(ValueError, match=re.escape(
+                f"adversary was built for (n_users, n_budgets) = (4, {n_budgets}), "
+                "config has (4, 3)")):
+            train(adversary)
 
     def test_adv_vs_mw_rejects_partial_prices(self):
         with pytest.raises(ValueError):
