@@ -2,11 +2,12 @@
 Training a pricing policy against truncation attacks
 ====================================================
 
-A recurrent pricing net plays the staircase instance (budgets 1..5, five
-users each, five units) while a multiplicative-weights learner mixes over
-the 26 truncation attacks: stop the arrivals after any prefix. The LP
-value of this instance is 47/6, so training can stop itself once the
-trailing gap settles near that target.
+A pricing net that reads only the current slot (its index, units left,
+the last budget and the last price) plays the staircase instance (budgets
+1..5, five users each, five units) while a multiplicative-weights learner
+mixes over the 26 truncation attacks: stop the arrivals after any prefix.
+The LP value of this instance is 47/6, so training can stop itself once
+the trailing gap settles near that target.
 """
 import time
 

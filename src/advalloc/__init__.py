@@ -64,8 +64,6 @@ from .gradients import DualInfo, ProbGradient, price_gradient, shadow_price
 from .nets import (
     AdversaryPolicy,
     AlgorithmPolicy,
-    EncodedHistory,
-    HistoryEncoder,
     SoftmaxMlp,
     StaleTapeError,
     sample_categorical,

@@ -22,7 +22,7 @@ from .training import TrainConfig
 _GAME_INT_KEYS = ("n_users", "n_resources")
 _GAME_SET_KEYS = ("price_set", "budget_set")
 _TRAIN_INT_KEYS = ("episodes", "batch", "xi", "seed", "snapshot_window",
-                   "mw_rollouts", "latent_dim", "hidden", "encoder_width")
+                   "mw_rollouts", "latent_dim", "hidden")
 _TRAIN_FLOAT_KEYS = ("lr_alg", "lr_adv", "mw_eta", "clip", "target_gap",
                      "stop_rtol")
 _SEQ_KEYS = ("sequence",)

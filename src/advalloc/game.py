@@ -194,11 +194,14 @@ def format_sequence(seq: Sequence[int]) -> str:
 def strategy_rows(cfg: GameConfig, strategies, what: str,
                   allow_partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Validated "budgets" or "prices" sequences as zero-padded (M, n_users)
-    int64 rows and their (M,) int64 lengths; at least one is required."""
+    int64 rows and their (M,) int64 lengths; at least one is required, and
+    none may be empty."""
     value_set = cfg.budget_set if what == "budgets" else cfg.price_set
     seqs = [validate_sequence(cfg, s, value_set, what, allow_partial) for s in strategies]
     if not seqs:
         raise ValueError(f"need at least one pure strategy ({what})")
+    if () in seqs:
+        raise ValueError(f"pure strategy {seqs.index(())} ({what}) is empty")
     rows = np.zeros((len(seqs), cfg.n_users), dtype=np.int64)
     for row, seq in zip(rows, seqs):
         row[:len(seq)] = seq

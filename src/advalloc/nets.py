@@ -1,36 +1,26 @@
 """Small feed-forward nets with softmax heads, written directly in numpy.
 
-The pricing policy encodes the padded feature history with one shared affine
-layer plus a per-slot bias matrix, follows it with the current slot's
-features, and runs a few dense leaky-rectifier layers into a softmax over
-prices. Its forward takes the raw history or an EncodedHistory; a caller
-playing slot by slot starts from HistoryEncoder.empty and encodes each new row
-once with HistoryEncoder.extend. An EncodedHistory keeps its encoding inside
-the MLP input row (EncodedHistory.row), whose last columns hold the current
-slot's features (EncodedHistory.step), so a play fills those columns in place
-and passes them as the current features, and no pass concatenates its input.
-The budget generator maps a Gaussian latent through dense layers into one
-softmax head per slot over the budget set. The heads of a net share one size
-and are normalized in one reshaped reduction; the pricer's single head needs
-no reshape.
+The pricing policy runs a few dense leaky-rectifier layers over the current
+slot's N_STEP_FEATURES step features into a softmax over prices. The budget
+generator maps a Gaussian latent through dense layers into one softmax head
+per slot over the budget set. The heads of a net share one size and are
+normalized in one reshaped reduction; the pricer's single head needs no
+reshape.
 
 Backprop starts from externally supplied gradients on the output
 probabilities (the objective is always sum_a g_a * P_a here), so no loss
 classes exist. A tape holds references to the arrays the forward pass wrote,
-never copies: each layer's input and the probabilities, and for the pricer
-the play's EncodedHistory with the number of rows the pass saw, since later
-rows are only ever appended. A play that keeps its tapes records them in
-place: AlgorithmPolicy.tape_block preallocates one (slot, batch, width)
-buffer per layer input and for the probabilities, and each pass given the
-block as its history writes its input row and every layer's output into the
-block's next slot. One backprop over the block adds each slot's gradient in
-slot order, so it gives the same bits as a backprop per slot. Each policy is
-a ParamBlocks over its components (encoder and dense layers, or dense layers
-alone): parameters and gradients travel as flat lists of arrays in the
-components' order, and any parameter change moves every component's version
-counter, which invalidates the tapes, blocks and encoded histories built
-before it. Each policy names its constructor keywords in ARCH and keeps them
-as attributes, so persist can record the architecture and rebuild it.
+never copies: each layer's input and the probabilities. The pricer keeps no
+tape: its backprop takes the step features of one slot, or of a block of
+slots along a leading slot axis, rebuilds their activations with one stacked
+forward, which gives each slot the bits of its own forward, and adds the
+slots' gradients in slot order, so a block gives the same bits as a backprop
+per slot. Each policy is a ParamBlocks over one SoftmaxMlp: parameters and
+gradients travel as flat lists of arrays in the net's order, and any
+parameter change moves its version counter, which invalidates the tapes
+built before it. Each policy names its constructor keywords in ARCH and
+keeps them as attributes, so persist can record the architecture and
+rebuild it.
 """
 from __future__ import annotations
 
@@ -198,20 +188,10 @@ class SoftmaxMlp:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input width {x.shape[-1]} != {self.layer_sizes[0]}")
-        return self._forward(x)
-
-    def _forward(self, x: np.ndarray,
-                 out: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, MlpTape]:
-        """forward for a float64 x of the input width, unchecked. With out,
-        one C-contiguous float64 array per layer, shaped like x with that
-        layer's width, layer k's output (the last is the probabilities) is
-        written into out[k] and the tape refers to those arrays."""
-        if out is None:
-            out = [np.empty(x.shape[:-1] + (size,)) for size in self.layer_sizes[1:]]
         # each layer's product, bias and (hidden) rectifier go into its output array
         activations = [x]
-        for k, (w, b, z) in enumerate(zip(self.weights, self.biases, out), start=1):
-            np.matmul(activations[-1], w, out=z)
+        for k, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
+            z = np.matmul(activations[-1], w)
             z += b
             if k < len(self.weights):
                 leaky(z, self.slope, out=z)
@@ -224,24 +204,21 @@ class SoftmaxMlp:
         return probs, MlpTape(version=self.version, activations=activations, probs=probs)
 
     def backprop(self, tape: MlpTape, grad_probs: np.ndarray, *,
-                 into: list[np.ndarray] | None = None, return_input_grad: bool = False):
+                 into: list[np.ndarray] | None = None) -> list[np.ndarray]:
         """Gradient of sum_{batch, action} grad_probs * P w.r.t. parameters.
 
         A block tape's slots are summed one at a time in slot order, onto
         `into` when given, so blocks of one play added in turn give the same
-        bits as add_grads over per-slot backprops. With return_input_grad the
-        gradient on the input batch comes back too, so wrappers can keep
-        propagating into an upstream encoder. A hidden layer's slope is read
-        off its output: leaky(z) > 0 exactly when z > 0.
+        bits as add_grads over per-slot backprops. A hidden layer's slope is
+        read off its output: leaky(z) > 0 exactly when z > 0.
         """
         if tape.version != self.version:
             raise StaleTapeError("parameters changed since this forward pass")
         grad_probs = np.atleast_2d(np.asarray(grad_probs, dtype=np.float64))
         if grad_probs.shape != tape.probs.shape:
             raise ValueError(f"grad shape {grad_probs.shape} != {tape.probs.shape}")
-        stacked = tape.probs.ndim == 3
         probs, activations = tape.probs, tape.activations
-        if not stacked:   # one slot
+        if probs.ndim == 2:   # one slot
             probs, grad_probs = probs[None], grad_probs[None]
             activations = [a[None] for a in activations]
         grads = list(into) if into is not None else [None] * (2 * len(self.weights))
@@ -255,156 +232,19 @@ class SoftmaxMlp:
             grads[2 * k] = _add_slots(grads[2 * k], a_prev.swapaxes(1, 2) @ dz)
             if k > 0:
                 dz = (dz @ self.weights[k].T) * leaky_grad(a_prev, self.slope)
-        if return_input_grad:
-            dx = dz @ self.weights[0].T
-            return grads, dx if stacked else dx[0]
         return grads
 
 
-@dataclasses.dataclass
-class EncodedHistory:
-    """Raw history rows with their flat encoding, inside the pricer's input row.
-
-    row is the input of a pricing pass: flat, the flattened encoding
-    leaky(history @ W + B), then step, the features of the slot being priced,
-    which each pass writes. Rows from `filled` on are unfilled zero rows,
-    encoded like any other. HistoryEncoder.encode builds one from a raw
-    history (every row filled), HistoryEncoder.empty builds an unfilled one
-    and HistoryEncoder.extend fills its next row in place, so a slot-by-slot
-    caller encodes each row once. It is valid only for the encoder
-    parameters it was built with.
-    """
-
-    version: int
-    history: np.ndarray   # (batch, n_slots, n_features)
-    row: np.ndarray       # (batch, n_slots * width + n_features): flat, then step
-    filled: int
-
-    def __post_init__(self):
-        split = self.row.shape[1] - self.history.shape[2]
-        self.flat = self.row[:, :split]
-        self.step = self.row[:, split:]
-
-
-class HistoryEncoder:
-    """Shared affine map plus per-slot bias over the padded feature history.
-
-    flatten(leaky(history @ W + B)) with history (batch, n_slots, n_features);
-    unfilled future rows stay zero-padded so the output width is static.
-    """
-
-    def __init__(self, n_slots: int, width: int, *, n_features: int = N_STEP_FEATURES,
-                 slope: float = DEFAULT_SLOPE, rng: np.random.Generator | None = None):
-        if n_slots < 0 or width < 1 or n_features < 1:
-            raise ValueError("bad encoder dimensions")
-        self.n_slots = int(n_slots)
-        self.width = int(width)
-        self.n_features = int(n_features)
-        self.slope = _checked_slope(slope)
-        self.version = 0
-        if rng is None:
-            self.weight = np.zeros((n_features, width))
-        else:
-            self.weight = glorot_uniform(rng, n_features, width, (n_features, width))
-        self.bias = np.zeros((n_slots, width))
-
-    @property
-    def out_width(self) -> int:
-        return self.n_slots * self.width
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
-
-    def encode(self, history: np.ndarray) -> EncodedHistory:
-        """Encode a raw (batch, n_slots, n_features) history in one product."""
-        # copy: extend() writes into the history, callers may reuse theirs
-        history = np.array(history, dtype=np.float64)
-        if history.ndim == 2:
-            history = history[None]
-        if history.shape[1:] != (self.n_slots, self.n_features):
-            raise ValueError(
-                f"history shape {history.shape[1:]} != {(self.n_slots, self.n_features)}")
-        z = history @ self.weight + self.bias
-        encoded = EncodedHistory(
-            version=self.version, history=history, filled=self.n_slots,
-            row=np.zeros((history.shape[0], self.out_width + self.n_features)))
-        encoded.flat[...] = leaky(z, self.slope).reshape(history.shape[0], self.out_width)
-        return encoded
-
-    def empty(self, batch: int) -> EncodedHistory:
-        """The encoding of batch all-zero histories, with no row filled yet."""
-        encoded = self.encode(np.zeros((batch, self.n_slots, self.n_features)))
-        encoded.filled = 0
-        return encoded
-
-    def extend(self, encoded: EncodedHistory, row: np.ndarray) -> None:
-        """Fill the next unfilled row and encode it, bit-identical to encode().
-
-        numpy's stacked product runs one BLAS gemm per batch entry (a gemv
-        when n_slots == 1), and a gemm row does not depend on the rows beside
-        it. So the whole batch's row goes through one gemm when batch and
-        n_slots are both above 1; otherwise a slice of at most two slots
-        takes the same kernel as encode().
-        """
-        self._check_current(encoded)
-        slot = encoded.filled
-        history = encoded.history
-        history[:, slot] = row
-        if history.shape[0] > 1 and self.n_slots > 1:
-            z = history[:, slot] @ self.weight
-        else:
-            lo = max(0, min(slot, self.n_slots - 2))
-            z = (history[:, lo:lo + 2] @ self.weight)[:, slot - lo]
-        z += self.bias[slot]
-        leaky(z, self.slope, out=encoded.flat[:, slot * self.width:(slot + 1) * self.width])
-        encoded.filled = slot + 1
-
-    def _check_current(self, encoded: EncodedHistory) -> None:
-        if encoded.version != self.version:
-            raise StaleTapeError("history was encoded before a parameter update")
-
-    def backprop(self, encoded: EncodedHistory, filled, flat: np.ndarray,
-                 grad_flat: np.ndarray, *, into: list[np.ndarray] | None = None):
-        """Parameter gradients given grad_flat, the gradient on flat, which
-        encodes encoded's first `filled` rows followed by zero rows.
-
-        flat and grad_flat are (batch, out_width), or (slot, batch, out_width)
-        for a tape block, with one filled count per slot; slots are summed in
-        order, onto `into` when given, as in SoftmaxMlp.backprop. The rows a
-        pass saw are read back from encoded, which may have been extended
-        since: filled rows never change. A row's slope is read off flat, like
-        the MLP's.
-        """
-        self._check_current(encoded)
-        if flat.ndim == 2:   # one slot
-            flat, grad_flat, filled = flat[None], grad_flat[None], [filled]
-        dz = leaky_grad(flat, self.slope)
-        dz *= grad_flat
-        dz = dz.reshape(*flat.shape[:-1], self.n_slots, self.width)
-        # One einsum per slot (a stacked one picks a slower loop order), over
-        # the rows the pass saw: einsum adds each (row, slot) term to running
-        # sums that start at +0, and a zero row's terms are +-0, which leave
-        # such a sum unchanged, so skipping them keeps every bit.
-        d_weight = np.stack([np.einsum("brf,brw->fw", encoded.history[:, :k], d[:, :k])
-                             for k, d in zip(filled, dz)])
-        acc_weight, acc_bias = (None, None) if into is None else into
-        return [_add_slots(acc_weight, d_weight), _add_slots(acc_bias, dz.sum(axis=1))]
-
-
 class ParamBlocks:
-    """Parameter bookkeeping shared by both policies.
+    """Parameter bookkeeping shared by both policies, each a wrapper around
+    one SoftmaxMlp (self.mlp): any change here moves the net's version
+    counter, so a tape built before it raises StaleTapeError."""
 
-    A policy's parameters are its blocks' params in order. Each block keeps
-    the version counter its tapes record; any change here moves every block's
-    counter, so a tape or EncodedHistory built before it raises StaleTapeError.
-    """
-
-    blocks: tuple  # the policy's components, e.g. (encoder, mlp)
+    mlp: SoftmaxMlp
 
     @property
     def params(self) -> list[np.ndarray]:
-        return [p for block in self.blocks for p in block.params]
+        return self.mlp.params
 
     def get_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]
@@ -412,13 +252,13 @@ class ParamBlocks:
     def set_params(self, arrays: Sequence[np.ndarray]) -> None:
         for p, a in zip(self._matching(arrays), arrays):
             p[...] = a
-        self._invalidate_tapes()
+        self.mlp.version += 1
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
         """Plain gradient ascent; invalidates existing tapes."""
         for p, g in zip(self._matching(grads), grads):
             p += lr * g
-        self._invalidate_tapes()
+        self.mlp.version += 1
 
     def zero_grads(self) -> list[np.ndarray]:
         return [np.zeros_like(p) for p in self.params]
@@ -433,121 +273,36 @@ class ParamBlocks:
                 raise ValueError(f"shape {a.shape} != expected {p.shape}")
         return params
 
-    def _invalidate_tapes(self) -> None:
-        for block in self.blocks:
-            block.version += 1
-
-
-@dataclasses.dataclass
-class AlgTape:
-    """An AlgorithmPolicy pass: the encoded history it read, of which it saw
-    the first `filled` rows, and its MLP tape.
-
-    A tape block (AlgorithmPolicy.tape_block) records up to a fixed number of
-    passes over one history along a leading slot axis of preallocated
-    buffers, one filled count per slot; `slots` counts the passes recorded.
-    """
-
-    encoded: EncodedHistory
-    filled: int | np.ndarray
-    mlp_tape: MlpTape
-    slots: int | None = None   # None for a single pass
-
 
 class AlgorithmPolicy(ParamBlocks):
-    """Posted-price policy: history encoder feeding dense layers, one price head."""
+    """Posted-price policy: dense layers over the current slot's step
+    features, one price head."""
 
     kind = "algorithm"
-    ARCH = ("n_users", "n_prices", "hidden", "encoder_width", "slope")
+    ARCH = ("n_users", "n_prices", "hidden", "slope")
 
     def __init__(self, n_users: int, n_prices: int, *, hidden: Sequence[int] = (64, 64, 64),
-                 encoder_width: int = 8, slope: float = DEFAULT_SLOPE,
-                 rng: np.random.Generator | None = None):
+                 slope: float = DEFAULT_SLOPE, rng: np.random.Generator | None = None):
         if n_users < 1 or n_prices < 1:
             raise ValueError("need at least one user and one price")
         self.n_users = int(n_users)
         self.n_prices = int(n_prices)
-        self.encoder = HistoryEncoder(n_users - 1, encoder_width, slope=slope, rng=rng)
-        in_width = self.encoder.out_width + N_STEP_FEATURES
-        sizes = (in_width, *hidden, n_prices)
-        self.mlp = SoftmaxMlp(sizes, (n_prices,), slope=slope, rng=rng)
-        self.blocks = (self.encoder, self.mlp)
+        self.mlp = SoftmaxMlp((N_STEP_FEATURES, *hidden, n_prices), (n_prices,), slope=slope,
+                              rng=rng)
         self.hidden = self.mlp.layer_sizes[1:-1]
-        self.encoder_width = self.encoder.width
         self.slope = self.mlp.slope
 
-    def tape_block(self, encoded: EncodedHistory, n_slots: int) -> AlgTape:
-        """An empty tape block for up to n_slots passes over encoded, with one
-        (n_slots, batch, width) buffer per layer input and for the probabilities."""
-        self.encoder._check_current(encoded)
-        batch = encoded.row.shape[0]
-        layers = [np.empty((n_slots, batch, size)) for size in self.mlp.layer_sizes]
-        return AlgTape(encoded=encoded, filled=np.zeros(n_slots, dtype=np.int64),
-                       mlp_tape=MlpTape(version=self.mlp.version, activations=layers[:-1],
-                                        probs=layers[-1]),
-                       slots=0)
+    def forward(self, features: np.ndarray) -> np.ndarray:
+        """Price probabilities for (batch, N_STEP_FEATURES) step features."""
+        return self.mlp.forward(features)[0]
 
-    def forward(self, history, current: np.ndarray) -> tuple[np.ndarray, AlgTape | None]:
-        """Price probabilities for the current slot's features, and the tape.
-
-        history is the raw (batch, n_users - 1, N_STEP_FEATURES) array, future
-        rows zero, or an EncodedHistory from self.encoder holding the same rows;
-        both give bit-identical probabilities and gradients. It may also be a
-        tape block from self.tape_block: the pass reads the block's history,
-        writes its input row and each layer's output into the block's next
-        slot, and returns the block as its tape.
-
-        current may be the history's own step columns (EncodedHistory.step),
-        filled by the caller: the pass then reads the history's input row in
-        place, unchecked, and outside a block it keeps no tape (None), since
-        the history's next pass or extend overwrites that row.
-        """
-        block = history if isinstance(history, AlgTape) else None
-        encoded = history.encoded if block is not None else history
-        if isinstance(encoded, EncodedHistory):
-            self.encoder._check_current(encoded)
-        else:
-            encoded = self.encoder.encode(history)
-        if current is encoded.step:
-            x = encoded.row
-        else:
-            current = np.atleast_2d(np.asarray(current, dtype=np.float64))
-            if current.shape != encoded.step.shape:
-                raise ValueError(f"current features {current.shape} != {encoded.step.shape}")
-            x = np.concatenate([encoded.flat, current], axis=1)
-        if block is None:
-            probs, mlp_tape = self.mlp._forward(x)
-            if x is encoded.row:
-                return probs, None
-            return probs, AlgTape(encoded=encoded, filled=encoded.filled, mlp_tape=mlp_tape)
-        if block.mlp_tape.version != self.mlp.version:
-            raise StaleTapeError("parameters changed since this block was made")
-        j = block.slots
-        layers = block.mlp_tape.activations + [block.mlp_tape.probs]
-        layers[0][j] = x
-        probs, _ = self.mlp._forward(layers[0][j], [a[j] for a in layers[1:]])
-        block.filled[j] = encoded.filled
-        block.slots = j + 1
-        return probs, block
-
-    def backprop(self, tape: AlgTape, grad_probs: np.ndarray, *,
+    def backprop(self, features: np.ndarray, grad_probs: np.ndarray, *,
                  into: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        """Parameter gradients, summed over a block's recorded slots in slot
-        order and added into `into` when given."""
-        mlp_tape, filled = tape.mlp_tape, tape.filled
-        if tape.slots is not None:
-            n = tape.slots
-            mlp_tape = MlpTape(version=mlp_tape.version, probs=mlp_tape.probs[:n],
-                               activations=[a[:n] for a in mlp_tape.activations])
-            filled = filled[:n]
-        width = self.encoder.out_width
-        mlp_grads, dx = self.mlp.backprop(mlp_tape, grad_probs, return_input_grad=True,
-                                          into=None if into is None else into[2:])
-        enc_grads = self.encoder.backprop(tape.encoded, filled,
-                                          mlp_tape.activations[0][..., :width],
-                                          dx[..., :width],
-                                          into=None if into is None else into[:2])
-        return enc_grads + mlp_grads
+        """Parameter gradients of the passes on features, one slot's
+        (batch, N_STEP_FEATURES) or a block's (slot, batch, N_STEP_FEATURES).
+        One stacked forward rebuilds the block's activations; the slots are
+        summed in slot order and added into `into` when given."""
+        return self.mlp.backprop(self.mlp.forward(features)[1], grad_probs, into=into)
 
 
 class AdversaryPolicy(ParamBlocks):
@@ -566,7 +321,6 @@ class AdversaryPolicy(ParamBlocks):
         self.latent_dim = int(latent_dim)
         sizes = (latent_dim, *hidden, n_users * n_budgets)
         self.mlp = SoftmaxMlp(sizes, (n_budgets,) * n_users, slope=slope, rng=rng)
-        self.blocks = (self.mlp,)
         self.hidden = self.mlp.layer_sizes[1:-1]
         self.slope = self.mlp.slope
 

@@ -21,7 +21,7 @@ from .game import checked_int
 from .nets import AdversaryPolicy, AlgorithmPolicy
 from .training import SnapshotRing
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MODEL_FORMAT = "advalloc-model"
 RING_FORMAT = "advalloc-ring"
 _DTYPE = np.dtype("<f8")

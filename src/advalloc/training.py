@@ -12,22 +12,23 @@ gradient is the best-completion gap per candidate budget.
 
 A row is settled at a slot once it has no unit left or the slot is past its
 length; no later price can change its welfare or its signal. A play makes
-at most one pricing-policy forward per slot. A play without gradients
-forwards only a set of rows holding every unsettled one: the set shrinks
-once a quarter of it has settled, never below 2 rows (numpy sends a 1-row
-product to gemv, whose bits differ from the gemm row), and the play stops
-forwarding once every row has settled. Rows are independent in every
+at most one pricing-policy forward per slot, on that slot's step features,
+which it fills in for every row and slot in one array. A play without
+gradients forwards only a set of rows holding every unsettled one: the set
+shrinks once a quarter of it has settled, never below 2 rows (numpy sends a
+1-row product to gemv, whose bits differ from the gemm row), and the play
+stops forwarding once every row has settled. Rows are independent in every
 product, so each unsettled row gets the bits of a full-batch play; sampling
 still draws one uniform per row and slot, settled rows included, all of them
 in one call before the first slot. A gradient play forwards every row at
-every slot, since the generator's signal reads every posted price. It
-records the tape of each slot with a live row in place, into one tape block
-of at most _TAPE_BYTES that it allocates once, and as soon as the block is
-full or the live slots end it scores the block's signal with one sort and
-back-propagates it in one pass, adding the slots in order, then records the
-next slots over the same buffers: the gradient has the same bits as one
-backprop per slot, and memory stays flat in the number of slots. The slots
-after the last live one have an all-zero signal and are never recorded.
+every slot, since the generator's signal reads every posted price. It keeps
+no tape: once a block of slots whose activations take at most _TAPE_BYTES
+is played, or the live slots end, it scores the block's signal with one
+sort and back-propagates the block's features in one pass, which rebuilds
+their activations and adds the slots in order: the gradient has the same
+bits as one backprop per slot, and memory stays flat in the number of
+slots. The slots after the last live one have an all-zero signal and are
+never back-propagated.
 play_batch and algorithm_gradients check their rows with game.checked_rows,
 as candidate_gaps does. train_alg_vs_mw checks its experts once; train_joint
 re-checks its rows in algorithm_gradients and candidate_gaps every
@@ -72,10 +73,9 @@ TRAILING_EPISODES = 500
 # raw MW weights only ever shrink relative to each other by (1+eta); rescale
 # all of them together long before float64 overflow can bite
 WEIGHT_RESCALE_LIMIT = 1e100
-# a gradient play records its slots' tapes in place into a block of at most
-# this many bytes (one slot if a slot's tape is larger) and back-propagates
-# each block as soon as it is played, so its memory peak stays flat in the
-# number of slots
+# a gradient play back-propagates its slots in blocks whose activations take
+# at most this many bytes (one slot if a slot's are larger), each as soon as
+# it is played, so its memory peak stays flat in the number of slots
 _TAPE_BYTES = 320 * 1024
 
 
@@ -94,14 +94,13 @@ class TrainConfig:
     mw_rollouts: int = 16
     latent_dim: int = 16
     hidden: int = 64
-    encoder_width: int = 8
     clip: float | None = None
     target_gap: float | None = None
     stop_rtol: float = 0.1
 
     def __post_init__(self):
         for name in ("episodes", "batch", "xi", "snapshot_window", "mw_rollouts",
-                     "latent_dim", "hidden", "encoder_width"):
+                     "latent_dim", "hidden"):
             setattr(self, name, checked_int(getattr(self, name), name,
                                             minimum=0 if name == "episodes" else 1))
         self.seed = checked_int(self.seed, "seed", minimum=None)
@@ -119,8 +118,7 @@ class TrainConfig:
 
 def make_algorithm_policy(cfg: GameConfig, tcfg: TrainConfig,
                           rng: np.random.Generator) -> AlgorithmPolicy:
-    return AlgorithmPolicy(cfg.n_users, cfg.n_prices, hidden=(tcfg.hidden,) * 3,
-                           encoder_width=tcfg.encoder_width, rng=rng)
+    return AlgorithmPolicy(cfg.n_users, cfg.n_prices, hidden=(tcfg.hidden,) * 3, rng=rng)
 
 
 def make_adversary_policy(cfg: GameConfig, tcfg: TrainConfig,
@@ -282,27 +280,27 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets: np.ndarray, lengths
     max_price = float(price_arr[-1])
     r = cfg.n_resources
 
-    history = policy.encoder.empty(batch)
-    # slot i's features: scaled index, scaled units left, last budget, last price
+    # slot i's input: scaled index, scaled units left, last budget, last price
     features = np.zeros((n, batch, N_STEP_FEATURES))
     features[:, :, 0] = (np.arange(n) + 1)[:, None] / n
     features[1:, :, 2] = budgets[:, :-1].T / float(cfg.upper_bound)
     price_idx = np.zeros((batch, n), dtype=np.int64)
     lefts = np.zeros((n, batch), dtype=np.int64)
-    # the rows a play forwards, and history holds, with their lengths: all of
-    # them in a gradient play, a shrinking set holding every unsettled row in
-    # a play without
+    # the rows a play forwards, with their lengths: all of them in a gradient
+    # play, a shrinking set holding every unsettled row in a play without
     rows, row_lengths = slice(None), lengths
     posted = np.zeros(batch, dtype=np.int64)   # a settled row may keep any price
     u = rng.random((n, batch, 1)) if sample else None   # every slot draws for every row
     grad_total = None
-    if want_grads:
-        slot_bytes = 8 * batch * sum(policy.mlp.layer_sizes)   # float64 inputs and probs
-        block = policy.tape_block(history, max(1, min(n, _TAPE_BYTES // slot_bytes)))
+    # slots [done, played) are played, not yet back-propagated
+    done = played = 0
+    slot_bytes = 8 * batch * sum(policy.mlp.layer_sizes)   # float64 activations and probs
+    block = max(1, _TAPE_BYTES // slot_bytes)
 
     def price_at(i, left):
-        nonlocal grad_total, history, rows, row_lengths
+        nonlocal grad_total, rows, row_lengths, done, played
         lefts[i] = left
+        features[i, :, 1] = left / r
         row_left = left[rows]
         live = (row_left > 0) & (i < row_lengths)
         if not want_grads:
@@ -318,16 +316,7 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets: np.ndarray, lengths
                     keep[np.argmin(keep)] = True
                 rows = np.arange(batch)[rows][keep]
                 row_left, row_lengths = row_left[keep], row_lengths[keep]
-                history = dataclasses.replace(history, history=history.history[keep],
-                                              row=history.row[keep])
-        # the pass reads the history's input row, its features filled in place
-        step = history.step
-        step[...] = features[i, rows]
-        step[:, 1] = row_left / r
-        # A slot where no row is live has an all-zero signal. Settling is
-        # permanent, so such slots form a suffix that is never recorded.
-        recorded = want_grads and live.any()
-        probs, _ = policy.forward(block if recorded else history, step)
+        probs = policy.forward(features[i, rows])
         if sample:
             idx = categorical_from_uniform(probs, u[i, rows])
         else:
@@ -335,15 +324,18 @@ def _play(cfg: GameConfig, policy: AlgorithmPolicy, budgets: np.ndarray, lengths
         price_idx[rows, i] = idx
         posted[rows] = price_arr[idx]
         if want_grads:
-            end = i + 1 if recorded else i   # the block holds slots end - block.slots ..
-            if block.slots and (block.slots == block.filled.size or end in (i, n)):
-                slots = np.arange(end - block.slots, end)
+            # A slot where no row is live has an all-zero signal. Settling is
+            # permanent, so such slots form a suffix that is never back-propagated.
+            live_slot = live.any()
+            played = i + 1 if live_slot else played
+            if played > done and (played - done == block or not live_slot or i == n - 1):
+                slots = np.arange(done, played)
                 grad_total = policy.backprop(
-                    block, _price_signal(budgets, lengths, slots, lefts[slots], price_arr),
+                    features[done:played],
+                    _price_signal(budgets, lengths, slots, lefts[slots], price_arr),
                     into=grad_total)
-                block.slots = 0
+                done = played
         if i < n - 1:
-            policy.encoder.extend(history, step)
             features[i + 1, rows, 3] = posted[rows] / max_price
         return posted
 

@@ -32,7 +32,13 @@ from advalloc.equilibrium import (
 )
 from advalloc.game import GameConfig, gap
 from advalloc.nets import AdversaryPolicy, AlgorithmPolicy, SoftmaxMlp
-from advalloc.training import TrainConfig, train_adv_vs_mw, train_alg_vs_mw, train_joint
+from advalloc.training import (
+    TrainConfig,
+    play_batch,
+    train_adv_vs_mw,
+    train_alg_vs_mw,
+    train_joint,
+)
 
 STAIRCASE = tuple(v for v in range(1, 6) for _ in range(5))
 STAIRCASE_GAME = GameConfig(n_users=25, n_resources=5,
@@ -139,18 +145,14 @@ def test_backprop_matches_finite_differences():
                     return net.backprop(tape, g)
                 return float((g * probs).sum())
         elif kind == 1:
-            n_users = int(rng.integers(1, 5))
-            net = AlgorithmPolicy(n_users, 3, hidden=(5, 4), encoder_width=3,
-                                  rng=rng)
-            hist = rng.normal(size=(2, max(n_users - 1, 0), 4))
-            cur = rng.normal(size=(2, 4))
+            net = AlgorithmPolicy(int(rng.integers(1, 5)), 3, hidden=(5, 4), rng=rng)
+            x = rng.normal(size=(2, 4))
             g = rng.normal(size=(2, 3))
 
-            def forward(g, analytic=False, net=net, hist=hist, cur=cur):
-                probs, tape = net.forward(hist, cur)
+            def forward(g, analytic=False, net=net, x=x):
                 if analytic:
-                    return net.backprop(tape, g)
-                return float((g * probs).sum())
+                    return net.backprop(x, g)
+                return float((g * net.forward(x)).sum())
         else:
             n_users = int(rng.integers(1, 4))
             net = AdversaryPolicy(n_users, 3, latent_dim=3, hidden=(6, 5),
@@ -188,6 +190,20 @@ def test_training_converges_to_equilibrium_gaps():
     trailing = adv_run.metrics[-1][3]
     assert abs(trailing - 13.0 / 3.0) <= 0.1 * 13.0 / 3.0, (
         f"trailing gap {trailing} after {adv_run.episodes} episodes")
+
+
+def test_joint_trained_pricer_is_certified_within_2_of_the_optimum():
+    # 12,800 joint episodes on the full 7-user game, then argmax play over all
+    # 3^7 budget rows, and over every prefix of them, certifies the pricer's
+    # exact worst gap. The best deterministic pricer's is 4 fixed-length and
+    # 6 truncated; seeds 0-7 all reach 6 both ways.
+    pricer = train_joint(FULL_GAME, TrainConfig(episodes=12_800, seed=0)).algorithm
+    rows = np.array(list(itertools.product(FULL_GAME.budget_set, repeat=FULL_GAME.n_users)))
+    worst = [int(play_batch(FULL_GAME, pricer, rows, lengths=np.full(len(rows), k),
+                            sample=False).gap.max())
+             for k in range(1, FULL_GAME.n_users + 1)]
+    assert worst[-1] <= 6, f"fixed-length worst gap {worst[-1]}"
+    assert max(worst) <= 6, f"worst gap by prefix length {worst}"
 
 
 def test_greedy_worst_case_ratio_is_exact():
@@ -265,8 +281,8 @@ def test_single_user_game_is_free():
 def test_abundant_resources_give_zero_gap():
     cfg = GameConfig(n_users=3, n_resources=3, price_set=(1, 2, 5),
                      budget_set=(2, 4))
-    tcfg = TrainConfig(episodes=400, batch=4, seed=3, hidden=8,
-                       encoder_width=2, latent_dim=4, mw_rollouts=2)
+    tcfg = TrainConfig(episodes=400, batch=4, seed=3, hidden=8, latent_dim=4,
+                       mw_rollouts=2)
     learned = LearnedPolicy(train_joint(cfg, tcfg).algorithm)
     greedy = GreedyPolicy()
     for seq in itertools.product(cfg.budget_set, repeat=cfg.n_users):
@@ -286,7 +302,6 @@ expert_prices = [1,1,2,3]; [1,2,2,2]; [2,2,3,3]
 episodes = 40
 batch = 4
 hidden = 8
-encoder_width = 2
 latent_dim = 4
 mw_rollouts = 2
 seed = 5

@@ -33,7 +33,6 @@ expert_prices = [1,1,2,3]; [1,2,2,2]; [2,2,3,3]
 episodes = 40
 batch = 4
 hidden = 8
-encoder_width = 2
 latent_dim = 4
 mw_rollouts = 2
 seed = 5

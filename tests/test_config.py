@@ -97,6 +97,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(MINIMAL + line + "\n")
 
+    def test_encoder_width_is_an_unknown_key(self):
+        # the pricer reads only the current slot's step features; the knob
+        # that sized its history encoder is gone
+        with pytest.raises(ConfigError, match="^line 6: unknown key 'encoder_width'$"):
+            parse_config(MINIMAL + "encoder_width = 2\n")
+
     def test_duplicate_key_cites_both_lines(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config(MINIMAL + "n_users = 9\n")

@@ -96,6 +96,11 @@ class TestPayoffEntries:
             with pytest.raises(ValueError, match="need at least one pure strategy"):
                 payoff_game(c, **{side: []})
 
+    def test_empty_row_strategy_rejected(self):
+        c = cfg(3, 1, (1, 2), (1, 2))
+        with pytest.raises(ValueError, match=r"^pure strategy 1 \(budgets\) is empty$"):
+            payoff_game(c, row_strategies=[(1, 2), (), (2,)])
+
     def test_full_enumeration_bytes_pinned(self):
         # sha256 of the 729x4096 matrix built by one welfare_grid call over
         # all rows, so the one-row suffix DP must reproduce it byte for byte
@@ -140,8 +145,8 @@ class TestPayoffEntries:
                                              replace=False))
                 c = cfg(n, int(rng.integers(1, n + 3)), tuple(prices.tolist()),
                         tuple(budgets.tolist()))
-                # full-length and zero-padded prefix rows
-                rows = [tuple(rng.choice(budgets, int(rng.integers(0, n + 1))).tolist())
+                # full-length and zero-padded prefix rows (an empty row is refused)
+                rows = [tuple(rng.choice(budgets, int(rng.integers(1, n + 1))).tolist())
                         for _ in range(int(rng.integers(1, 40)))]
                 for g in (payoff_game(c, row_strategies=rows),
                           payoff_game(c) if len(budgets) ** n <= 729 else None):

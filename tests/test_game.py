@@ -334,7 +334,7 @@ class TestCheckedRows:
 
     GAME = cfg(4, 2, (1, 2, 3), (1, 2, 3))
     VALID = np.array([[1, 2, 3, 1], [2, 2, 3, 3]])
-    POLICY = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+    POLICY = AlgorithmPolicy(4, 3, hidden=(8,))
     # (what the rows are, a call that feeds them to one entry point)
     ENTRY_POINTS = {
         "play_batch": ("budgets", lambda c, rows: play_batch(

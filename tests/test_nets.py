@@ -8,7 +8,6 @@ from advalloc.nets import (
     N_STEP_FEATURES,
     AdversaryPolicy,
     AlgorithmPolicy,
-    HistoryEncoder,
     SoftmaxMlp,
     StaleTapeError,
     add_grads,
@@ -157,23 +156,6 @@ class TestMlpGradients:
                 mlp.params, lambda: mlp.forward(x)[0], grads, g))
         assert worst <= FD_TOL
 
-    def test_input_gradient_matches_fd(self):
-        rng = np.random.default_rng(12)
-        mlp = SoftmaxMlp((5, 6, 4), (4,), rng=rng)
-        x = rng.normal(size=(2, 5))
-        g = rng.normal(size=(2, 4))
-        _, tape = mlp.forward(x)
-        _, dx = mlp.backprop(tape, g, return_input_grad=True)
-        for b in range(2):
-            for j in range(5):
-                xp = x.copy()
-                xp[b, j] += FD_STEP
-                xm = x.copy()
-                xm[b, j] -= FD_STEP
-                fd = ((g * mlp.forward(xp)[0]).sum()
-                      - (g * mlp.forward(xm)[0]).sum()) / (2 * FD_STEP)
-                assert abs(dx[b, j] - fd) <= 1e-6 * max(1.0, abs(fd))
-
     def test_batch_is_sum_of_rows(self):
         rng = np.random.default_rng(13)
         mlp = SoftmaxMlp((4, 5, 3), (3,), rng=rng)
@@ -196,16 +178,12 @@ class TestPolicyGradients:
         for _ in range(8):
             n_users = int(rng.integers(1, 4))
             n_prices = int(rng.integers(2, 4))
-            pol = AlgorithmPolicy(n_users, n_prices, hidden=(6, 5),
-                                  encoder_width=3, rng=rng)
+            pol = AlgorithmPolicy(n_users, n_prices, hidden=(6, 5), rng=rng)
             batch = int(rng.integers(1, 4))
-            hist = rng.normal(size=(batch, n_users - 1, 4))
-            cur = rng.normal(size=(batch, 4))
+            x = rng.normal(size=(batch, N_STEP_FEATURES))
             g = rng.normal(size=(batch, n_prices))
-            _, tape = pol.forward(hist, cur)
-            grads = pol.backprop(tape, g)
-            worst = max(worst, fd_worst_error(
-                pol.params, lambda: pol.forward(hist, cur)[0], grads, g))
+            grads = pol.backprop(x, g)
+            worst = max(worst, fd_worst_error(pol.params, lambda: pol.forward(x), grads, g))
         assert worst <= FD_TOL
 
     def test_adversary_policy_matches_fd(self):
@@ -229,27 +207,23 @@ class TestPolicyGradients:
 
     def test_step_increases_objective(self):
         rng = np.random.default_rng(23)
-        pol = AlgorithmPolicy(3, 3, hidden=(8,), encoder_width=4, rng=rng)
-        hist = rng.normal(size=(2, 2, 4))
-        cur = rng.normal(size=(2, 4))
+        pol = AlgorithmPolicy(3, 3, hidden=(8,), rng=rng)
+        x = rng.normal(size=(2, N_STEP_FEATURES))
         g = rng.normal(size=(2, 3))
-        probs, tape = pol.forward(hist, cur)
-        before = (g * probs).sum()
-        pol.step(pol.backprop(tape, g), lr=1e-3)
-        after = (g * pol.forward(hist, cur)[0]).sum()
+        before = (g * pol.forward(x)).sum()
+        pol.step(pol.backprop(x, g), lr=1e-3)
+        after = (g * pol.forward(x)).sum()
         assert after > before
 
 
 class TestTapes:
     def test_step_invalidates_tape(self):
         rng = np.random.default_rng(31)
-        pol = AlgorithmPolicy(2, 2, hidden=(4,), encoder_width=2, rng=rng)
-        hist = rng.normal(size=(1, 1, 4))
-        cur = rng.normal(size=(1, 4))
-        _, tape = pol.forward(hist, cur)
+        pol = AdversaryPolicy(2, 2, latent_dim=3, hidden=(4,), rng=rng)
+        _, tape = pol.forward(rng.normal(size=(1, 3)))
         pol.step(pol.zero_grads(), lr=0.1)
         with pytest.raises(StaleTapeError):
-            pol.backprop(tape, np.zeros((1, 2)))
+            pol.backprop(tape, np.zeros((1, 2, 2)))
 
     def test_set_params_invalidates_tape(self):
         rng = np.random.default_rng(32)
@@ -262,27 +236,22 @@ class TestTapes:
 
     def test_inner_mlp_tape_also_invalidated(self):
         rng = np.random.default_rng(33)
-        pol = AlgorithmPolicy(2, 2, hidden=(4,), encoder_width=2, rng=rng)
-        hist = rng.normal(size=(1, 1, 4))
-        cur = rng.normal(size=(1, 4))
-        _, tape = pol.forward(hist, cur)
+        pol = AlgorithmPolicy(2, 2, hidden=(4,), rng=rng)
+        _, tape = pol.mlp.forward(rng.normal(size=(1, N_STEP_FEATURES)))
         pol.set_params(pol.get_params())
         with pytest.raises(StaleTapeError):
-            pol.mlp.backprop(tape.mlp_tape, np.zeros((1, 2)))
+            pol.mlp.backprop(tape, np.zeros((1, 2)))
 
     def test_get_set_params_roundtrip(self):
         rng = np.random.default_rng(34)
-        pol = AlgorithmPolicy(3, 4, hidden=(5,), encoder_width=3, rng=rng)
-        hist = rng.normal(size=(2, 2, 4))
-        cur = rng.normal(size=(2, 4))
+        pol = AlgorithmPolicy(3, 4, hidden=(5,), rng=rng)
+        x = rng.normal(size=(2, N_STEP_FEATURES))
         saved = pol.get_params()
-        before, _ = pol.forward(hist, cur)
+        before = pol.forward(x)
         pol.step([np.ones_like(p) for p in pol.params], lr=0.5)
-        changed, _ = pol.forward(hist, cur)
-        assert not np.allclose(before, changed)
+        assert not np.allclose(before, pol.forward(x))
         pol.set_params(saved)
-        restored, _ = pol.forward(hist, cur)
-        assert np.array_equal(before, restored)
+        assert np.array_equal(before, pol.forward(x))
 
     def test_set_params_shape_mismatch(self):
         pol = AdversaryPolicy(2, 2, latent_dim=3, hidden=(4,))
@@ -300,35 +269,18 @@ class TestPolicies:
         assert probs.shape == (6, 4, 3)
         assert np.allclose(probs.sum(axis=2), 1.0)
 
-    def test_single_user_policy_has_empty_history(self):
-        rng = np.random.default_rng(42)
-        pol = AlgorithmPolicy(1, 3, hidden=(4,), encoder_width=2, rng=rng)
-        probs, _ = pol.forward(np.zeros((2, 0, 4)), rng.normal(size=(2, 4)))
-        assert probs.shape == (2, 3)
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
-    def test_history_padding_rows_are_inert_at_zero_weight(self):
-        # zero-initialized encoder ignores history entirely
-        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2)
-        cur = np.ones((1, 4))
-        a, _ = pol.forward(np.zeros((1, 2, 4)), cur)
-        b, _ = pol.forward(np.ones((1, 2, 4)), cur)
-        assert np.array_equal(a, b)
-
     def test_batched_forward_matches_single_rows(self):
         rng = np.random.default_rng(43)
-        pol = AlgorithmPolicy(3, 3, hidden=(6,), encoder_width=3, rng=rng)
-        hist = rng.normal(size=(4, 2, 4))
-        cur = rng.normal(size=(4, 4))
-        batched, _ = pol.forward(hist, cur)
+        pol = AlgorithmPolicy(3, 3, hidden=(6,), rng=rng)
+        x = rng.normal(size=(4, N_STEP_FEATURES))
+        batched = pol.forward(x)
         for b in range(4):
-            single, _ = pol.forward(hist[b], cur[b])
-            assert np.allclose(batched[b], single[0], atol=1e-14)
+            assert np.allclose(batched[b], pol.forward(x[b])[0], atol=1e-14)
 
-    def test_encoder_rejects_wrong_history_shape(self):
-        enc = HistoryEncoder(3, 2)
-        with pytest.raises(ValueError):
-            enc.encode(np.zeros((1, 2, 4)))
+    def test_rejects_wrong_feature_width(self):
+        pol = AlgorithmPolicy(3, 2, hidden=(4,))
+        with pytest.raises(ValueError, match="input width 5 != 4"):
+            pol.forward(np.zeros((1, 5)))
 
 
 class TestGradHelpers:
@@ -421,117 +373,35 @@ class TestBitIdentity:
         assert same_bits(probs.reshape(32, 125), loop_softmax_heads(logits, pol.mlp.head_sizes))
         assert all(same_bits(g, h) for g, h in zip(grads, loop_grads))
 
-    @pytest.mark.parametrize("n_users,batch", [(2, 1), (2, 40), (3, 1), (3, 2),
-                                               (7, 1), (7, 32), (25, 1), (25, 17)])
-    def test_encoded_history_matches_raw(self, n_users, batch):
-        rng = np.random.default_rng(n_users * 10 + batch)
-        pol = AlgorithmPolicy(n_users, 4, hidden=(12, 12), encoder_width=5, rng=rng)
-        # bias is zero at init; make it matter
-        pol.encoder.bias[...] = rng.normal(size=pol.encoder.bias.shape)
-        raw = np.zeros((batch, n_users - 1, N_STEP_FEATURES))
-        encoded = pol.encoder.empty(batch)
-        for i in range(n_users):
-            current = rng.normal(size=(batch, N_STEP_FEATURES))
-            signal = rng.normal(size=(batch, 4))
-            p_raw, t_raw = pol.forward(raw, current)
-            p_enc, t_enc = pol.forward(encoded, current)
-            assert same_bits(p_raw, p_enc), i
-            assert same_bits(t_raw.encoded.flat, encoded.flat), i
-            g_raw = pol.backprop(t_raw, signal)
-            g_enc = pol.backprop(t_enc, signal)
-            assert all(same_bits(g, h) for g, h in zip(g_raw, g_enc)), i
-            if i < n_users - 1:
-                raw[:, i] = current
-                pol.encoder.extend(encoded, current)
-        with pytest.raises(IndexError):   # every row is filled
-            pol.encoder.extend(encoded, current)
-
-    @pytest.mark.parametrize("n_users,batch,n_prices", [(1, 3, 2), (2, 1, 1), (4, 5, 3),
-                                                        (7, 32, 1), (25, 10, 5)])
-    def test_tape_block_matches_per_slot_backprop(self, n_users, batch, n_prices):
-        # one backprop over a tape block recorded through a play adds each
-        # slot's gradient in slot order, bit for bit as add_grads over per-slot
-        # backprops on raw histories; later slots' rows filled into the
-        # history stay unseen
-        rng = np.random.default_rng(n_users * 100 + batch)
-        pol = AlgorithmPolicy(n_users, n_prices, hidden=(6, 1, 5), encoder_width=3,
-                              rng=rng)
-        for p in pol.params:
-            p += rng.normal(size=p.shape)
-        pol.set_params(pol.get_params())
-        raw = np.zeros((batch, n_users - 1, N_STEP_FEATURES))
-        encoded = pol.encoder.empty(batch)
-        whole = pol.tape_block(encoded, n_users)
-        cut = n_users // 2   # a second block, back-propagated in two halves
-        halves = pol.tape_block(encoded, max(cut, n_users - cut))
-        signals = rng.normal(size=(n_users, batch, n_prices))
+    @pytest.mark.parametrize("n_slots,batch,n_prices", [(1, 3, 2), (2, 1, 1), (4, 5, 3),
+                                                        (7, 32, 1), (25, 10, 5), (6, 1, 4)])
+    def test_block_backprop_matches_per_slot_backprop(self, n_slots, batch, n_prices):
+        # one backprop over a block of slots rebuilds their activations with a
+        # stacked forward and adds each slot's gradient in slot order, bit for
+        # bit as add_grads over per-slot forwards and backprops; a block split
+        # in two and added in turn gives the same bits
+        rng = np.random.default_rng(n_slots * 100 + batch)
+        pol = AlgorithmPolicy(n_slots, n_prices, hidden=(6, 1, 5), rng=rng)
+        pol.set_params([p + rng.normal(size=p.shape) for p in pol.params])
+        features = rng.normal(size=(n_slots, batch, N_STEP_FEATURES))
+        signals = rng.normal(size=(n_slots, batch, n_prices))
         signals[:, 0] = 0.0   # a row without signal, like a played-out one
-        ref = into = None
-        for i in range(n_users):
-            current = rng.normal(size=(batch, N_STEP_FEATURES))
-            p_raw, t_raw = pol.forward(raw, current)
-            ref = add_grads(ref, pol.backprop(t_raw, signals[i]))
-            if i == cut > 0:
-                into = pol.backprop(halves, signals[:cut])
-                halves.slots = 0
-            # passes given their features apart, or filled into the history's row
-            if i % 2:
-                encoded.step[...] = current
-                current = encoded.step
-            for block in (whole, halves):
-                probs, tape = pol.forward(block, current)
-                assert tape is block and same_bits(probs, p_raw)
-            if i < n_users - 1:
-                raw[:, i] = current
-                pol.encoder.extend(encoded, current)
-        assert whole.slots == n_users
-        assert all(same_bits(g, h) for g, h in zip(pol.backprop(whole, signals), ref))
-        split = pol.backprop(halves, signals[cut:], into=into)
+        ref = None
+        for x, signal in zip(features, signals):
+            ref = add_grads(ref, pol.backprop(x, signal))
+        stacked_probs, _ = pol.mlp.forward(features)
+        assert all(same_bits(stacked_probs[i], pol.forward(features[i]))
+                   for i in range(n_slots))
+        assert all(same_bits(g, h) for g, h in zip(pol.backprop(features, signals), ref))
+        cut = n_slots // 2
+        into = pol.backprop(features[:cut], signals[:cut]) if cut else None
+        split = pol.backprop(features[cut:], signals[cut:], into=into)
         assert all(same_bits(g, h) for g, h in zip(split, ref))
-
-    def test_pass_reading_the_history_row_in_place_keeps_no_tape(self):
-        rng = np.random.default_rng(5)
-        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
-        encoded = pol.encoder.empty(2)
-        current = rng.normal(size=(2, N_STEP_FEATURES))
-        apart, tape = pol.forward(encoded, current)
-        encoded.step[...] = current
-        in_place, no_tape = pol.forward(encoded, encoded.step)
-        assert tape is not None and no_tape is None
-        assert same_bits(apart, in_place)
-
-    def test_tape_block_goes_stale_on_step(self):
-        rng = np.random.default_rng(9)
-        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
-        encoded = pol.encoder.empty(2)
-        block = pol.tape_block(encoded, 3)
-        pol.forward(block, np.zeros((2, N_STEP_FEATURES)))
-        pol.step(pol.zero_grads(), lr=0.1)
-        with pytest.raises(StaleTapeError):
-            pol.forward(block, np.zeros((2, N_STEP_FEATURES)))
-        with pytest.raises(StaleTapeError):
-            pol.backprop(block, np.zeros((1, 2, 2)))
-        with pytest.raises(StaleTapeError):
-            pol.tape_block(encoded, 3)
-
-    def test_encoded_history_goes_stale_on_step(self):
-        rng = np.random.default_rng(9)
-        pol = AlgorithmPolicy(3, 2, hidden=(4,), encoder_width=2, rng=rng)
-        encoded = pol.encoder.empty(2)
-        _, tape = pol.forward(encoded, np.zeros((2, N_STEP_FEATURES)))
-        pol.step(pol.zero_grads(), lr=0.1)
-        with pytest.raises(StaleTapeError):
-            pol.forward(encoded, np.zeros((2, N_STEP_FEATURES)))
-        with pytest.raises(StaleTapeError):
-            pol.encoder.extend(encoded, np.zeros((2, N_STEP_FEATURES)))
-        with pytest.raises(StaleTapeError):
-            pol.backprop(tape, np.zeros((2, 2)))
 
 
 class TestSlope:
     BUILDERS = [
         lambda slope: SoftmaxMlp((3, 2), (2,), slope=slope),
-        lambda slope: HistoryEncoder(2, 3, slope=slope),
         lambda slope: AlgorithmPolicy(3, 2, slope=slope),
         lambda slope: AdversaryPolicy(3, 2, slope=slope),
     ]

@@ -18,7 +18,6 @@ from advalloc.training import SnapshotRing
 
 def seeded_algorithm(seed=3, **kwargs):
     kwargs.setdefault("hidden", (6, 5))
-    kwargs.setdefault("encoder_width", 3)
     return AlgorithmPolicy(5, 4, rng=np.random.default_rng(seed), **kwargs)
 
 
@@ -70,17 +69,15 @@ class TestModelRoundTrip:
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     @pytest.mark.parametrize("policy, header", [
-        (AlgorithmPolicy(4, 3, hidden=(6, 5), encoder_width=2,
-                         rng=np.random.default_rng(1)),
-         '{"encoder_width": 2, "format": "advalloc-model", "hidden": [6, 5], '
-         '"kind": "algorithm", "n_prices": 3, "n_users": 4, "shapes": [[4, 2], '
-         '[3, 2], [10, 6], [6], [6, 5], [5], [5, 3], [3]], "slope": 0.01, '
-         '"version": 1}'),
+        (AlgorithmPolicy(4, 3, hidden=(6, 5), rng=np.random.default_rng(1)),
+         '{"format": "advalloc-model", "hidden": [6, 5], "kind": "algorithm", '
+         '"n_prices": 3, "n_users": 4, "shapes": [[4, 6], [6], [6, 5], [5], [5, 3], '
+         '[3]], "slope": 0.01, "version": 2}'),
         (AdversaryPolicy(4, 3, latent_dim=6, hidden=(7, 5),
                          rng=np.random.default_rng(2)),
          '{"format": "advalloc-model", "hidden": [7, 5], "kind": "adversary", '
          '"latent_dim": 6, "n_budgets": 3, "n_users": 4, "shapes": [[6, 7], [7], '
-         '[7, 5], [5], [5, 12], [12]], "slope": 0.01, "version": 1}'),
+         '[7, 5], [5], [5, 12], [12]], "slope": 0.01, "version": 2}'),
     ], ids=["algorithm", "adversary"])
     def test_header_line_is_pinned(self, tmp_path, policy, header):
         path = tmp_path / "m"
@@ -127,6 +124,24 @@ class TestModelCorruption:
             load_model(path)
         assert "9" in str(err.value)
         assert str(FORMAT_VERSION) in str(err.value)
+
+    @pytest.mark.parametrize("load, header, floats", [
+        # a pricer saved with its history encoder, before the pricer read only
+        # the current slot's step features
+        (load_model, {"encoder_width": 2, "format": "advalloc-model", "hidden": [6, 5],
+                      "kind": "algorithm", "n_prices": 3, "n_users": 4,
+                      "shapes": [[4, 2], [3, 2], [10, 6], [6], [6, 5], [5], [5, 3], [3]],
+                      "slope": 0.01, "version": 1}, 133),
+        (load_ring, {"capacity": 1, "episodes": [1], "format": "advalloc-ring",
+                     "shapes": [[4, 2], [3, 2]], "version": 1}, 14),
+    ], ids=["model", "ring"])
+    def test_version_1_files_are_refused(self, tmp_path, load, header, floats):
+        path = tmp_path / "old"
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + np.zeros(floats, dtype="<f8").tobytes())
+        with pytest.raises(PersistError, match="^file is format version 1, this build "
+                                               "reads version 2$"):
+            load(path)
 
     @pytest.mark.parametrize("make", [seeded_algorithm, seeded_adversary])
     @pytest.mark.parametrize("slope", [2.0, -1.0, "NaN"])

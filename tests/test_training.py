@@ -40,8 +40,7 @@ SMALL = GameConfig(n_users=4, n_resources=2, price_set=(1, 2, 3), budget_set=(1,
 
 
 def tiny_tcfg(**kw):
-    base = dict(episodes=40, batch=4, seed=9, hidden=8, encoder_width=2,
-                latent_dim=4, mw_rollouts=2)
+    base = dict(episodes=40, batch=4, seed=9, hidden=8, latent_dim=4, mw_rollouts=2)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -61,8 +60,7 @@ class TestTrainConfig:
             TrainConfig(**kw)
 
     @pytest.mark.parametrize("field", ["episodes", "batch", "xi", "snapshot_window",
-                                       "mw_rollouts", "latent_dim", "hidden",
-                                       "encoder_width"])
+                                       "mw_rollouts", "latent_dim", "hidden"])
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.bool_(True), "2", None])
     def test_integer_fields_reject_non_integers(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -173,7 +171,7 @@ def any_price_when_settled(cfg, res):
 class TestPlayBatch:
     def test_matches_scalar_simulate(self):
         rng = np.random.default_rng(5)
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2, rng=rng)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,), rng=rng)
         budgets = rng.integers(1, 4, size=(6, 4))
         res = play_batch(SMALL, policy, budgets, sample=False)
         posted = any_price_when_settled(SMALL, res)
@@ -187,7 +185,7 @@ class TestPlayBatch:
 
     def test_lengths_mask_matches_prefix_simulate(self):
         rng = np.random.default_rng(6)
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2, rng=rng)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,), rng=rng)
         budgets = rng.integers(1, 4, size=(5, 4))
         lengths = np.array([1, 2, 3, 4, 2])
         res = play_batch(SMALL, policy, budgets, lengths=lengths, sample=False)
@@ -200,7 +198,7 @@ class TestPlayBatch:
             assert not res.accepted[j, k:].any()
 
     def test_argmax_mode_needs_no_rng(self):
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,))
         res = play_batch(SMALL, policy, [[1, 2, 3, 1]], sample=False)
         assert isinstance(res, BatchResult)
         with pytest.raises(ValueError):
@@ -208,7 +206,7 @@ class TestPlayBatch:
 
     def test_sampled_play_deterministic_under_seed(self):
         rng = np.random.default_rng(8)
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2, rng=rng)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,), rng=rng)
         budgets = [[2, 2, 3, 1], [1, 1, 1, 1]]
         a = play_batch(SMALL, policy, budgets, np.random.default_rng(3))
         b = play_batch(SMALL, policy, budgets, np.random.default_rng(3))
@@ -216,7 +214,7 @@ class TestPlayBatch:
         assert np.array_equal(a.gap, b.gap)
 
     def test_rejects_bad_shapes(self):
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,))
         with pytest.raises(ValueError):
             play_batch(SMALL, policy, [[1, 2]], sample=False)
         with pytest.raises(ValueError):
@@ -226,7 +224,7 @@ class TestPlayBatch:
 
     @pytest.mark.parametrize("play", [play_batch, algorithm_gradients])
     def test_rejects_live_budget_outside_the_set(self, play):
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,))
         with pytest.raises(ValueError, match=r"^budgets entry 99 not in \(1, 2, 3\)$"):
             play(SMALL, policy, [[1, 2, 3, 1], [2, 99, 0, 99]], np.random.default_rng(0))
 
@@ -234,7 +232,7 @@ class TestPlayBatch:
                                               ([4, float("nan")], "nan")])
     @pytest.mark.parametrize("play", [play_batch, algorithm_gradients])
     def test_rejects_non_integer_lengths(self, play, lengths, bad):
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,))
         rows = [[1, 2, 3, 1]] * len(lengths)
         with pytest.raises(ValueError, match=rf"^lengths entry {bad} is not an integer$"):
             play(SMALL, policy, rows, np.random.default_rng(0), lengths=lengths)
@@ -244,7 +242,7 @@ class TestPlayBatch:
         play_batch, lambda *args, **kw: algorithm_gradients(*args, **kw)[0]],
         ids=["play_batch", "algorithm_gradients"])
     def test_padding_past_lengths_is_free(self, lengths, play):
-        policy = AlgorithmPolicy(4, 3, hidden=(8,), encoder_width=2)
+        policy = AlgorithmPolicy(4, 3, hidden=(8,))
         padded = play(SMALL, policy, [[2, 3, 0, 99]], None, lengths=lengths, sample=False)
         clean = play(SMALL, policy, [[2, 3, 1, 1]], None, lengths=[2], sample=False)
         assert padded.welfare.tolist() == clean.welfare.tolist()
@@ -257,13 +255,13 @@ class TestPlayBatch:
         cfg = GameConfig(n_users=n_users, n_resources=2, price_set=(1, 2, 3),
                          budget_set=(1, 2, 3))
         rng = np.random.default_rng(n_users + batch)
-        policy = AlgorithmPolicy(n_users, 3, hidden=(4,), encoder_width=2, rng=rng)
+        policy = AlgorithmPolicy(n_users, 3, hidden=(4,), rng=rng)
         calls = []
         forward = AlgorithmPolicy.forward
 
-        def counted(self, history, current):
-            calls.append(len(current))
-            return forward(self, history, current)
+        def counted(self, features):
+            calls.append(len(features))
+            return forward(self, features)
 
         monkeypatch.setattr(AlgorithmPolicy, "forward", counted)
         budgets = rng.integers(1, 4, size=(batch, n_users))
@@ -282,21 +280,21 @@ class TestPlayBatch:
             assert max(live[i], min(batch, 2)) <= calls[i] <= calls[i - 1]
 
     @pytest.mark.parametrize("n_users,batch", [(1, 3), (2, 1), (4, 6), (9, 10), (25, 32),
-                                               (9, 700), (25, 300)])
+                                               (9, 700), (25, 300), (25, 900)])
     def test_backprop_runs_per_block_of_slots(self, monkeypatch, n_users, batch):
         # the perf harness times the backward pass by wrapping AlgorithmPolicy.backprop:
         # plays never call it, gradient plays call it once per block of slots, each
-        # block's tape at most _TAPE_BYTES
+        # block's activations at most _TAPE_BYTES
         cfg = GameConfig(n_users=n_users, n_resources=2, price_set=(1, 2, 3),
                          budget_set=(1, 2, 3))
         rng = np.random.default_rng(n_users + batch)
-        policy = AlgorithmPolicy(n_users, 3, hidden=(4,), encoder_width=2, rng=rng)
+        policy = AlgorithmPolicy(n_users, 3, hidden=(4,), rng=rng)
         calls = []
         backprop = AlgorithmPolicy.backprop
 
-        def counted(self, tape, grad_probs, **kw):
+        def counted(self, features, grad_probs, **kw):
             calls.append(len(grad_probs))
-            return backprop(self, tape, grad_probs, **kw)
+            return backprop(self, features, grad_probs, **kw)
 
         monkeypatch.setattr(AlgorithmPolicy, "backprop", counted)
         budgets = rng.integers(1, 4, size=(batch, n_users))
@@ -309,11 +307,11 @@ class TestPlayBatch:
         block = max(1, training._TAPE_BYTES // slot_bytes)
         full, rest = divmod(played, block)
         assert calls == [block] * full + [rest] * (rest > 0)
-        assert (len(calls) > 1) == (batch >= 300)   # 2-slot blocks; the rest fit in one
+        assert (len(calls) > 1) == (batch >= 700)   # 5- and 4-slot blocks; the rest fit in one
 
     @pytest.mark.parametrize("built", [(4, 5), (4, 2), (5, 3)])
     def test_rejects_policy_built_for_another_game(self, built):
-        policy = AlgorithmPolicy(*built, hidden=(4,), encoder_width=2)
+        policy = AlgorithmPolicy(*built, hidden=(4,))
         for play in (lambda: play_batch(SMALL, policy, [[1, 2, 3, 1]], sample=False),
                      lambda: algorithm_gradients(SMALL, policy, [[1, 2, 3, 1]], None,
                                                  sample=False)):
@@ -325,16 +323,14 @@ class TestAlgorithmGradients:
     def test_matches_per_slot_oracle(self):
         # block-backpropagated shadow-price signal == the scalar per-slot
         # gradient oracle, back-propagated one slot at a time on the same
-        # deterministic trajectory; each slot's features and history are
-        # rebuilt by hand from the posted prices, and argmax over them must
-        # post the same price
+        # deterministic trajectory; each slot's features are rebuilt by hand
+        # from the posted prices, and argmax over them must post the same price
         rng = np.random.default_rng(12)
-        policy = AlgorithmPolicy(4, 3, hidden=(6,), encoder_width=2, rng=rng)
+        policy = AlgorithmPolicy(4, 3, hidden=(6,), rng=rng)
         budgets = rng.integers(1, 4, size=(5, 4))
         res, grads = algorithm_gradients(SMALL, policy, budgets, None, sample=False)
 
         ref = None
-        history = np.zeros((5, 3, N_STEP_FEATURES))
         accepts = [[] for _ in range(5)]
         for i in range(4):
             y = [SMALL.n_resources - sum(a) for a in accepts]
@@ -343,25 +339,22 @@ class TestAlgorithmGradients:
                 (budgets[j, i - 1] / SMALL.upper_bound) if i else 0.0,
                 (res.prices[j, i - 1] / SMALL.price_set[-1]) if i else 0.0,
             ] for j in range(5)])
-            probs, tape = policy.forward(history, current)
-            prices = np.asarray(SMALL.price_set)[np.argmax(probs, axis=1)]
+            prices = np.asarray(SMALL.price_set)[np.argmax(policy.forward(current), axis=1)]
             assert prices.tolist() == res.prices[:, i].tolist()
             signal = [price_gradient(SMALL, tuple(budgets[j].tolist()), i, accepts[j]).per_action
                       for j in range(5)]
-            ref = add_grads(ref, policy.backprop(tape, np.array(signal)))
+            ref = add_grads(ref, policy.backprop(current, np.array(signal)))
             for j in range(5):
                 took = bool(budgets[j, i] >= prices[j] and y[j] > 0)
                 assert took == res.accepted[j, i]
                 accepts[j].append(took)
-            if i < 3:
-                history[:, i] = current
         scale_grads(ref, 1.0 / 5)
         for a, b in zip(grads, ref):
             assert np.array_equal(a, b)
 
     def test_zero_resources_left_gives_zero_signal(self):
         cfg = GameConfig(n_users=3, n_resources=1, price_set=(1,), budget_set=(1, 2))
-        policy = AlgorithmPolicy(3, 1, hidden=(4,), encoder_width=2)
+        policy = AlgorithmPolicy(3, 1, hidden=(4,))
         res, grads = algorithm_gradients(cfg, policy, [[2, 2, 2]], None, sample=False)
         # price 1 accepts the first user; later slots have y=0 and the first
         # slot's signal is b - (2+2)/2 = 0, so every gradient vanishes
@@ -392,11 +385,10 @@ def same_bits(a, b):
 
 
 def per_slot_gradients(cfg, policy, budgets, lengths, rng, sample):
-    """Reference play: per slot, one forward on the raw history, the shadow-price
-    signal from that slot's own sort, one backprop and one add_grads."""
+    """Reference play: per slot, one forward on that slot's features, the
+    shadow-price signal from that slot's own sort, one backprop and one add_grads."""
     batch, n = budgets.shape
     price_arr = np.asarray(cfg.price_set)
-    history = np.zeros((batch, n - 1, N_STEP_FEATURES))
     left = np.full(batch, cfg.n_resources)
     prev_b = prev_p = np.zeros(batch)
     price_idx, grads = [], None
@@ -404,7 +396,7 @@ def per_slot_gradients(cfg, policy, budgets, lengths, rng, sample):
         current = np.stack([np.full(batch, (i + 1) / n), left / cfg.n_resources,
                             prev_b / float(cfg.upper_bound), prev_p / float(price_arr[-1])],
                            axis=1)
-        probs, tape = policy.forward(history, current)
+        probs = policy.forward(current)
         idx = sample_categorical(rng, probs) if sample else np.argmax(probs, axis=1)
         rem = -np.sort(-budgets[:, i:], axis=1)
         width = n - i
@@ -417,11 +409,9 @@ def per_slot_gradients(cfg, policy, budgets, lengths, rng, sample):
         signal = np.where((left > 0) & (i < lengths), b - (stat(left) + stat(left + 1)) / 2.0,
                           0.0)
         grads = add_grads(grads, policy.backprop(
-            tape, signal[:, None] * (price_arr[None, :] <= b[:, None])))
+            current, signal[:, None] * (price_arr[None, :] <= b[:, None])))
         price = price_arr[idx]
         left = left - ((b >= price) & (left > 0) & (b > 0))
-        if i < n - 1:
-            history[:, i] = current
         prev_b, prev_p = b, price
         price_idx.append(idx)
     return np.stack(price_idx, axis=1), scale_grads(grads, 1.0 / batch)
@@ -438,30 +428,28 @@ def hidden_64(*case):
     return pytest.param(*case, (64, 64, 64), id="-".join(map(str, case)) + "-h64")
 
 
-# (n_users, n_resources, batch, padded, sample, encoder width[, hidden]): R >= N,
-# padded rows, slots played with no unit left, sampled and argmax play, small
-# tape blocks (batch 64) up to the whole play in one block (batch 1); each
-# 64-wide N=25 case spans at least two tape blocks
+# (n_users, n_resources, batch, padded, sample[, hidden]): R >= N, padded
+# rows, slots played with no unit left, sampled and argmax play, and the
+# whole play in one block of slots up to 6-slot blocks (64-wide, batch 32)
 BIT_CASES = with_arch([
-    (1, 1, 1, False, False, 3), (1, 3, 10, False, True, 8), (2, 1, 10, True, False, 1),
-    (2, 4, 32, False, True, 3), (7, 3, 1, False, True, 16), (7, 9, 10, True, False, 8),
-    (7, 1, 32, True, True, 3), (25, 5, 1, True, False, 1), (25, 5, 10, False, True, 8),
-    (25, 30, 32, True, True, 3), (25, 2, 64, False, False, 16), (25, 5, 32, False, False, 8),
+    (1, 1, 1, False, False), (1, 3, 10, False, True), (2, 1, 10, True, False),
+    (2, 4, 32, False, True), (7, 3, 1, False, True), (7, 9, 10, True, False),
+    (7, 1, 32, True, True), (25, 5, 1, True, False), (25, 5, 10, False, True),
+    (25, 30, 32, True, True), (25, 2, 64, False, False), (25, 5, 32, False, False),
 ], (9, 7)) + [
-    hidden_64(25, 30, 1, False, True, 64), hidden_64(25, 30, 3, False, False, 16),
-    hidden_64(25, 30, 3, True, True, 64), hidden_64(25, 5, 32, False, True, 8),
-    hidden_64(25, 30, 32, False, False, 8),
+    hidden_64(25, 30, 1, False, True), hidden_64(25, 30, 3, False, False),
+    hidden_64(25, 30, 3, True, True), hidden_64(25, 5, 32, False, True),
+    hidden_64(25, 30, 32, False, False),
 ]
 
 
-@pytest.mark.parametrize("n_users, n_resources, batch, padded, sample, width, hidden",
-                         BIT_CASES)
+@pytest.mark.parametrize("n_users, n_resources, batch, padded, sample, hidden", BIT_CASES)
 def test_gradients_match_per_slot_backprop_bit_for_bit(n_users, n_resources, batch, padded,
-                                                       sample, width, hidden):
+                                                       sample, hidden):
     cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=(1, 2, 4, 5),
                      budget_set=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(n_users * 1000 + n_resources * 100 + batch)
-    policy = AlgorithmPolicy(n_users, 4, hidden=hidden, encoder_width=width, rng=rng)
+    policy = AlgorithmPolicy(n_users, 4, hidden=hidden, rng=rng)
     if n_users % 2:   # the zero biases of a fresh net, or perturbed ones
         policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
     budgets = rng.integers(1, 6, size=(batch, n_users))
@@ -476,28 +464,27 @@ def test_gradients_match_per_slot_backprop_bit_for_bit(n_users, n_resources, bat
     assert all(same_bits(g, h) for g, h in zip(grads, ref))
 
 
-# (n_users, n_resources, batch, kind of lengths, sample[, encoder width, hidden]):
+# (n_users, n_resources, batch, kind of lengths, sample[, hidden]):
 # batches of 1, 2, 3, 32 and 40, full rows or random lengths, sampled and argmax
 # play, R >= N so that no row sells out, and rows of length 1 beside one
 # full-length row, which leave one live row for a play without gradients to
-# forward beside a settled one; each 64-wide gradient play spans at least two
-# tape blocks
+# forward beside a settled one; each 64-wide batch-32 gradient play spans
+# several blocks of slots
 PLAY_CASES = with_arch([
     (7, 3, 1, "full", True), (7, 2, 1, "random", False), (7, 3, 2, "full", False),
     (7, 2, 2, "random", True), (9, 3, 3, "random", True), (9, 2, 3, "full", False),
     (25, 5, 40, "full", True), (25, 4, 40, "random", False), (25, 5, 40, "random", True),
     (7, 7, 40, "full", True), (25, 30, 3, "random", False),
     (9, 9, 5, "one long", False), (25, 25, 40, "one long", True),
-], 3, (16, 16)) + [
-    hidden_64(25, 30, 1, "full", False, 64), hidden_64(25, 5, 3, "random", True, 64),
-    hidden_64(25, 30, 32, "full", True, 3), hidden_64(25, 5, 32, "one long", False, 3),
+], (16, 16)) + [
+    hidden_64(25, 30, 1, "full", False), hidden_64(25, 5, 3, "random", True),
+    hidden_64(25, 30, 32, "full", True), hidden_64(25, 5, 32, "one long", False),
 ]
 
 
-@pytest.mark.parametrize("n_users, n_resources, batch, kind, sample, width, hidden",
-                         PLAY_CASES)
+@pytest.mark.parametrize("n_users, n_resources, batch, kind, sample, hidden", PLAY_CASES)
 def test_plays_match_a_full_batch_play_bit_for_bit(monkeypatch, n_users, n_resources, batch,
-                                                   kind, sample, width, hidden):
+                                                   kind, sample, hidden):
     # per_slot_gradients forwards every row at every slot; both plays must give
     # its outcomes, its probabilities and prices wherever a row can still sell,
     # its gradients and its rng state, although neither forwards settled rows
@@ -505,7 +492,7 @@ def test_plays_match_a_full_batch_play_bit_for_bit(monkeypatch, n_users, n_resou
     cfg = GameConfig(n_users=n_users, n_resources=n_resources, price_set=(1, 2, 4, 5),
                      budget_set=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(n_users * 1000 + n_resources * 100 + batch)
-    policy = AlgorithmPolicy(n_users, 4, hidden=hidden, encoder_width=width, rng=rng)
+    policy = AlgorithmPolicy(n_users, 4, hidden=hidden, rng=rng)
     policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
     budgets = rng.integers(1, 6, size=(batch, n_users))
     if kind == "random":
@@ -520,10 +507,10 @@ def test_plays_match_a_full_batch_play_bit_for_bit(monkeypatch, n_users, n_resou
     seen = []   # the probabilities of each pricer forward
     forward = AlgorithmPolicy.forward
 
-    def recorded(self, history, current):
-        probs, tape = forward(self, history, current)
+    def recorded(self, features):
+        probs = forward(self, features)
         seen.append(probs.copy())
-        return probs, tape
+        return probs
 
     monkeypatch.setattr(AlgorithmPolicy, "forward", recorded)
     ref_rng = np.random.default_rng(seed)
@@ -563,7 +550,7 @@ def test_settled_cells_carry_no_price(sample):
     # in a play without gradients; its price 0 is outside every price set
     cfg = GameConfig(n_users=9, n_resources=2, price_set=(1, 2, 4, 5), budget_set=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(31)
-    policy = AlgorithmPolicy(9, 4, hidden=(8,), encoder_width=2, rng=rng)
+    policy = AlgorithmPolicy(9, 4, hidden=(8,), rng=rng)
     policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
     budgets = rng.integers(1, 6, size=(30, 9))
     for lengths in (None, rng.integers(1, 10, size=30)):
@@ -587,7 +574,7 @@ def test_settled_cells_carry_no_price(sample):
 
 def test_play_without_gradients_memory_stays_small():
     # an 81-row, N=25 argmax play with 64-wide layers keeps no tapes and only
-    # ever copies the history of the rows it still forwards
+    # ever copies the features of the rows it still forwards
     cfg = GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
                      budget_set=(1, 2, 3, 4, 5))
     rng = np.random.default_rng(25)
@@ -683,6 +670,11 @@ class TestLoops:
         with pytest.raises(ValueError, match="need at least one pure strategy"):
             train_adv_vs_mw(SMALL, tiny_tcfg(), [])
 
+    def test_alg_vs_mw_rejects_an_empty_budget_strategy(self):
+        # an empty row would leave no slot of the gradient play live
+        with pytest.raises(ValueError, match=r"^pure strategy 0 \(budgets\) is empty$"):
+            train_alg_vs_mw(SMALL, tiny_tcfg(), [(), (1, 2)])
+
     def test_early_stop_on_target(self):
         # target chosen so the very first full window triggers the stop
         tcfg = tiny_tcfg(episodes=10_000, batch=500, target_gap=2.0, stop_rtol=5.0)
@@ -719,18 +711,20 @@ def _fingerprint(res):
     return h.hexdigest()
 
 
-# Fingerprints computed when each loop still carried its own copy of the
-# counter, trailing-window, metrics, hook, ring and early-stop code; the
-# shared loop must reproduce them bit for bit.
+# Fingerprints that the shared loop must reproduce bit for bit. adv-vs-mw was
+# computed when each loop still carried its own copy of the counter,
+# trailing-window, metrics, hook, ring and early-stop code; the loops that
+# train a pricing policy were re-recorded when it lost its history encoder
+# and came to read only the current slot's step features.
 PINNED_LOOPS = {
     "joint": (
         lambda hook: train_joint(SMALL, tiny_tcfg(xi=2, clip=1.0, snapshot_window=3),
                                  metrics_hook=hook),
-        "9fc5b2064c68d526bc2677bd5eae4c73b03e479c617425c16512127f22ba70a8"),
+        "4795f1be27598dfd94d0f0c065c2be41053b658685f50488e2ef23b3144c7ab3"),
     "alg-vs-mw": (
         lambda hook: train_alg_vs_mw(SMALL, tiny_tcfg(clip=1.0, snapshot_window=3),
                                      [(1, 2, 3, 1), (3, 3), (1,)], metrics_hook=hook),
-        "9e98b2a5df1007d9a02f4439ac2879420e945df6fa9b6d14bf79ebe2dc1539de"),
+        "422e4e594859d508dc448af7bbab0173274095d7fdfabe617d0f3272d4616099"),
     "adv-vs-mw": (
         lambda hook: train_adv_vs_mw(SMALL, tiny_tcfg(snapshot_window=3),
                                      [(1, 1, 2, 2), (1, 2, 2, 3), (3, 3, 3, 3)],
@@ -740,23 +734,23 @@ PINNED_LOOPS = {
         lambda hook: train_joint(SMALL, tiny_tcfg(episodes=10_000, batch=125,
                                                   target_gap=2.0, stop_rtol=5.0),
                                  metrics_hook=hook),
-        "c2696fec626e619184b23bf977f8eaa577f86d9e1b360706adba2ba7c0a8a8ec"),
+        "a34f6a44d3e5cad29d2a3c4e252a899d75c5bc1d1b8d5943643f8e9b24723ee6"),
 }
-# Fingerprints at N=25 computed while a gradient play still back-propagated
-# blocks of at most 64 (row, slot) cells, so 5 blocks of a batch-10 play and
-# 13 of a batch-32 one; the alg-vs-mw rollouts shrink their forwarded rows.
+# Fingerprints at N=25, recorded with the step-feature pricer; a gradient
+# play back-propagates its slots in blocks, and the alg-vs-mw rollouts shrink
+# their forwarded rows.
 PINNED_LOOPS.update({
     "alg-vs-mw-n25": (
         lambda hook: train_alg_vs_mw(STAIRCASE, tiny_tcfg(episodes=30, batch=10,
                                                           snapshot_window=2),
                                      [STAIRCASE_ROW[:i + 1] for i in range(25)],
                                      metrics_hook=hook),
-        "59a87fb9c85888ad41338aafd81d903011a0d5995ad1c88776e72c52310735d2"),
+        "ef2bf9dec4e64ebd97759d5a6b061087b0149c932714f13a244389f3f07c2785"),
     "joint-n25": (
         lambda hook: train_joint(STAIRCASE, tiny_tcfg(episodes=64, batch=32,
                                                       snapshot_window=2),
                                  metrics_hook=hook),
-        "6a157204b0af691ae30319b784f807787a2337af46eb2ccb06ebd4b5fd5042d5"),
+        "ab66e7e20bdfd561d4f8235e3e024ac151e6b753052f1ae391f12a0952e09dec"),
 })
 
 
