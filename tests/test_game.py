@@ -20,6 +20,7 @@ from advalloc.game import (
     parse_sequence,
     play_out,
     simulate,
+    strategy_rows,
     validate_budgets,
     validate_prices,
     welfare_grid,
@@ -326,6 +327,37 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match=re.escape("prices longer than n_users: 4 > 3")):
             validate_prices(c, (1, 1, 1, 1), allow_partial=True)
+
+
+class TestStrategyRows:
+    """Pure-strategy lists become zero-padded rows and their lengths; every
+    strategy must hold at least one entry."""
+
+    def test_pads_partial_rows_and_reports_lengths(self):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        rows, lengths = strategy_rows(c, [(4,), [2, 4], np.array([4, 4, 2])], "budgets",
+                                      allow_partial=True)
+        assert rows.dtype == lengths.dtype == np.int64
+        assert rows.tolist() == [[4, 0, 0], [2, 4, 0], [4, 4, 2]]
+        assert lengths.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("what", ["budgets", "prices"])
+    def test_needs_at_least_one_strategy(self, what):
+        with pytest.raises(ValueError, match=rf"^need at least one pure strategy \({what}\)$"):
+            strategy_rows(cfg(3, 1, (1, 2), (2, 4)), [], what, allow_partial=True)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("what", ["budgets", "prices"])
+    def test_empty_strategy_is_refused_by_its_index(self, what, position):
+        c = cfg(3, 1, (1, 2), (2, 4))
+        full = (2, 4, 4) if what == "budgets" else (1, 2, 1)
+        strategies = [full] * 3
+        strategies[position] = ()
+        with pytest.raises(ValueError, match=rf"^pure strategy {position} \({what}\) is empty$"):
+            strategy_rows(c, strategies, what, allow_partial=True)
+        # without allow_partial an empty strategy is a wrong length, as before
+        with pytest.raises(ValueError, match=rf"^{what} length 0 != n_users 3$"):
+            strategy_rows(c, strategies, what)
 
 
 class TestCheckedRows:

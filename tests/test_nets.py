@@ -398,6 +398,27 @@ class TestBitIdentity:
         split = pol.backprop(features[cut:], signals[cut:], into=into)
         assert all(same_bits(g, h) for g, h in zip(split, ref))
 
+    @pytest.mark.parametrize("batch", [1, 2, 17, 39])
+    @pytest.mark.parametrize("hidden", [8, 16, 32, 64])
+    def test_stacked_forward_matches_per_slot_forward(self, hidden, batch):
+        # a gradient play forwards one slot at a time and back-propagates a
+        # block from one stacked forward; on trained-like nets of the default
+        # depth the two must give the same bits, or the block's gradient would
+        # belong to prices the play never posted
+        rng = np.random.default_rng(hidden * 1000 + batch)
+        for _ in range(4):
+            n_slots, n_prices = int(rng.integers(1, 26)), int(rng.integers(1, 6))
+            pol = AlgorithmPolicy(n_slots, n_prices, hidden=(hidden,) * 3, rng=rng)
+            pol.set_params([p + rng.normal(size=p.shape, scale=0.3) for p in pol.params])
+            features = rng.random(size=(n_slots, batch, N_STEP_FEATURES))
+            stacked = pol.mlp.forward(features)[0]
+            assert all(same_bits(stacked[i], pol.forward(features[i])) for i in range(n_slots))
+            signals = rng.normal(size=(n_slots, batch, n_prices))
+            ref = None
+            for x, signal in zip(features, signals):
+                ref = add_grads(ref, pol.backprop(x, signal))
+            assert all(same_bits(g, h) for g, h in zip(pol.backprop(features, signals), ref))
+
 
 class TestSlope:
     BUILDERS = [

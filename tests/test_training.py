@@ -361,6 +361,50 @@ class TestAlgorithmGradients:
         assert res.accepted[0, 0]
         assert all(np.allclose(g, 0) for g in grads)
 
+    @pytest.mark.parametrize("cfg", [
+        SMALL,
+        GameConfig(n_users=7, n_resources=3, price_set=(1, 3, 5, 7), budget_set=(2, 4, 6)),
+        GameConfig(n_users=25, n_resources=5, price_set=(1, 2, 3, 4, 5),
+                   budget_set=(1, 2, 3, 4, 5)),
+    ], ids=["n4", "n7", "n25"])
+    @pytest.mark.parametrize("gradient_play", [False, True], ids=["argmax", "sampled-gradient"])
+    def test_prices_follow_from_the_step_state_alone(self, cfg, gradient_play):
+        # every posted price is the pricer's choice on the slot's four step
+        # features (slot, units left, last budget, last price), rebuilt here
+        # from the play's own record of prefix rows; the argmax play shrinks
+        # its rows, so only live cells are checked there, while the gradient
+        # play forwards every row and must reproduce each sampled price
+        rng = np.random.default_rng(cfg.n_users)
+        n, batch = cfg.n_users, 40
+        policy = AlgorithmPolicy(n, cfg.n_prices, hidden=(16, 16), rng=rng)
+        policy.set_params([p + rng.normal(size=p.shape) for p in policy.params])
+        budgets = rng.choice(cfg.budget_set, size=(batch, n))
+        lengths = rng.integers(1, n + 1, size=batch)
+        if gradient_play:
+            res, _ = algorithm_gradients(cfg, policy, budgets, np.random.default_rng(1),
+                                         lengths=lengths)
+            u = np.random.default_rng(1).random((n, batch, 1))
+        else:
+            res = play_batch(cfg, policy, budgets, lengths=lengths, sample=False)
+        budgets = budgets * (np.arange(n) < lengths[:, None])
+        left = cfg.n_resources - (np.cumsum(res.accepted, axis=1) - res.accepted)
+        live = (left > 0) & (np.arange(n) < lengths[:, None])
+        assert live[:, 0].all()
+        for i in range(n):
+            features = np.zeros((batch, N_STEP_FEATURES))
+            features[:, 0] = (i + 1) / n
+            features[:, 1] = left[:, i] / cfg.n_resources
+            if i:
+                features[:, 2] = budgets[:, i - 1] / cfg.upper_bound
+                features[:, 3] = res.prices[:, i - 1] / cfg.price_set[-1]
+            probs = policy.forward(features)
+            if gradient_play:
+                assert np.array_equal(training.categorical_from_uniform(probs, u[i]),
+                                      res.price_idx[:, i]), i
+            else:
+                assert np.array_equal(np.argmax(probs, axis=1)[live[:, i]],
+                                      res.price_idx[live[:, i], i]), i
+
 
 def test_gradient_play_memory_stays_flat():
     # one N=25, batch-32 gradient play with 64-wide layers back-propagates
